@@ -75,8 +75,10 @@ int main() {
   options.walks.walks_per_node = 20;
   options.sgns.dimension = 2;
   options.sgns.epochs = 10;
+  Budget unlimited;
   Report("c: node2vec (p=1, q=0.5)", g,
-         embed::Node2VecEmbedding(g, options, rng));
+         *embed::Node2VecEmbeddingBudgeted(graph::GraphView(g), options, rng,
+                                           unlimited));
 
   std::printf(
       "\npaper-shape check: all three embeddings place adjacent pairs\n"

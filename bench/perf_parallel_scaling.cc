@@ -12,6 +12,7 @@
 #include "bench_meta.h"
 #include "base/rng.h"
 #include "embed/sgns.h"
+#include "embed/stream.h"
 #include "embed/walks.h"
 #include "graph/generators.h"
 #include "kernel/wl_kernel.h"
@@ -19,6 +20,7 @@
 namespace {
 
 using x2vec::graph::Graph;
+using x2vec::graph::GraphView;
 
 std::vector<Graph> Dataset(int count, int size) {
   x2vec::Rng rng = x2vec::MakeRng(35);
@@ -54,7 +56,7 @@ void BM_WalkCorpusThreads(benchmark::State& state) {
   x2vec::SetThreadCount(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        x2vec::embed::GenerateWalksParallel(g, options, 99));
+        x2vec::embed::GenerateWalksParallel(GraphView(g), options, 99));
   }
   x2vec::SetThreadCount(0);
 }
@@ -80,7 +82,7 @@ void BM_BiasedWalkCorpusThreads(benchmark::State& state) {
   x2vec::SetThreadCount(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        x2vec::embed::GenerateWalksParallel(g, options, 99));
+        x2vec::embed::GenerateWalksParallel(GraphView(g), options, 99));
   }
   x2vec::SetThreadCount(0);
 }
@@ -104,9 +106,9 @@ void BM_ShardedPvDbowThreads(benchmark::State& state) {
   x2vec::SetThreadCount(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     x2vec::Budget unlimited;
-    benchmark::DoNotOptimize(
-        *x2vec::embed::TrainPvDbowSharded(documents, 100, options, 7,
-                                          unlimited));
+    x2vec::embed::CorpusSource source(documents);
+    benchmark::DoNotOptimize(*x2vec::embed::TrainPvDbowShardedStreaming(
+        source, 100, options, 7, unlimited));
   }
   x2vec::SetThreadCount(0);
 }

@@ -71,7 +71,13 @@ int main() {
   options.dimension = 32;
   options.epochs = 5;
   Rng train_rng = MakeRng(22);
-  const embed::SgnsModel model = embed::TrainSgns(corpus, options, train_rng);
+  embed::CorpusSource source(corpus.sentences);
+  const embed::StreamStats stats = embed::CountStream(
+      source, options.window, /*skipgram_window=*/true, corpus.vocab.size());
+  Budget unlimited;
+  const embed::SgnsModel model = *embed::TrainSgnsStreaming(
+      source, stats, corpus.vocab.NoiseDistribution(options.noise_power),
+      options, train_rng, unlimited);
 
   const std::string artifact = "tab_serving_model.x2v";
   Fs& fs = DefaultFs();

@@ -64,8 +64,13 @@ int main(int argc, char** argv) {
           checkpoint_dir + "/sgns_d" + std::to_string(dim);
     }
     Rng train_rng = MakeRng(22);
-    const embed::SgnsModel model = embed::TrainSgns(corpus, options,
-                                                    train_rng);
+    embed::CorpusSource source(corpus.sentences);
+    const embed::StreamStats stats = embed::CountStream(
+        source, options.window, /*skipgram_window=*/true, corpus.vocab.size());
+    Budget unlimited;
+    const embed::SgnsModel model = *embed::TrainSgnsStreaming(
+        source, stats, corpus.vocab.NoiseDistribution(options.noise_power),
+        options, train_rng, unlimited);
 
     auto word_id = [&corpus](int topic, int word) {
       return corpus.vocab.Lookup("t" + std::to_string(topic) + "_w" +

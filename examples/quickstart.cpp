@@ -49,8 +49,9 @@ int main() {
   options.walks.p = 1.0;
   options.walks.q = 0.5;
   options.sgns.dimension = 8;
-  const linalg::Matrix node_vectors =
-      embed::Node2VecEmbedding(social, options, rng);
+  Budget unlimited;
+  const linalg::Matrix node_vectors = *embed::Node2VecEmbeddingBudgeted(
+      graph::GraphView(social), options, rng, unlimited);
   std::printf("node2vec: embedded %d nodes into R^%d\n", node_vectors.rows(),
               node_vectors.cols());
 

@@ -74,8 +74,9 @@ int main() {
   Rng embed_rng = MakeRng(13);
   embed::Node2VecOptions n2v;
   n2v.sgns.dimension = 16;
-  const linalg::Matrix x =
-      embed::Node2VecEmbedding(network.graph, n2v, embed_rng);
+  Budget unlimited;
+  const linalg::Matrix x = *embed::Node2VecEmbeddingBudgeted(
+      graph::GraphView(network.graph), n2v, embed_rng, unlimited);
   double adjacent = 0.0;
   int adjacent_count = 0;
   double non_adjacent = 0.0;

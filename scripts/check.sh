@@ -8,8 +8,8 @@
 #      on its own so a regression there is called out by name)
 #   5. ctest -L kernels (span-kernel unit tests + bit-identity goldens,
 #      re-run on its own so a numeric drift is called out by name)
-#   6. ctest -L parity (backend-parity suite: vectorized/float32 kernel
-#      backends vs the generic golden reference, re-run on its own so a
+#   6. ctest -L parity (backend-parity suite: the vectorized kernel
+#      backend vs the generic golden reference, re-run on its own so a
 #      tolerance breach is called out by name)
 #   7. ctest -L persist (durable I/O + checkpoint/resume crash-safety
 #      suite, re-run on its own so a persistence regression is called out
@@ -23,12 +23,16 @@
 #      called out by name) followed by a perf_stream --smoke run, which
 #      must stream a DeepWalk training pass over a generated 10M-edge CSR
 #      graph without materialising the walk corpus
-#  10. x2vec_lint over src/ tests/ bench/ tools/ examples/ — per-file
+#  10. python3 perfbench/smoke_test.py (plain gate only): builds the
+#      benchmark from src/ in its own non-sanitized .bench_build/ and runs
+#      every workload at toy size, so a src/ change that breaks the
+#      benchmark's build or its correctness checks fails here
+#  11. x2vec_lint over src/ tests/ bench/ tools/ examples/ — per-file
 #      rules plus the whole-program passes (include cycles, layering
 #      against tools/lint/layers.txt, metric registry); also exports the
 #      module dependency DAG to $BUILD_DIR/deps.json and fails if the
 #      checked-in docs/metrics.md is stale
-#  11. clang-tidy over src/ — skipped with a notice when not installed
+#  12. clang-tidy over src/ — skipped with a notice when not installed
 #
 # Usage:
 #   scripts/check.sh [--sanitize=asan|tsan|ubsan] [--build-dir=DIR] [-j N]
@@ -121,6 +125,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L stream
 
 step "perf_stream smoke (10M-edge streaming DeepWalk, no corpus)"
 "$BUILD_DIR/bench/perf_stream" --smoke
+
+if [[ -z "$SANITIZE" ]]; then
+  step "perfbench smoke (benchmark build + correctness checks, toy size)"
+  python3 perfbench/smoke_test.py
+fi
 
 step "x2vec_lint src/ tests/ bench/ tools/ examples/"
 "$BUILD_DIR/tools/lint/x2vec_lint" --graph="$BUILD_DIR/deps.json" \

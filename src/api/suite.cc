@@ -179,8 +179,8 @@ std::vector<NodeEmbeddingMethod> DefaultNodeMethodSuite() {
                      embed::Node2VecOptions options;
                      options.sgns.dimension = 16;
                      options.sgns.epochs = 3;
-                     return embed::DeepWalkEmbeddingBudgeted(g, options, rng,
-                                                             budget);
+                     return embed::DeepWalkEmbeddingBudgeted(
+                         graph::GraphView(g), options, rng, budget);
                    }});
   suite.push_back({"node2vec-p1-q0.5",
                    [](const Graph& g, Rng& rng,
@@ -190,8 +190,8 @@ std::vector<NodeEmbeddingMethod> DefaultNodeMethodSuite() {
                      options.walks.q = 0.5;
                      options.sgns.dimension = 16;
                      options.sgns.epochs = 3;
-                     return embed::Node2VecEmbeddingBudgeted(g, options, rng,
-                                                             budget);
+                     return embed::Node2VecEmbeddingBudgeted(
+                         graph::GraphView(g), options, rng, budget);
                    }});
   suite.push_back({"rooted-hom-trees",
                    [](const Graph& g, Rng&,

@@ -75,8 +75,8 @@ class Fnv1a {
 /// Which trainer family (or artifact type) wrote a checkpoint file.
 /// Values are part of the on-disk format; never renumber.
 enum class CheckpointKind : uint32_t {
-  kSgnsSequential = 1,   ///< TrainSgns / TrainPvDbow (budgeted) mid-training.
-  kSgnsSharded = 2,      ///< TrainSgnsSharded / TrainPvDbowSharded.
+  kSgnsSequential = 1,   ///< TrainSgnsStreaming / TrainPvDbowStreaming.
+  kSgnsSharded = 2,      ///< TrainSgns/PvDbowShardedStreaming.
   kTransE = 3,           ///< kg::TrainTransE mid-training.
   kRescal = 4,           ///< kg::TrainRescal mid-training.
   kSgnsModelArtifact = 5,  ///< Final SgnsModel (input + output matrices).

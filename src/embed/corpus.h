@@ -26,8 +26,8 @@ class Vocabulary {
   int size() const { return static_cast<int>(tokens_.size()); }
 
   /// Unigram counts raised to `power` (word2vec uses 0.75) — the negative-
-  /// sampling distribution. Convention shared with PvDbowNoiseDistribution
-  /// (embed/sgns.h): weights are pow(count, power) on the *raw* counts, so
+  /// sampling distribution. Convention shared with NoiseFromCounts
+  /// (embed/stream.h): weights are pow(count, power) on the *raw* counts, so
   /// a zero-count token keeps weight exactly 0 and is never drawn as a
   /// negative. (Vocabulary counts come from observed tokens and are >= 1;
   /// the zero-count case matters for callers that build tables over a

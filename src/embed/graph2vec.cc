@@ -1,6 +1,7 @@
 #include "embed/graph2vec.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "wl/color_refinement.h"
 
@@ -49,17 +50,12 @@ WlDocuments BuildWlDocuments(const std::vector<graph::Graph>& graphs,
   return out;
 }
 
-}  // namespace
-
-linalg::Matrix Graph2VecEmbedding(const std::vector<graph::Graph>& graphs,
-                                  const Graph2VecOptions& options, Rng& rng) {
-  Budget unlimited;
-  return *Graph2VecEmbeddingBudgeted(graphs, options, rng, unlimited);
-}
-
-StatusOr<linalg::Matrix> Graph2VecEmbeddingBudgeted(
-    const std::vector<graph::Graph>& graphs, const Graph2VecOptions& options,
-    Rng& rng, Budget& budget) {
+// The one graph2vec body: WL documents through a CorpusSource into
+// `train`, which returns the PV-DBOW model for (source, vocab size).
+template <class TrainFn>
+StatusOr<linalg::Matrix> Graph2Vec(const std::vector<graph::Graph>& graphs,
+                                   const Graph2VecOptions& options,
+                                   Budget& budget, TrainFn&& train) {
   if (graphs.empty()) {
     return Status::InvalidArgument(
         "graph2vec needs at least one input graph");
@@ -68,33 +64,32 @@ StatusOr<linalg::Matrix> Graph2VecEmbeddingBudgeted(
     return budget.ExhaustedError("graph2vec embedding");
   }
   const WlDocuments wl = BuildWlDocuments(graphs, options.wl_rounds);
-  // The WL documents feed the trainer through the stream interface: the
-  // adapter replays them verbatim, so the embedding is bit-identical to
-  // the historical materialised path while exercising the same trainer
-  // code an out-of-core document source would.
   CorpusSource source(wl.documents);
-  StatusOr<SgnsModel> model =
-      TrainPvDbowStreaming(source, wl.vocab_size, options.sgns, rng, budget);
+  StatusOr<SgnsModel> model = train(source, wl.vocab_size);
   if (!model.ok()) return model.status();
   return std::move(model->input);
+}
+
+}  // namespace
+
+StatusOr<linalg::Matrix> Graph2VecEmbeddingBudgeted(
+    const std::vector<graph::Graph>& graphs, const Graph2VecOptions& options,
+    Rng& rng, Budget& budget) {
+  return Graph2Vec(graphs, options, budget,
+                   [&](SentenceSource& source, int vocab_size) {
+                     return TrainPvDbowStreaming(source, vocab_size,
+                                                 options.sgns, rng, budget);
+                   });
 }
 
 StatusOr<linalg::Matrix> Graph2VecEmbeddingParallel(
     const std::vector<graph::Graph>& graphs, const Graph2VecOptions& options,
     uint64_t seed, Budget& budget) {
-  if (graphs.empty()) {
-    return Status::InvalidArgument(
-        "graph2vec needs at least one input graph");
-  }
-  if (budget.Exhausted()) {
-    return budget.ExhaustedError("graph2vec embedding");
-  }
-  const WlDocuments wl = BuildWlDocuments(graphs, options.wl_rounds);
-  CorpusSource source(wl.documents);
-  StatusOr<SgnsModel> model = TrainPvDbowShardedStreaming(
-      source, wl.vocab_size, options.sgns, seed, budget);
-  if (!model.ok()) return model.status();
-  return std::move(model->input);
+  return Graph2Vec(graphs, options, budget,
+                   [&](SentenceSource& source, int vocab_size) {
+                     return TrainPvDbowShardedStreaming(
+                         source, vocab_size, options.sgns, seed, budget);
+                   });
 }
 
 }  // namespace x2vec::embed

@@ -26,25 +26,19 @@ struct Graph2VecOptions {
 /// Transductive whole-graph embedding: one row per input graph. Graphs are
 /// refined jointly so colour-words are shared across the dataset; the
 /// embedding exists only for graphs present at training time (the
-/// "transductive" caveat Section 2.5 raises).
-linalg::Matrix Graph2VecEmbedding(const std::vector<graph::Graph>& graphs,
-                                  const Graph2VecOptions& options, Rng& rng);
-
-/// Budgeted variant: budget semantics are those of TrainPvDbowBudgeted
-/// (one work unit per positive document-word pair), which dominates the
-/// cost. Returns kResourceExhausted / kInvalidArgument / kInternal as the
-/// underlying trainer does; with an unlimited budget the result is
-/// bit-identical to Graph2VecEmbedding (a thin wrapper over this).
+/// "transductive" caveat Section 2.5 raises). Both variants build the same
+/// WL documents and feed them to PV-DBOW through a CorpusSource: the
+/// Budgeted one with the sequential trainer (TrainPvDbowStreaming, drawing
+/// from `rng`), the Parallel one with the sharded trainer
+/// (TrainPvDbowShardedStreaming), bit-identical at any thread count for a
+/// fixed seed. Budget semantics are the trainer's (one work unit per
+/// positive document-word pair). kInvalidArgument for an empty dataset or
+/// bad options; otherwise kResourceExhausted / kInternal as the trainer
+/// returns them.
 [[nodiscard]] StatusOr<linalg::Matrix> Graph2VecEmbeddingBudgeted(
     const std::vector<graph::Graph>& graphs, const Graph2VecOptions& options,
     Rng& rng, Budget& budget);
 
-/// Parallel variant built on TrainPvDbowSharded: WL documents are built as
-/// in the sequential path, then trained with the sharded deterministic
-/// mini-batch trainer, so the embedding is bit-identical at any thread
-/// count for a fixed seed (and numerically different from the sequential
-/// trainers' output — see TrainPvDbowSharded). Budget and error semantics
-/// match Graph2VecEmbeddingBudgeted.
 [[nodiscard]] StatusOr<linalg::Matrix> Graph2VecEmbeddingParallel(
     const std::vector<graph::Graph>& graphs, const Graph2VecOptions& options,
     uint64_t seed, Budget& budget);

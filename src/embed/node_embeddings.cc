@@ -3,7 +3,10 @@
 #include <cmath>
 #include <span>
 #include <string>
+#include <utility>
 
+#include "base/validation.h"
+#include "embed/stream.h"
 #include "graph/algorithms.h"
 #include "linalg/eigen.h"
 
@@ -93,68 +96,15 @@ linalg::Matrix IsomapEmbedding(const graph::Graph& g, int d) {
 
 namespace {
 
-// Builds the node corpus for a walk set: node ids are already dense, so
-// the string vocabulary is a formality, but occurrence counts feed the
-// noise table.
-Corpus WalkCorpus(const graph::Graph& g,
-                  std::vector<std::vector<int>> walks) {
-  Corpus corpus;
-  for (int v = 0; v < g.NumVertices(); ++v) {
-    corpus.vocab.Add("n" + std::to_string(v));
-  }
-  // Re-count occurrences: Add() above counted each once; walking tokens are
-  // added by re-adding per occurrence.
-  for (const auto& walk : walks) {
-    for (int v : walk) corpus.vocab.Add("n" + std::to_string(v));
-  }
-  corpus.sentences = std::move(walks);
-  return corpus;
-}
-
-StatusOr<linalg::Matrix> WalkSkipGram(const graph::Graph& g,
-                                      const Node2VecOptions& options, Rng& rng,
-                                      Budget& budget) {
-  if (budget.Exhausted()) {
-    return budget.ExhaustedError("walk + skip-gram embedding");
-  }
-  // Corpus generation runs on the parallel path (bit-identical at any
-  // thread count); the seed is one draw from the caller's generator, which
-  // then drives the sequential trainer as before.
-  std::vector<std::vector<int>> walks =
-      GenerateWalksParallel(g, options.walks, rng());
-  if (!budget.Spend(static_cast<int64_t>(walks.size()))) {
-    return budget.ExhaustedError("walk + skip-gram embedding");
-  }
-  const Corpus corpus = WalkCorpus(g, std::move(walks));
-  StatusOr<SgnsModel> model = TrainSgnsBudgeted(corpus, options.sgns, rng,
-                                                budget);
-  if (!model.ok()) return model.status();
-  return std::move(model->input);
-}
-
-StatusOr<linalg::Matrix> WalkSkipGramParallel(const graph::Graph& g,
-                                              const Node2VecOptions& options,
-                                              uint64_t seed, Budget& budget) {
-  if (budget.Exhausted()) {
-    return budget.ExhaustedError("walk + skip-gram embedding");
-  }
-  // Streams 0 and 1 of the seed are reserved for walks and training.
-  std::vector<std::vector<int>> walks =
-      GenerateWalksParallel(g, options.walks, MixSeed(seed, 0));
-  if (!budget.Spend(static_cast<int64_t>(walks.size()))) {
-    return budget.ExhaustedError("walk + skip-gram embedding");
-  }
-  const Corpus corpus = WalkCorpus(g, std::move(walks));
-  StatusOr<SgnsModel> model =
-      TrainSgnsSharded(corpus, options.sgns, MixSeed(seed, 1), budget);
-  if (!model.ok()) return model.status();
-  return std::move(model->input);
-}
-
-StatusOr<linalg::Matrix> WalkSkipGramStreaming(const graph::GraphView& g,
-                                               const Node2VecOptions& options,
-                                               uint64_t seed, Budget& budget,
-                                               int64_t shuffle_buffer) {
+// The one walk + skip-gram body: validate, WalkSource -> CountStream ->
+// NoiseFromCounts(base_count 1) -> `train`, which consumes the walk stream
+// with its counts and noise table and returns the trained model.
+template <class TrainFn>
+StatusOr<linalg::Matrix> WalkSkipGram(const graph::GraphView& g,
+                                      const WalkOptions& walk_options,
+                                      const SgnsOptions& sgns,
+                                      uint64_t walk_seed, Budget& budget,
+                                      TrainFn&& train) {
   if (budget.Exhausted()) {
     return budget.ExhaustedError("walk + skip-gram embedding");
   }
@@ -163,96 +113,85 @@ StatusOr<linalg::Matrix> WalkSkipGramStreaming(const graph::GraphView& g,
     return Status::InvalidArgument(
         "SGNS training needs a non-empty vocabulary");
   }
-  // Streams 0 and 1 of the seed are reserved for walks and training, as in
-  // the materialised parallel path; stream 2 drives the optional shuffle.
-  WalkSource walks(g, options.walks, MixSeed(seed, 0));
+  if (Status status = ValidateOptions({
+          {"walks_per_node", static_cast<double>(walk_options.walks_per_node),
+           OptionCheck::Rule::kNonNegative},
+          {"walk_length", static_cast<double>(walk_options.walk_length),
+           OptionCheck::Rule::kPositive},
+          {"p", walk_options.p, OptionCheck::Rule::kPositiveFinite},
+          {"q", walk_options.q, OptionCheck::Rule::kPositiveFinite},
+      });
+      !status.ok()) {
+    return status;
+  }
+  WalkSource walks(g, walk_options, walk_seed);
   if (!budget.Spend(walks.NumSentences())) {
     return budget.ExhaustedError("walk + skip-gram embedding");
   }
-  // The single streaming counting pass: per-vertex occurrence counts for
-  // the noise table plus the pair-schedule totals, replacing the
-  // materialised WalkCorpus. base_count 1 reproduces its convention of
-  // seeding every vertex with one count before the walk occurrences, so
-  // the table — and hence every negative draw — matches the in-memory path
-  // value for value.
   const StreamStats stats =
-      CountStream(walks, options.sgns.window, /*skipgram_window=*/true, n);
+      CountStream(walks, sgns.window, /*skipgram_window=*/true, n);
   const std::vector<double> noise = NoiseFromCounts(
-      stats.token_counts, n, options.sgns.noise_power, /*base_count=*/1);
-  // `stats` stays valid under the shuffle: every total it carries is
-  // order-independent, so the permuted stream needs no second pass.
-  StatusOr<SgnsModel> model =
-      shuffle_buffer > 0
-          ? [&] {
-              ShuffleBufferSource shuffled(walks, shuffle_buffer,
-                                           MixSeed(seed, 2));
-              return TrainSgnsShardedStreaming(shuffled, stats, noise,
-                                               options.sgns, MixSeed(seed, 1),
-                                               budget);
-            }()
-          : TrainSgnsShardedStreaming(walks, stats, noise, options.sgns,
-                                      MixSeed(seed, 1), budget);
+      stats.token_counts, n, sgns.noise_power, /*base_count=*/1);
+  StatusOr<SgnsModel> model = train(walks, stats, noise);
   if (!model.ok()) return model.status();
   return std::move(model->input);
 }
 
+WalkOptions Uniform(WalkOptions walks) {
+  walks.p = 1.0;
+  walks.q = 1.0;
+  return walks;
+}
+
+StatusOr<linalg::Matrix> EmbedSequential(const graph::GraphView& g,
+                                         const WalkOptions& walks,
+                                         const SgnsOptions& sgns, Rng& rng,
+                                         Budget& budget) {
+  return WalkSkipGram(g, walks, sgns, rng(), budget,
+                      [&](SentenceSource& source, const StreamStats& stats,
+                          const std::vector<double>& noise) {
+                        return TrainSgnsStreaming(source, stats, noise, sgns,
+                                                  rng, budget);
+                      });
+}
+
+StatusOr<linalg::Matrix> EmbedSharded(const graph::GraphView& g,
+                                      const WalkOptions& walks,
+                                      const SgnsOptions& sgns, uint64_t seed,
+                                      Budget& budget) {
+  return WalkSkipGram(g, walks, sgns, MixSeed(seed, 0), budget,
+                      [&](SentenceSource& source, const StreamStats& stats,
+                          const std::vector<double>& noise) {
+                        return TrainSgnsShardedStreaming(
+                            source, stats, noise, sgns, MixSeed(seed, 1),
+                            budget);
+                      });
+}
+
 }  // namespace
 
-linalg::Matrix DeepWalkEmbedding(const graph::Graph& g,
-                                 const Node2VecOptions& options, Rng& rng) {
-  Budget unlimited;
-  return *DeepWalkEmbeddingBudgeted(g, options, rng, unlimited);
-}
-
-linalg::Matrix Node2VecEmbedding(const graph::Graph& g,
-                                 const Node2VecOptions& options, Rng& rng) {
-  Budget unlimited;
-  return *Node2VecEmbeddingBudgeted(g, options, rng, unlimited);
-}
-
 StatusOr<linalg::Matrix> DeepWalkEmbeddingBudgeted(
-    const graph::Graph& g, const Node2VecOptions& options, Rng& rng,
+    const graph::GraphView& g, const Node2VecOptions& options, Rng& rng,
     Budget& budget) {
-  Node2VecOptions uniform = options;
-  uniform.walks.p = 1.0;
-  uniform.walks.q = 1.0;
-  return WalkSkipGram(g, uniform, rng, budget);
+  return EmbedSequential(g, Uniform(options.walks), options.sgns, rng, budget);
 }
 
 StatusOr<linalg::Matrix> Node2VecEmbeddingBudgeted(
-    const graph::Graph& g, const Node2VecOptions& options, Rng& rng,
+    const graph::GraphView& g, const Node2VecOptions& options, Rng& rng,
     Budget& budget) {
-  return WalkSkipGram(g, options, rng, budget);
-}
-
-StatusOr<linalg::Matrix> DeepWalkEmbeddingParallel(
-    const graph::Graph& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget) {
-  Node2VecOptions uniform = options;
-  uniform.walks.p = 1.0;
-  uniform.walks.q = 1.0;
-  return WalkSkipGramParallel(g, uniform, seed, budget);
-}
-
-StatusOr<linalg::Matrix> Node2VecEmbeddingParallel(
-    const graph::Graph& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget) {
-  return WalkSkipGramParallel(g, options, seed, budget);
+  return EmbedSequential(g, options.walks, options.sgns, rng, budget);
 }
 
 StatusOr<linalg::Matrix> DeepWalkEmbeddingStreaming(
     const graph::GraphView& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget, int64_t shuffle_buffer) {
-  Node2VecOptions uniform = options;
-  uniform.walks.p = 1.0;
-  uniform.walks.q = 1.0;
-  return WalkSkipGramStreaming(g, uniform, seed, budget, shuffle_buffer);
+    Budget& budget) {
+  return EmbedSharded(g, Uniform(options.walks), options.sgns, seed, budget);
 }
 
 StatusOr<linalg::Matrix> Node2VecEmbeddingStreaming(
     const graph::GraphView& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget, int64_t shuffle_buffer) {
-  return WalkSkipGramStreaming(g, options, seed, budget, shuffle_buffer);
+    Budget& budget) {
+  return EmbedSharded(g, options.walks, options.sgns, seed, budget);
 }
 
 double ReconstructionError(const linalg::Matrix& embedding,

@@ -3,6 +3,7 @@
 #include "base/rng.h"
 #include "embed/sgns.h"
 #include "embed/walks.h"
+#include "graph/csr.h"
 #include "graph/graph.h"
 #include "linalg/matrix.h"
 
@@ -35,72 +36,55 @@ struct Node2VecOptions {
   /// Skip-gram training knobs. Crash-safe checkpointing rides here: set
   /// sgns.checkpoint.dir and the trainer snapshots at epoch barriers and
   /// resumes on the next call. Walk generation is deterministic for a
-  /// fixed seed/rng, so a restarted process rebuilds the identical walk
-  /// corpus and the checkpoint fingerprint (which hashes the corpus)
-  /// matches; a changed graph or walk setup changes the fingerprint and
-  /// the stale checkpoint is skipped.
+  /// fixed seed/rng, so a restarted process regenerates the identical walk
+  /// stream and the checkpoint fingerprint (which hashes it) matches; a
+  /// changed graph or walk setup changes the fingerprint and the stale
+  /// checkpoint is skipped.
   SgnsOptions sgns;
 };
 
-/// DEEPWALK (Section 2.1): uniform walks + skip-gram. Returns one row per
-/// vertex.
-linalg::Matrix DeepWalkEmbedding(const graph::Graph& g,
-                                 const Node2VecOptions& options, Rng& rng);
-
-/// NODE2VEC (Figure 2(c)): biased second-order walks (p, q) + skip-gram.
-linalg::Matrix Node2VecEmbedding(const graph::Graph& g,
-                                 const Node2VecOptions& options, Rng& rng);
-
-/// Budgeted variants of the walk + skip-gram embedders: one work unit per
-/// generated random walk plus the TrainSgnsBudgeted unit per positive pair
-/// (which dominates). Returns kResourceExhausted / kInvalidArgument /
-/// kInternal as the underlying trainer does; with an unlimited budget the
-/// results are bit-identical to the plain functions above (which are thin
-/// wrappers over these).
+/// DEEPWALK (Section 2.1: uniform walks + skip-gram) and NODE2VEC
+/// (Figure 2(c): biased second-order walks with return parameter p and
+/// in-out parameter q + skip-gram; DeepWalk ignores p and q). Returns one
+/// row per vertex, over either graph backend — adjacency-list Graph or
+/// CsrGraph, possibly mmap-backed.
+///
+/// All four run one pipeline (DESIGN.md §13): a WalkSource regenerates the
+/// walks on every pass instead of materialising them, one CountStream pass
+/// builds the noise table (every vertex counts once plus its walk
+/// occurrences: NoiseFromCounts with base_count 1) and the pair-schedule
+/// totals, and the skip-gram trainer consumes the stream. Resident state is
+/// one walk, one start permutation, the model and the noise table.
+///
+/// The Budgeted variants train sequentially (TrainSgnsStreaming): the walk
+/// seed is one draw from `rng`, which then drives the trainer. The
+/// Streaming variants train sharded (TrainSgnsShardedStreaming), with walk
+/// streams MixSeed(seed, 0) and trainer streams MixSeed(seed, 1), so the
+/// embedding is bit-identical at any thread count. To train on a
+/// reordered stream, compose the pieces by hand with a ShuffleBufferSource
+/// between the WalkSource and the trainer.
+///
+/// Budget: one work unit per walk, charged up front, plus the trainer's
+/// unit per positive pair. kInvalidArgument for an empty graph or bad walk
+/// options (walks_per_node < 0, walk_length < 1, p or q not positive and
+/// finite), checked before any walk is generated; otherwise what the
+/// trainer returns (kInvalidArgument for bad SGNS options,
+/// kResourceExhausted, kInternal).
 [[nodiscard]] StatusOr<linalg::Matrix> DeepWalkEmbeddingBudgeted(
-    const graph::Graph& g, const Node2VecOptions& options, Rng& rng,
+    const graph::GraphView& g, const Node2VecOptions& options, Rng& rng,
     Budget& budget);
 
 [[nodiscard]] StatusOr<linalg::Matrix> Node2VecEmbeddingBudgeted(
-    const graph::Graph& g, const Node2VecOptions& options, Rng& rng,
+    const graph::GraphView& g, const Node2VecOptions& options, Rng& rng,
     Budget& budget);
 
-/// Fully parallel variants: parallel walk corpus (GenerateWalksParallel)
-/// feeding the sharded deterministic trainer (TrainSgnsSharded). For a
-/// fixed seed the embedding is bit-identical at any thread count; it
-/// differs numerically from the Budgeted variants, which keep the
-/// sequential SGD trajectory. Budget and error semantics are unchanged.
-[[nodiscard]] StatusOr<linalg::Matrix> DeepWalkEmbeddingParallel(
-    const graph::Graph& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget);
-
-[[nodiscard]] StatusOr<linalg::Matrix> Node2VecEmbeddingParallel(
-    const graph::Graph& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget);
-
-/// Out-of-core variants (DESIGN.md §13): a WalkSource over either graph
-/// backend — adjacency-list Graph or CsrGraph, possibly mmap-backed — feeds
-/// the sharded streaming trainer, so the walk corpus is never materialised;
-/// resident state is one walk, one start permutation, the model and the
-/// noise table. One streaming counting pass builds the noise table (the
-/// WalkCorpus convention: every vertex counts once plus its walk
-/// occurrences) and the pair-schedule totals.
-///
-/// With shuffle_buffer == 0 the result is bit-identical to the Parallel
-/// variants above on the same graph, options and seed — same walk streams
-/// (MixSeed(seed, 0)), same trainer streams (MixSeed(seed, 1)), same noise
-/// table, same schedule. shuffle_buffer > 0 inserts a deterministic
-/// bounded shuffle stage (seeded MixSeed(seed, 2)) between the walks and
-/// the trainer: sentence order changes — so the model differs numerically
-/// from the unshuffled run — but is itself a pure function of (graph,
-/// options, seed, capacity), bit-identical at any thread count.
 [[nodiscard]] StatusOr<linalg::Matrix> DeepWalkEmbeddingStreaming(
     const graph::GraphView& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget, int64_t shuffle_buffer = 0);
+    Budget& budget);
 
 [[nodiscard]] StatusOr<linalg::Matrix> Node2VecEmbeddingStreaming(
     const graph::GraphView& g, const Node2VecOptions& options, uint64_t seed,
-    Budget& budget, int64_t shuffle_buffer = 0);
+    Budget& budget);
 
 /// Encoder-decoder objective value ||X X^T - S||_F of Section 2.1, for
 /// comparing factorisation embeddings against a target similarity.

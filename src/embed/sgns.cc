@@ -1,8 +1,12 @@
 #include "embed/sgns.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <string>
+#include <string_view>
 
 #include "base/metrics.h"
 #include "base/parallel.h"
@@ -15,28 +19,31 @@
 namespace x2vec::embed {
 namespace {
 
-constexpr std::string_view kOperation = "SGNS training";
+// One training run as the epoch driver sees it: the stream and its
+// counting-pass totals, the noise table, the model shape and the objective.
+struct Job {
+  SentenceSource& source;
+  const StreamStats& stats;
+  const std::vector<double>& noise_weights;
+  int rows_in;   // The vocabulary (skip-gram) or the documents (PV-DBOW).
+  int rows_out;  // The vocabulary: every token indexes an output row.
+  bool skipgram_window;  // Skip-gram windows, else PV-DBOW doc -> token.
+  const SgnsOptions& options;
+};
 
-// ---- Checkpoint plumbing shared by the sequential and sharded trainers.
+// ---- Checkpoint plumbing.
 
-// Binds a checkpoint to one exact run: options (recovery included, since
-// it shapes the retry path), data shape and content, noise table and seed.
-// Any difference means "resuming would not reproduce the uninterrupted
-// run", so LoadLatestCheckpoint skips the file. The sentence content is
-// hashed by replaying the source — one dedicated pass, only paid when
-// checkpointing is enabled — in the exact field order the materialised
-// fingerprint always used, so digests (and therefore existing checkpoint
-// files) stay valid across the streaming refactor.
-uint64_t SgnsFingerprint(CheckpointKind kind, SentenceSource& source,
-                         int64_t num_sentences,
-                         const std::vector<double>& noise_weights, int rows_in,
-                         int rows_out, bool skipgram_window,
-                         const SgnsOptions& options, uint64_t seed) {
+// Binds a checkpoint to one exact run — options (recovery included), data
+// shape and content, noise table, seed — so LoadLatestCheckpoint skips any
+// file resuming would not reproduce. The sentences are hashed by one extra
+// pass over the source, in the field order existing files were written.
+uint64_t SgnsFingerprint(CheckpointKind kind, const Job& job, uint64_t seed) {
+  const SgnsOptions& options = job.options;
   Fnv1a hasher;
   hasher.UpdateU64(static_cast<uint64_t>(kind));
-  hasher.UpdateU64(static_cast<uint64_t>(rows_in));
-  hasher.UpdateU64(static_cast<uint64_t>(rows_out));
-  hasher.UpdateU64(skipgram_window ? 1 : 0);
+  hasher.UpdateU64(static_cast<uint64_t>(job.rows_in));
+  hasher.UpdateU64(static_cast<uint64_t>(job.rows_out));
+  hasher.UpdateU64(job.skipgram_window ? 1 : 0);
   hasher.UpdateU64(static_cast<uint64_t>(options.dimension));
   hasher.UpdateU64(static_cast<uint64_t>(options.window));
   hasher.UpdateU64(static_cast<uint64_t>(options.negatives));
@@ -49,71 +56,53 @@ uint64_t SgnsFingerprint(CheckpointKind kind, SentenceSource& source,
   hasher.UpdateDouble(options.recovery.clip_backoff);
   hasher.UpdateDouble(options.recovery.max_abs);
   hasher.UpdateU64(seed);
-  hasher.UpdateU64(static_cast<uint64_t>(num_sentences));
-  source.Reset();
+  hasher.UpdateU64(static_cast<uint64_t>(job.stats.num_sentences));
+  job.source.Reset();
   std::vector<int> seq;
-  while (source.Next(seq)) {
+  while (job.source.Next(seq)) {
     hasher.UpdateU64(seq.size());
     for (int token : seq) hasher.UpdateU64(static_cast<uint64_t>(token));
   }
-  hasher.UpdateU64(noise_weights.size());
-  for (double w : noise_weights) hasher.UpdateDouble(w);
+  hasher.UpdateU64(job.noise_weights.size());
+  for (double w : job.noise_weights) hasher.UpdateDouble(w);
   return hasher.digest();
 }
 
-// Positive pairs contributed by one sequence — the per-sequence term of
-// PositivePairPrefix, shared so the streaming batch loop prices sequences
-// identically to the materialised prefix sums.
-int64_t SequencePairs(const std::vector<int>& seq, int window,
-                      bool skipgram_window) {
-  if (!skipgram_window) return static_cast<int64_t>(seq.size());
-  const int len = static_cast<int>(seq.size());
-  int64_t pairs = 0;
-  for (int pos = 0; pos < len; ++pos) {
-    const int lo = std::max(0, pos - window);
-    const int hi = std::min(len - 1, pos + window);
-    pairs += hi - lo;  // Excludes the centre itself.
-  }
-  return pairs;
-}
-
-// Everything beyond the model needed to make a resumed run bit-identical:
-// where the schedule stands, the recovery settings in force, and the RNG
-// engine mid-stream. `progress` is the pair counter `seen` for the
-// sequential trainer and the epoch `attempt` counter for the sharded one —
-// each trainer's single source of schedule truth.
-struct SgnsResumeState {
+// Where a run stands at an epoch barrier: with the model and the
+// schedule's generator, all a resumed run needs to finish bit-identically.
+struct TrainState {
   int next_epoch = 0;
-  int64_t progress = 0;
-  double lr_scale = 1.0;
+  int64_t attempt = 0;    // Epoch attempts so far, retries included.
+  double lr_scale = 1.0;  // Backed off on each numeric recovery.
   double clip = 0.0;
   int retries = 0;
-  std::string rng_state;
 };
 
-CheckpointData EncodeSgnsState(CheckpointKind kind, uint64_t fingerprint,
-                               const SgnsModel& model,
-                               const SgnsResumeState& state) {
-  CheckpointData data;
-  data.kind = kind;
-  data.fingerprint = fingerprint;
+// Sections "model" (input, output) and "trainer" (next epoch, position,
+// LR scale, clip, retries, engine state). The position is attempt * unit:
+// pairs for the sequential schedule, epoch attempts for the sharded one.
+CheckpointData EncodeTrainState(CheckpointKind kind, uint64_t fingerprint,
+                                const SgnsModel& model, const TrainState& state,
+                                int64_t unit, const Rng& rng) {
   PayloadWriter model_writer;
   model_writer.PutMatrix(model.input);
   model_writer.PutMatrix(model.output);
-  data.sections.push_back({"model", model_writer.Take()});
   PayloadWriter trainer_writer;
   trainer_writer.PutI64(state.next_epoch);
-  trainer_writer.PutI64(state.progress);
+  trainer_writer.PutI64(state.attempt * unit);
   trainer_writer.PutDouble(state.lr_scale);
   trainer_writer.PutDouble(state.clip);
   trainer_writer.PutI64(state.retries);
-  trainer_writer.PutString(state.rng_state);
-  data.sections.push_back({"trainer", trainer_writer.Take()});
-  return data;
+  trainer_writer.PutString(rng.SaveEngineState());
+  return CheckpointData{kind, fingerprint,
+                        {{"model", model_writer.Take()},
+                         {"trainer", trainer_writer.Take()}}};
 }
 
-Status DecodeSgnsState(const CheckpointData& data, SgnsModel& model,
-                       SgnsResumeState& state) {
+// Inverse of EncodeTrainState, plus a model-shape check.
+Status DecodeTrainState(const CheckpointData& data, const Job& job,
+                        int64_t unit, SgnsModel& model, TrainState& state,
+                        Rng& rng) {
   const CheckpointSection* model_section = data.Find("model");
   const CheckpointSection* trainer_section = data.Find("trainer");
   if (model_section == nullptr || trainer_section == nullptr) {
@@ -127,561 +116,386 @@ Status DecodeSgnsState(const CheckpointData& data, SgnsModel& model,
   if (!model_reader.status().ok()) return model_reader.status();
   PayloadReader trainer_reader(trainer_section->payload);
   state.next_epoch = static_cast<int>(trainer_reader.GetI64());
-  state.progress = trainer_reader.GetI64();
+  state.attempt = trainer_reader.GetI64() / std::max<int64_t>(unit, 1);
   state.lr_scale = trainer_reader.GetDouble();
   state.clip = trainer_reader.GetDouble();
   state.retries = static_cast<int>(trainer_reader.GetI64());
-  state.rng_state = trainer_reader.GetString();
+  const std::string engine = trainer_reader.GetString();
   trainer_reader.ExpectEnd();
-  return trainer_reader.status();
+  if (!trainer_reader.status().ok()) return trainer_reader.status();
+  const int dim = job.options.dimension;
+  if (model.input.rows() != job.rows_in || model.input.cols() != dim ||
+      model.output.rows() != job.rows_out || model.output.cols() != dim) {
+    return Status::CorruptedData(
+        "checkpoint model shape does not match this run's (rows, dimension)");
+  }
+  return rng.LoadEngineState(engine);
 }
 
-// Redraw cap for negative-sampling collisions. With any non-degenerate
-// noise table the collision probability per draw is the sampled token's
-// own noise mass, so 16 redraws make a dropped negative vanishingly rare
-// while still terminating on (near-)single-token noise tables.
-constexpr int kNegativeRedraws = 16;
+// ---- The pair step, shared by both objectives and both schedules.
 
-// Draws a negative token distinct from `positive`, redrawing on collision
-// up to kNegativeRedraws extra times. Returns -1 when every draw collided
-// (only reachable with degenerate noise distributions); the caller then
-// trains the slot without that negative. Shared by the sequential and
-// sharded trainers so both draw exactly `options.negatives` usable
-// negatives per positive pair with identical semantics.
-int SampleNegative(const AliasTable& noise, int positive, Rng& rng) {
-  int negative = noise.Sample(rng);
-  for (int retry = 0; negative == positive && retry < kNegativeRedraws;
-       ++retry) {
-    X2VEC_METRIC_COUNT("sgns.negative_redraws", 1);
-    negative = noise.Sample(rng);
-  }
-  if (negative == positive) {
-    X2VEC_METRIC_COUNT("sgns.negative_exhausted", 1);
-    return -1;
-  }
-  return negative;
-}
+// What every pair of one epoch shares.
+struct Step {
+  const AliasTable& noise;
+  int negatives;
+  int window;
+  double clip;
+  double lr_base;  // learning_rate times the recovery scale.
+  int64_t total_pairs;
 
-// One SGD step on the pair (center -> context, label): maximises
-// log sigma(u_ctx . v_center) for positives and log sigma(-u . v) for
-// negatives. The centre-row update goes into `center_gradient` (applied by
-// the caller, possibly clipped); the context row is updated in place.
-// Returns the pair's negative log-likelihood for the epoch-loss health
-// check. Delegates to the fused span kernel, which keeps the historical
-// per-dimension operation order.
-double UpdatePair(linalg::Matrix& input, linalg::Matrix& output, int center,
-                  int context, double label, double lr,
-                  std::vector<double>& center_gradient) {
-  return linalg::SgdPairUpdate(input.ConstRowSpan(center),
-                               output.RowSpan(context), label, lr,
-                               center_gradient);
-}
-
-StatusOr<SgnsModel> Train(SentenceSource& source, const StreamStats& stats,
-                          const std::vector<double>& noise_weights,
-                          int rows_in, int rows_out, bool skipgram_window,
-                          const SgnsOptions& options, Rng& rng,
-                          Budget& budget) {
-  if (Status status = ValidateSgnsOptions(options); !status.ok()) {
-    return status;
-  }
-  if (Status status = ValidateCheckpointOptions(options.checkpoint);
-      !status.ok()) {
-    return status;
-  }
-  if (budget.Exhausted()) return budget.ExhaustedError(kOperation);
-  X2VEC_CHECK_GT(rows_in, 0);
-  X2VEC_CHECK_GT(rows_out, 0);
-  X2VEC_METRIC_GAUGE("kernels.backend",
-                     static_cast<double>(linalg::ActiveKernelBackend()));
-  const CheckpointOptions& ckpt = options.checkpoint;
-  constexpr CheckpointKind kKind = CheckpointKind::kSgnsSequential;
-  const uint64_t fingerprint =
-      ckpt.enabled()
-          ? SgnsFingerprint(kKind, source, stats.num_sentences, noise_weights,
-                            rows_in, rows_out, skipgram_window, options,
-                            /*seed=*/0)
-          : 0;
-
-  SgnsModel model;
-  const double init = 0.5 / options.dimension;
-  const RecoveryPolicy& recovery = options.recovery;
-  double lr_scale = 1.0;  // Halved on each numeric recovery.
-  double clip = recovery.clip_norm;
-  int retries = 0;
-  int64_t seen = 0;
-  int start_epoch = 0;
-
-  bool resumed = false;
-  if (ckpt.enabled()) {
-    StatusOr<std::optional<CheckpointData>> loaded =
-        LoadLatestCheckpoint(ckpt, kKind, fingerprint);
-    if (!loaded.ok()) return loaded.status();
-    if (loaded->has_value()) {
-      SgnsResumeState state;
-      if (Status status = DecodeSgnsState(**loaded, model, state);
-          !status.ok()) {
-        return status;
-      }
-      if (model.input.rows() != rows_in ||
-          model.input.cols() != options.dimension ||
-          model.output.rows() != rows_out ||
-          model.output.cols() != options.dimension) {
-        return Status::CorruptedData(
-            "checkpoint model shape does not match this run's "
-            "(rows, dimension)");
-      }
-      // Restoring the engine replays the exact draw sequence the
-      // uninterrupted run would have continued with.
-      if (Status status = rng.LoadEngineState(state.rng_state); !status.ok()) {
-        return status;
-      }
-      start_epoch = state.next_epoch;
-      seen = state.progress;
-      lr_scale = state.lr_scale;
-      clip = state.clip;
-      retries = state.retries;
-      resumed = true;
-      X2VEC_METRIC_COUNT("checkpoint.resumes", 1);
-    }
-  }
-  if (!resumed) {
-    model.input = linalg::Matrix(rows_in, options.dimension);
-    for (double& v : model.input.mutable_data()) {
-      v = UniformReal(rng, -init, init);
-    }
-    model.output = linalg::Matrix(rows_out, options.dimension);  // Zeros.
-  }
-
-  const AliasTable noise(noise_weights);
-
-  // Exact window-clipped positive pairs per epoch, for the linear LR
-  // decay — the same accounting TrainSharded uses, so both trainers see
-  // one schedule. The caller's single streaming counting pass supplies the
-  // total; each epoch is one fresh pass over the source.
-  const int64_t pairs_per_epoch = stats.pairs_per_epoch;
-  const int64_t total_pairs =
-      std::max<int64_t>(1, pairs_per_epoch * options.epochs);
-
-  trace::Span train_span("sgns.train");
-  std::vector<double> center_gradient(options.dimension);
-  std::vector<int> seq;
-  for (int epoch = start_epoch; epoch < options.epochs; ++epoch) {
-    trace::Span epoch_span("sgns.epoch");
-    double epoch_loss = 0.0;
-    source.Reset();
-    int64_t s = 0;
-    while (source.Next(seq)) {
-      for (size_t pos = 0; pos < seq.size(); ++pos) {
-        const double progress = static_cast<double>(seen) / total_pairs;
-        const double lr = options.learning_rate * lr_scale *
-                          std::max(1e-4, 1.0 - progress);
-        if (skipgram_window) {
-          const int center = seq[pos];
-          const int lo = std::max<int>(0, static_cast<int>(pos) -
-                                              options.window);
-          const int hi = std::min<int>(static_cast<int>(seq.size()) - 1,
-                                       static_cast<int>(pos) + options.window);
-          for (int other = lo; other <= hi; ++other) {
-            if (other == static_cast<int>(pos)) continue;
-            if (!budget.Spend(1)) return budget.ExhaustedError(kOperation);
-            X2VEC_METRIC_COUNT("sgns.pairs", 1);
-            std::fill(center_gradient.begin(), center_gradient.end(), 0.0);
-            epoch_loss += UpdatePair(model.input, model.output, center,
-                                     seq[other], 1.0, lr, center_gradient);
-            for (int k = 0; k < options.negatives; ++k) {
-              const int negative = SampleNegative(noise, seq[other], rng);
-              if (negative < 0) continue;
-              X2VEC_METRIC_COUNT("sgns.negatives", 1);
-              epoch_loss += UpdatePair(model.input, model.output, center,
-                                       negative, 0.0, lr, center_gradient);
-            }
-            linalg::ClipGradient(center_gradient, clip);
-            linalg::Axpy(1.0, center_gradient, model.input.RowSpan(center));
-            ++seen;
-          }
-        } else {
-          // PV-DBOW: the document id is the centre, the token the context.
-          if (!budget.Spend(1)) return budget.ExhaustedError(kOperation);
-          X2VEC_METRIC_COUNT("sgns.pairs", 1);
-          const int doc = static_cast<int>(s);
-          std::fill(center_gradient.begin(), center_gradient.end(), 0.0);
-          epoch_loss += UpdatePair(model.input, model.output, doc, seq[pos],
-                                   1.0, lr, center_gradient);
-          for (int k = 0; k < options.negatives; ++k) {
-            const int negative = SampleNegative(noise, seq[pos], rng);
-            if (negative < 0) continue;
-            X2VEC_METRIC_COUNT("sgns.negatives", 1);
-            epoch_loss += UpdatePair(model.input, model.output, doc, negative,
-                                     0.0, lr, center_gradient);
-          }
-          linalg::ClipGradient(center_gradient, clip);
-          linalg::Axpy(1.0, center_gradient, model.input.RowSpan(doc));
-          ++seen;
-        }
-      }
-      ++s;
-    }
-
-    epoch_span.AddWork(pairs_per_epoch);
-    // LR the next pair would train at, from the exact schedule position;
-    // `seen` advances across retried epochs exactly like the sharded
-    // trainer's attempt counter, so both trainers report identical values
-    // at matching epoch boundaries.
-    X2VEC_METRIC_GAUGE("sgns.lr_epoch_end",
-                       options.learning_rate * lr_scale *
-                           std::max(1e-4, 1.0 - static_cast<double>(seen) /
-                                                    total_pairs));
-
-    // Per-epoch numeric health check with bounded self-healing.
-    const bool healthy = std::isfinite(epoch_loss) &&
-                         linalg::MatrixHealthy(model.input, recovery.max_abs) &&
-                         linalg::MatrixHealthy(model.output, recovery.max_abs);
-    if (!healthy) {
-      if (++retries > recovery.max_retries) {
-        return Status::Internal(
-            "SGNS training diverged (non-finite or runaway parameters) and "
-            "exhausted " +
-            std::to_string(recovery.max_retries) + " recovery retries");
-      }
-      X2VEC_METRIC_COUNT("sgns.recovery_retries", 1);
-      lr_scale *= recovery.lr_backoff;
-      clip *= recovery.clip_backoff;
-      linalg::ReseedUnhealthyRows(model.input, init, recovery.max_abs, rng);
-      linalg::ReseedUnhealthyRows(model.output, init, recovery.max_abs, rng);
-      --epoch;  // Retry the failed epoch with the gentler settings.
-      continue;
-    }
-
-    // Epoch barrier reached with healthy parameters: persist everything a
-    // resumed run needs to finish bit-identically. A save failure is a
-    // typed error, not a silent skip — the caller asked for durability.
-    if (ckpt.enabled() && (epoch + 1) % ckpt.every_n_epochs == 0) {
-      SgnsResumeState state{epoch + 1, seen, lr_scale, clip, retries,
-                            rng.SaveEngineState()};
-      if (Status status = SaveCheckpoint(
-              ckpt, epoch + 1, EncodeSgnsState(kKind, fingerprint, model, state));
-          !status.ok()) {
-        return status;
-      }
-    }
-  }
-  train_span.AddWork(seen);
-  return model;
-}
-
-// ---- Sharded deterministic parallel trainer.
-
-constexpr std::string_view kShardOperation = "sharded SGNS training";
-
-// Sequences per synchronous mini-batch: small enough that parameters stay
-// fresh (close to sequential SGD on test-scale corpora), large enough to
-// keep every worker busy within a batch.
-constexpr int64_t kShardBatchSequences = 32;
-
-// Per-sequence gradient shard: sparse row deltas against the batch-start
-// parameters (flat touched-row buffers, no per-sequence allocation in
-// steady state), plus the sequence's loss contribution. Applied serially
-// in sequence order after the batch's parallel compute; within a shard the
-// touched rows are applied in first-touch order, which is fixed by the
-// sequence data and bit-equivalent to any other fixed order because
-// distinct rows update disjoint memory.
-struct ShardDelta {
-  linalg::RowDeltaBuffer input_rows;
-  linalg::RowDeltaBuffer output_rows;
-  double loss = 0.0;
-
-  void Reset(int rows_in, int rows_out, int dim) {
-    input_rows.Reset(rows_in, dim);
-    output_rows.Reset(rows_out, dim);
-    loss = 0.0;
+  // The linear decay: the rate at schedule position `seen` (pairs trained
+  // so far, retried epochs included), floored at 1e-4 of the base rate.
+  [[nodiscard]] double Lr(int64_t seen) const {
+    return lr_base *
+           std::max(1e-4, 1.0 - static_cast<double>(seen) / total_pairs);
   }
 };
 
-// Frozen-parameter analogue of UpdatePair: the score is read from the
-// batch-start matrices and both updates land in the shard instead of the
-// live parameters. Returns the pair's negative log-likelihood.
-double ShardPair(const linalg::Matrix& input, const linalg::Matrix& output,
-                 int center, int context, double label, double lr,
-                 std::vector<double>& center_gradient, ShardDelta& delta) {
-  return linalg::SgdPairUpdateDelta(
-      input.ConstRowSpan(center), output.ConstRowSpan(context), label, lr,
-      center_gradient, delta.output_rows.Accumulator(context));
+// Redraw cap for negatives colliding with the context: a collision's odds
+// are the token's noise mass, so a dropped negative is vanishingly rare.
+constexpr int kNegativeRedraws = 16;
+
+// Where the sharded schedule's pairs land: one sequence's sparse row
+// deltas against the frozen batch-start model, applied serially in
+// sequence order after the batch. The sequence was charged up front. (The
+// sequential schedule trains the live model itself; see Sequential.) Cache
+// line aligned, since neighbouring shards are written by different workers.
+struct alignas(64) Shard {
+  static constexpr bool kLrPerPair = true;
+
+  const SgnsModel* model = nullptr;
+  linalg::RowDeltaBuffer input_rows;
+  linalg::RowDeltaBuffer output_rows;
+  std::vector<double> center_gradient;
+  double loss = 0.0;
+
+  bool Charge() { return true; }
+  double Update(int center, int context, double label, double lr) {
+    return linalg::SgdPairUpdateDelta(
+        model->input.ConstRowSpan(center), model->output.ConstRowSpan(context),
+        label, lr, center_gradient, output_rows.Accumulator(context));
+  }
+  std::span<double> CenterRow(int center) {
+    return input_rows.Accumulator(center);
+  }
+};
+
+// The pair step: one SGD step on the positive pair (center -> context) and
+// its negatives, maximising log sigma(u_ctx . v_center) and
+// log sigma(-u . v). Each term's negative log-likelihood feeds the epoch
+// health check; the centre gradient is clipped and applied once, at the
+// end. Negatives colliding with the context are redrawn, and skipped if
+// they keep colliding (degenerate noise tables only).
+template <class Rows>
+void PairStep(Rows& rows, const Step& step, int center, int context,
+              double lr, Rng& rng) {
+  X2VEC_METRIC_COUNT("sgns.pairs", 1);
+  std::fill(rows.center_gradient.begin(), rows.center_gradient.end(), 0.0);
+  rows.loss += rows.Update(center, context, 1.0, lr);
+  for (int k = 0; k < step.negatives; ++k) {
+    int negative = step.noise.Sample(rng);
+    for (int retry = 0; negative == context && retry < kNegativeRedraws;
+         ++retry) {
+      X2VEC_METRIC_COUNT("sgns.negative_redraws", 1);
+      negative = step.noise.Sample(rng);
+    }
+    if (negative == context) {
+      X2VEC_METRIC_COUNT("sgns.negative_exhausted", 1);
+      continue;
+    }
+    X2VEC_METRIC_COUNT("sgns.negatives", 1);
+    rows.loss += rows.Update(center, negative, 0.0, lr);
+  }
+  linalg::ClipGradient(rows.center_gradient, step.clip);
+  linalg::Axpy(1.0, rows.center_gradient, rows.CenterRow(center));
 }
 
-StatusOr<SgnsModel> TrainSharded(SentenceSource& source,
-                                 const StreamStats& stats,
-                                 const std::vector<double>& noise_weights,
-                                 int rows_in, int rows_out,
-                                 bool skipgram_window,
-                                 const SgnsOptions& options, uint64_t seed,
-                                 Budget& budget) {
-  if (Status status = ValidateSgnsOptions(options); !status.ok()) {
-    return status;
+// Trains every positive pair of one sentence in order: each token against
+// its window-clipped context (skip-gram, doc < 0), or document `doc`
+// against each of its tokens (PV-DBOW). `seen` is the schedule position
+// and advances per pair. Returns false when the per-pair budget runs out.
+template <class Rows>
+bool TrainSentence(Rows& rows, const Step& step, const std::vector<int>& seq,
+                   int doc, int64_t& seen, Rng& rng) {
+  const int len = static_cast<int>(seq.size());
+  for (int pos = 0; pos < len; ++pos) {
+    // PV-DBOW's "window" is the one (document -> token) pair at pos.
+    const bool pv = doc >= 0;
+    const int center = pv ? doc : seq[pos];
+    const int lo = pv ? pos : std::max(0, pos - step.window);
+    const int hi = pv ? pos : std::min(len - 1, pos + step.window);
+    const int self = pv ? -1 : pos;
+    const double window_lr = Rows::kLrPerPair ? 0.0 : step.Lr(seen);
+    for (int other = lo; other <= hi; ++other) {
+      if (other == self) continue;
+      if (!rows.Charge()) return false;
+      const double lr = Rows::kLrPerPair ? step.Lr(seen) : window_lr;
+      PairStep(rows, step, center, seq[other], lr, rng);
+      ++seen;
+    }
   }
-  if (Status status = ValidateCheckpointOptions(options.checkpoint);
-      !status.ok()) {
-    return status;
+  return true;
+}
+
+// Whether sentence `index` of a training pass fits the model the counting
+// pass sized: tokens below the output rows, index below the counted
+// sentences. One compare per token.
+Status CheckCounted(const Job& job, const std::vector<int>& seq,
+                    int64_t index) {
+  const auto rows = static_cast<unsigned>(job.rows_out);
+  bool inside = index < job.stats.num_sentences;
+  for (const int token : seq) inside &= static_cast<unsigned>(token) < rows;
+  if (inside) return Status::Ok();
+  return Status::InvalidArgument(
+      "sentence " + std::to_string(index) + " of a training pass does not "
+      "fit the counted stream: the source must replay it on every Reset()");
+}
+
+// ---- The two schedules: each supplies its epoch pass and generators, the
+// driver below the rest. Epoch `attempt` (retries included) starts at
+// schedule position attempt * pairs_per_epoch.
+
+// Plain SGD in stream order on the live model, one budget unit per pair.
+// Every draw comes from the caller's generator, whose engine state the
+// checkpoints carry. It prices a whole window at its centre's schedule
+// position where the sharded schedule reprices every pair; golden digests
+// pin both.
+struct Sequential {
+  static constexpr CheckpointKind kKind = CheckpointKind::kSgnsSequential;
+  static constexpr std::string_view kOperation = "SGNS training";
+  static constexpr const char* kSpan = "sgns.train";
+  static constexpr bool kLrPerPair = false;
+
+  Rng& rng;
+  SgnsModel* model = nullptr;
+  Budget* budget = nullptr;
+  std::vector<int> seq{};
+  std::vector<double> center_gradient{};
+  double loss = 0.0;
+
+  [[nodiscard]] uint64_t seed() const { return 0; }  // Fingerprinted.
+  Rng& init_rng() { return rng; }
+  Rng& state_rng() { return rng; }
+
+  bool Charge() { return budget->Spend(1); }
+  double Update(int center, int context, double label, double lr) {
+    return linalg::SgdPairUpdate(model->input.ConstRowSpan(center),
+                                 model->output.RowSpan(context), label, lr,
+                                 center_gradient);
   }
-  if (budget.Exhausted()) return budget.ExhaustedError(kShardOperation);
-  X2VEC_CHECK_GT(rows_in, 0);
-  X2VEC_CHECK_GT(rows_out, 0);
+  std::span<double> CenterRow(int center) {
+    return model->input.RowSpan(center);
+  }
+
+  StatusOr<double> Epoch(const Job& job, SgnsModel& live, const Step& step,
+                         int64_t attempt, Budget& quota) {
+    model = &live;
+    budget = &quota;
+    center_gradient.resize(job.options.dimension);
+    loss = 0.0;
+    int64_t seen = attempt * job.stats.pairs_per_epoch;
+    job.source.Reset();
+    for (int64_t s = 0; job.source.Next(seq); ++s) {
+      const Status counted = CheckCounted(job, seq, s);
+      if (!counted.ok()) return counted;
+      const int doc = job.skipgram_window ? -1 : static_cast<int>(s);
+      if (!TrainSentence(*this, step, seq, doc, seen, rng)) {
+        return quota.ExhaustedError(kOperation);
+      }
+    }
+    return loss;
+  }
+};
+
+// Deterministic mini-batch SGD. Stream 0 of the seed initialises, streams
+// of MixSeed(seed, 1 + attempt) draw each epoch attempt's negatives per
+// sequence, and the checkpointed ~0 stream reseeds rows on recovery.
+class Sharded {
+ public:
+  static constexpr CheckpointKind kKind = CheckpointKind::kSgnsSharded;
+  static constexpr std::string_view kOperation = "sharded SGNS training";
+  static constexpr const char* kSpan = "sgns.train_sharded";
+
+  explicit Sharded(uint64_t seed)
+      : seed_(seed), init_rng_(Rng::Fork(seed, 0)),
+        recovery_rng_(Rng::Fork(seed, ~uint64_t{0})) {}
+
+  [[nodiscard]] uint64_t seed() const { return seed_; }
+  Rng& init_rng() { return init_rng_; }
+  Rng& state_rng() { return recovery_rng_; }
+
+  StatusOr<double> Epoch(const Job& job, SgnsModel& model, const Step& step,
+                         int64_t attempt, Budget& budget) {
+    const uint64_t streams = MixSeed(seed_, 1 + static_cast<uint64_t>(attempt));
+    int64_t batch_slot = attempt * job.stats.pairs_per_epoch;
+    int64_t batch_lo = 0;  // Global index of the batch's first sequence.
+    BudgetGate gate(budget);
+    double loss = 0.0;
+    job.source.Reset();
+    for (bool more = true; more;) {
+      // Batches are sequences [0, 32), [32, 64), ..., pulled in place.
+      int64_t batch_size = 0;
+      while (batch_size < kBatchSequences &&
+             job.source.Next(batch_[batch_size])) {
+        const Status counted =
+            CheckCounted(job, batch_[batch_size], batch_lo + batch_size);
+        if (!counted.ok()) return counted;
+        ++batch_size;
+      }
+      more = batch_size == kBatchSequences;
+      if (batch_size == 0) break;
+      // Sequence batch_lo + b starts at schedule slot batch_slot +
+      // batch_prefix_[b]: shards agree without a shared counter.
+      for (int64_t b = 0; b < batch_size; ++b) {
+        batch_prefix_[b + 1] =
+            batch_prefix_[b] + SequencePairs(batch_[b], step.window,
+                                             job.skipgram_window);
+      }
+      const Status status = ParallelFor(
+          batch_size, 0, [&](int64_t lo, int64_t hi) {
+            for (int64_t b = lo; b < hi; ++b) {
+              const int64_t s = batch_lo + b;
+              const int64_t seq_pairs = batch_prefix_[b + 1] - batch_prefix_[b];
+              if (seq_pairs > 0 && !gate.Spend(seq_pairs)) {
+                return gate.ExhaustedError(kOperation);
+              }
+              Shard& shard = shards_[b];
+              shard.model = &model;
+              shard.input_rows.Reset(job.rows_in, job.options.dimension);
+              shard.output_rows.Reset(job.rows_out, job.options.dimension);
+              shard.center_gradient.resize(job.options.dimension);
+              shard.loss = 0.0;
+              Rng rng = Rng::Fork(streams, static_cast<uint64_t>(s));
+              int64_t seen = batch_slot + batch_prefix_[b];
+              const int doc = job.skipgram_window ? -1 : static_cast<int>(s);
+              TrainSentence(shard, step, batch_[b], doc, seen, rng);
+            }
+            return Status::Ok();
+          });
+      if (!status.ok()) return status;
+      // Serial apply in sequence order, whichever worker made each shard.
+      for (int64_t b = 0; b < batch_size; ++b) {
+        const Shard& shard = shards_[b];
+        loss += shard.loss;
+        shard.input_rows.AddTo(model.input);
+        shard.output_rows.AddTo(model.output);
+      }
+      batch_lo += batch_size;
+      batch_slot += batch_prefix_[batch_size];
+    }
+    return loss;
+  }
+
+ private:
+  // Small enough to keep parameters fresh, large enough to fill workers.
+  static constexpr int64_t kBatchSequences = 32;
+
+  uint64_t seed_;
+  Rng init_rng_;
+  Rng recovery_rng_;
+  // The only materialised slice of the stream, reused across batches and
+  // epochs: steady-state training allocates nothing.
+  std::array<Shard, kBatchSequences> shards_;
+  std::array<std::vector<int>, kBatchSequences> batch_;
+  std::array<int64_t, kBatchSequences + 1> batch_prefix_{};
+};
+
+// ---- The epoch driver: resume, then per epoch one schedule pass, the
+// numeric-health check with LR-backoff recovery, and the checkpoint.
+template <class Schedule>
+StatusOr<SgnsModel> Train(const Job& job, Schedule schedule, Budget& budget) {
+  const SgnsOptions& options = job.options;
+  Status valid = ValidateSgnsOptions(options);
+  if (valid.ok()) valid = ValidateCheckpointOptions(options.checkpoint);
+  if (!valid.ok()) return valid;
+  if (budget.Exhausted()) return budget.ExhaustedError(Schedule::kOperation);
   X2VEC_METRIC_GAUGE("kernels.backend",
                      static_cast<double>(linalg::ActiveKernelBackend()));
-  const int dim = options.dimension;
   const CheckpointOptions& ckpt = options.checkpoint;
-  constexpr CheckpointKind kKind = CheckpointKind::kSgnsSharded;
   const uint64_t fingerprint =
-      ckpt.enabled()
-          ? SgnsFingerprint(kKind, source, stats.num_sentences, noise_weights,
-                            rows_in, rows_out, skipgram_window, options, seed)
-          : 0;
+      ckpt.enabled() ? SgnsFingerprint(Schedule::kKind, job, schedule.seed())
+                     : 0;
+  // Exact pairs per epoch from the counting pass: the unit of the decay and
+  // of the sequential schedule's checkpointed position.
+  const int64_t pairs_per_epoch = job.stats.pairs_per_epoch;
+  const int64_t total_pairs =
+      std::max<int64_t>(1, pairs_per_epoch * options.epochs);
+  const int64_t unit =
+      Schedule::kKind == CheckpointKind::kSgnsSequential ? pairs_per_epoch : 1;
 
   SgnsModel model;
-  const double init = 0.5 / dim;
-  const RecoveryPolicy& recovery = options.recovery;
-  double lr_scale = 1.0;  // Halved on each numeric recovery.
-  double clip = recovery.clip_norm;
-  int retries = 0;
-  Rng recovery_rng = Rng::Fork(seed, ~uint64_t{0});
-  // Epoch attempts (retries included) drive both the noise streams and the
-  // schedule offset, mirroring the sequential trainer's ever-advancing
-  // generator and pair counter across retried epochs.
-  int64_t attempt = 0;
-  int start_epoch = 0;
-
+  TrainState state{.clip = options.recovery.clip_norm};
   bool resumed = false;
   if (ckpt.enabled()) {
     StatusOr<std::optional<CheckpointData>> loaded =
-        LoadLatestCheckpoint(ckpt, kKind, fingerprint);
+        LoadLatestCheckpoint(ckpt, Schedule::kKind, fingerprint);
     if (!loaded.ok()) return loaded.status();
     if (loaded->has_value()) {
-      SgnsResumeState state;
-      if (Status status = DecodeSgnsState(**loaded, model, state);
+      if (Status status = DecodeTrainState(**loaded, job, unit, model, state,
+                                           schedule.state_rng());
           !status.ok()) {
         return status;
       }
-      if (model.input.rows() != rows_in || model.input.cols() != dim ||
-          model.output.rows() != rows_out || model.output.cols() != dim) {
-        return Status::CorruptedData(
-            "checkpoint model shape does not match this run's "
-            "(rows, dimension)");
-      }
-      if (Status status = recovery_rng.LoadEngineState(state.rng_state);
-          !status.ok()) {
-        return status;
-      }
-      start_epoch = state.next_epoch;
-      attempt = state.progress;
-      lr_scale = state.lr_scale;
-      clip = state.clip;
-      retries = state.retries;
       resumed = true;
       X2VEC_METRIC_COUNT("checkpoint.resumes", 1);
     }
   }
+  const double init = 0.5 / options.dimension;
   if (!resumed) {
-    model.input = linalg::Matrix(rows_in, dim);
-    // Stream 0 of the seed initialises; streams of MixSeed(seed, 1 + attempt)
-    // drive the per-sequence noise draws of each epoch attempt; the ~0
-    // stream reseeds rows during numeric recovery.
-    Rng init_rng = Rng::Fork(seed, 0);
+    model.input = linalg::Matrix(job.rows_in, options.dimension);
+    Rng& init_rng = schedule.init_rng();
     for (double& v : model.input.mutable_data()) {
       v = UniformReal(init_rng, -init, init);
     }
-    model.output = linalg::Matrix(rows_out, dim);  // Zeros.
+    model.output = linalg::Matrix(job.rows_out, options.dimension);  // Zeros.
   }
 
-  const AliasTable noise(noise_weights);
-
-  // The exact pairs-per-epoch total from the caller's streaming counting
-  // pass: every pair's slot in the global learning-rate schedule is still
-  // known up front — within a batch from the per-batch prefix sums below,
-  // across batches from the running pair_base — so shards agree on the
-  // schedule without a shared counter and without materialising the
-  // corpus-wide prefix array.
-  const int64_t pairs_per_epoch = stats.pairs_per_epoch;
-  const int64_t total_pairs =
-      std::max<int64_t>(1, pairs_per_epoch * options.epochs);
-
-  BudgetGate gate(budget);
-  trace::Span train_span("sgns.train_sharded");
-  // Shard storage reused across batches and epochs: Reset() keeps each
-  // buffer's capacity, so steady-state training allocates nothing per
-  // sequence. The batch window is the only materialised slice of the
-  // stream; Next() refills each slot in place, reusing its capacity.
-  std::vector<ShardDelta> deltas(kShardBatchSequences);
-  std::vector<std::vector<int>> batch(kShardBatchSequences);
-  std::vector<int64_t> batch_prefix(kShardBatchSequences + 1, 0);
-  for (int epoch = start_epoch; epoch < options.epochs; ++epoch, ++attempt) {
+  const RecoveryPolicy& recovery = options.recovery;
+  const AliasTable noise(job.noise_weights);
+  trace::Span train_span(Schedule::kSpan);
+  for (int epoch = state.next_epoch; epoch < options.epochs; ++epoch) {
     trace::Span epoch_span("sgns.epoch");
-    const uint64_t epoch_base = MixSeed(seed, 1 + static_cast<uint64_t>(attempt));
-    const int64_t seen_base = attempt * pairs_per_epoch;
-    double epoch_loss = 0.0;
-    Status epoch_status = Status::Ok();
-    source.Reset();
-    int64_t batch_lo = 0;   // Global index of the batch's first sequence.
-    int64_t pair_base = 0;  // Positive pairs in sequences [0, batch_lo).
-    bool more = true;
-    while (more && epoch_status.ok()) {
-      // Pull the next synchronous mini-batch. Batch boundaries fall at the
-      // same sequence indices as the historical indexed loop: [0, 32),
-      // [32, 64), ...
-      int64_t batch_size = 0;
-      while (batch_size < kShardBatchSequences &&
-             source.Next(batch[batch_size])) {
-        ++batch_size;
-      }
-      more = batch_size == kShardBatchSequences;
-      if (batch_size == 0) break;
-      // Per-batch positive-pair prefix: the global schedule slot of
-      // sequence batch_lo + b is seen_base + pair_base + batch_prefix[b],
-      // exactly the value the corpus-wide PositivePairPrefix used to give.
-      for (int64_t b = 0; b < batch_size; ++b) {
-        batch_prefix[b + 1] =
-            batch_prefix[b] +
-            SequencePairs(batch[b], options.window, skipgram_window);
-      }
-      epoch_status = ParallelFor(
-          batch_size, 0, [&](int64_t lo, int64_t hi) {
-            std::vector<double> center_gradient(dim);
-            for (int64_t b = lo; b < hi; ++b) {
-              const int64_t s = batch_lo + b;
-              const std::vector<int>& seq = batch[b];
-              const int64_t seq_pairs = batch_prefix[b + 1] - batch_prefix[b];
-              if (seq_pairs > 0 && !gate.Spend(seq_pairs)) {
-                return gate.ExhaustedError(kShardOperation);
-              }
-              ShardDelta& delta = deltas[b];
-              delta.Reset(rows_in, rows_out, dim);
-              Rng rng = Rng::Fork(epoch_base, static_cast<uint64_t>(s));
-              int64_t seen = seen_base + pair_base + batch_prefix[b];
-              const int len = static_cast<int>(seq.size());
-              for (int pos = 0; pos < len; ++pos) {
-                if (skipgram_window) {
-                  const int center = seq[pos];
-                  const int wlo = std::max(0, pos - options.window);
-                  const int whi = std::min(len - 1, pos + options.window);
-                  for (int other = wlo; other <= whi; ++other) {
-                    if (other == pos) continue;
-                    X2VEC_METRIC_COUNT("sgns.pairs", 1);
-                    const double progress =
-                        static_cast<double>(seen) / total_pairs;
-                    const double lr = options.learning_rate * lr_scale *
-                                      std::max(1e-4, 1.0 - progress);
-                    std::fill(center_gradient.begin(), center_gradient.end(),
-                              0.0);
-                    delta.loss +=
-                        ShardPair(model.input, model.output, center,
-                                  seq[other], 1.0, lr, center_gradient, delta);
-                    for (int k = 0; k < options.negatives; ++k) {
-                      const int negative =
-                          SampleNegative(noise, seq[other], rng);
-                      if (negative < 0) continue;
-                      X2VEC_METRIC_COUNT("sgns.negatives", 1);
-                      delta.loss +=
-                          ShardPair(model.input, model.output, center,
-                                    negative, 0.0, lr, center_gradient, delta);
-                    }
-                    linalg::ClipGradient(center_gradient, clip);
-                    linalg::Axpy(1.0, center_gradient,
-                                 delta.input_rows.Accumulator(center));
-                    ++seen;
-                  }
-                } else {
-                  const int doc = static_cast<int>(s);
-                  X2VEC_METRIC_COUNT("sgns.pairs", 1);
-                  const double progress =
-                      static_cast<double>(seen) / total_pairs;
-                  const double lr = options.learning_rate * lr_scale *
-                                    std::max(1e-4, 1.0 - progress);
-                  std::fill(center_gradient.begin(), center_gradient.end(),
-                            0.0);
-                  delta.loss +=
-                      ShardPair(model.input, model.output, doc, seq[pos], 1.0,
-                                lr, center_gradient, delta);
-                  for (int k = 0; k < options.negatives; ++k) {
-                    const int negative = SampleNegative(noise, seq[pos], rng);
-                    if (negative < 0) continue;
-                    X2VEC_METRIC_COUNT("sgns.negatives", 1);
-                    delta.loss +=
-                        ShardPair(model.input, model.output, doc, negative,
-                                  0.0, lr, center_gradient, delta);
-                  }
-                  linalg::ClipGradient(center_gradient, clip);
-                  linalg::Axpy(1.0, center_gradient,
-                               delta.input_rows.Accumulator(doc));
-                  ++seen;
-                }
-              }
-            }
-            return Status::Ok();
-          });
-      if (!epoch_status.ok()) break;
-      // Serial apply in sequence order: the fold order is fixed by the
-      // data, not by which worker produced which shard.
-      for (int64_t b = 0; b < batch_size; ++b) {
-        ShardDelta& d = deltas[b];
-        epoch_loss += d.loss;
-        const std::vector<int>& in_rows = d.input_rows.touched();
-        for (size_t t = 0; t < in_rows.size(); ++t) {
-          linalg::Axpy(1.0, d.input_rows.Slot(static_cast<int>(t)),
-                       model.input.RowSpan(in_rows[t]));
-        }
-        const std::vector<int>& out_rows = d.output_rows.touched();
-        for (size_t t = 0; t < out_rows.size(); ++t) {
-          linalg::Axpy(1.0, d.output_rows.Slot(static_cast<int>(t)),
-                       model.output.RowSpan(out_rows[t]));
-        }
-      }
-      batch_lo += batch_size;
-      pair_base += batch_prefix[batch_size];
-    }
-    if (!epoch_status.ok()) return epoch_status;
-
+    const Step step{noise, options.negatives, options.window, state.clip,
+                    options.learning_rate * state.lr_scale, total_pairs};
+    StatusOr<double> loss =
+        schedule.Epoch(job, model, step, state.attempt, budget);
+    if (!loss.ok()) return loss.status();
+    ++state.attempt;
     epoch_span.AddWork(pairs_per_epoch);
     train_span.AddWork(pairs_per_epoch);
-    // Same exact-schedule epoch-end LR as the sequential trainer: the
-    // attempt counter advances across retries exactly like its `seen`.
-    X2VEC_METRIC_GAUGE(
-        "sgns.lr_epoch_end",
-        options.learning_rate * lr_scale *
-            std::max(1e-4, 1.0 - static_cast<double>((attempt + 1) *
-                                                     pairs_per_epoch) /
-                                     total_pairs));
+    // The LR of the next pair; identical for both schedules.
+    X2VEC_METRIC_GAUGE("sgns.lr_epoch_end",
+                       step.Lr(state.attempt * pairs_per_epoch));
 
-    // Per-epoch numeric health check with bounded self-healing, as in the
-    // sequential trainer.
-    const bool healthy = std::isfinite(epoch_loss) &&
+    // Per-epoch numeric health check with bounded self-healing.
+    const bool healthy = std::isfinite(*loss) &&
                          linalg::MatrixHealthy(model.input, recovery.max_abs) &&
                          linalg::MatrixHealthy(model.output, recovery.max_abs);
     if (!healthy) {
-      if (++retries > recovery.max_retries) {
+      if (++state.retries > recovery.max_retries) {
         return Status::Internal(
-            "sharded SGNS training diverged (non-finite or runaway "
-            "parameters) and exhausted " +
+            std::string(Schedule::kOperation) +
+            " diverged (non-finite or runaway parameters) and exhausted " +
             std::to_string(recovery.max_retries) + " recovery retries");
       }
       X2VEC_METRIC_COUNT("sgns.recovery_retries", 1);
-      lr_scale *= recovery.lr_backoff;
-      clip *= recovery.clip_backoff;
+      state.lr_scale *= recovery.lr_backoff;
+      state.clip *= recovery.clip_backoff;
       linalg::ReseedUnhealthyRows(model.input, init, recovery.max_abs,
-                                  recovery_rng);
+                                  schedule.state_rng());
       linalg::ReseedUnhealthyRows(model.output, init, recovery.max_abs,
-                                  recovery_rng);
+                                  schedule.state_rng());
       --epoch;  // Retry the failed epoch with the gentler settings.
       continue;
     }
 
-    // Healthy epoch barrier: persist the resume state. `attempt + 1` is
-    // the attempt counter at the next epoch's start (the for-step has not
-    // run yet), so a resumed run forks the same per-sequence streams the
-    // uninterrupted run would have.
-    if (ckpt.enabled() && (epoch + 1) % ckpt.every_n_epochs == 0) {
-      SgnsResumeState state{epoch + 1, attempt + 1, lr_scale, clip, retries,
-                            recovery_rng.SaveEngineState()};
+    // Healthy barrier: persist the resume state; a failed save is an error.
+    state.next_epoch = epoch + 1;
+    if (ckpt.enabled() && state.next_epoch % ckpt.every_n_epochs == 0) {
       if (Status status = SaveCheckpoint(
-              ckpt, epoch + 1, EncodeSgnsState(kKind, fingerprint, model, state));
+              ckpt, state.next_epoch,
+              EncodeTrainState(Schedule::kKind, fingerprint, model, state,
+                               unit, schedule.state_rng()));
           !status.ok()) {
         return status;
       }
@@ -690,29 +504,59 @@ StatusOr<SgnsModel> TrainSharded(SentenceSource& source,
   return model;
 }
 
-}  // namespace
+// ---- Input checks and counting in front of the driver.
 
-std::vector<int64_t> PositivePairPrefix(
-    const std::vector<std::vector<int>>& sequences, int window,
-    bool skipgram_window) {
-  std::vector<int64_t> prefix(sequences.size() + 1, 0);
-  for (size_t s = 0; s < sequences.size(); ++s) {
-    const std::vector<int>& seq = sequences[s];
-    int64_t pairs = 0;
-    if (skipgram_window) {
-      const int len = static_cast<int>(seq.size());
-      for (int pos = 0; pos < len; ++pos) {
-        const int lo = std::max(0, pos - window);
-        const int hi = std::min(len - 1, pos + window);
-        pairs += hi - lo;  // Excludes the centre itself.
-      }
-    } else {
-      pairs = static_cast<int64_t>(seq.size());
-    }
-    prefix[s + 1] = prefix[s] + pairs;
+template <class Schedule>
+StatusOr<SgnsModel> TrainSkipGram(SentenceSource& source,
+                                  const StreamStats& stats,
+                                  const std::vector<double>& noise_weights,
+                                  const SgnsOptions& options, Schedule schedule,
+                                  Budget& budget) {
+  if (noise_weights.empty()) {
+    return Status::InvalidArgument(
+        "streaming SGNS training needs a non-empty noise table");
   }
-  return prefix;
+  const int rows = static_cast<int>(noise_weights.size());
+  if (static_cast<int64_t>(stats.token_counts.size()) > rows) {
+    return Status::InvalidArgument(
+        "streamed token id exceeds the noise-table size");
+  }
+  return Train(Job{source, stats, noise_weights, rows, rows,
+                   /*skipgram_window=*/true, options},
+               std::move(schedule), budget);
 }
+
+template <class Schedule>
+StatusOr<SgnsModel> TrainPvDbow(SentenceSource& source, int vocab_size,
+                                const SgnsOptions& options, Schedule schedule,
+                                Budget& budget) {
+  if (vocab_size <= 0) {
+    return Status::InvalidArgument(
+        "PV-DBOW training needs a positive vocab_size");
+  }
+  const StreamStats stats = CountStream(source, options.window,
+                                        /*skipgram_window=*/false, vocab_size);
+  if (stats.total_tokens == 0) {
+    return Status::InvalidArgument(
+        "PV-DBOW training needs at least one document with a token");
+  }
+  if (static_cast<int64_t>(stats.token_counts.size()) > vocab_size) {
+    return Status::InvalidArgument(
+        "streamed PV-DBOW token id exceeds vocab_size");
+  }
+  if (stats.num_sentences > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        "PV-DBOW training supports at most INT_MAX documents");
+  }
+  const std::vector<double> noise =
+      NoiseFromCounts(stats.token_counts, vocab_size, options.noise_power);
+  return Train(Job{source, stats, noise,
+                   static_cast<int>(stats.num_sentences), vocab_size,
+                   /*skipgram_window=*/false, options},
+               std::move(schedule), budget);
+}
+
+}  // namespace
 
 Status ValidateSgnsOptions(const SgnsOptions& options) {
   return ValidateOptions({
@@ -731,237 +575,32 @@ Status ValidateSgnsOptions(const SgnsOptions& options) {
   });
 }
 
-SgnsModel TrainSgns(const Corpus& corpus, const SgnsOptions& options,
-                    Rng& rng) {
-  Budget unlimited;
-  return *TrainSgnsBudgeted(corpus, options, rng, unlimited);
-}
-
-SgnsModel TrainPvDbow(const std::vector<std::vector<int>>& documents,
-                      int vocab_size, const SgnsOptions& options, Rng& rng) {
-  Budget unlimited;
-  return *TrainPvDbowBudgeted(documents, vocab_size, options, rng, unlimited);
-}
-
-StatusOr<SgnsModel> TrainSgnsBudgeted(const Corpus& corpus,
-                                      const SgnsOptions& options, Rng& rng,
-                                      Budget& budget) {
-  if (corpus.vocab.size() == 0) {
-    return Status::InvalidArgument("SGNS training needs a non-empty vocabulary");
-  }
-  // The adapter replays the materialised corpus verbatim — same sentences,
-  // same order, same draws — so this path stays bit-identical to the
-  // historical in-memory trainer.
-  CorpusSource source(corpus.sentences);
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/true,
-                                        corpus.vocab.size());
-  return Train(source, stats,
-               corpus.vocab.NoiseDistribution(options.noise_power),
-               corpus.vocab.size(), corpus.vocab.size(),
-               /*skipgram_window=*/true, options, rng, budget);
-}
-
-StatusOr<std::vector<double>> PvDbowNoiseDistribution(
-    const std::vector<std::vector<int>>& documents, int vocab_size,
-    double noise_power) {
-  if (vocab_size <= 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs a positive vocab_size");
-  }
-  if (documents.empty()) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one document");
-  }
-  std::vector<double> counts(vocab_size, 0.0);
-  int64_t total_tokens = 0;
-  for (const auto& doc : documents) {
-    for (int token : doc) {
-      X2VEC_CHECK(token >= 0 && token < vocab_size);
-      counts[token] += 1.0;
-      ++total_tokens;
-    }
-  }
-  if (total_tokens == 0) {
-    // All documents empty: an all-zero noise table cannot be sampled from,
-    // and there are no positive pairs to train on either.
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one token across the documents");
-  }
-  // Unigram^power on the raw counts — the same convention as
-  // Vocabulary::NoiseDistribution: pow(0, power) == 0, so a token with no
-  // occurrences has zero probability of being drawn as a negative. (The
-  // historical clamp max(c, 1e-9) gave never-observed tokens nonzero noise
-  // weight, silently diverging from the SGNS path.)
-  for (double& c : counts) c = std::pow(c, noise_power);
-  return counts;
-}
-
-StatusOr<SgnsModel> TrainPvDbowBudgeted(
-    const std::vector<std::vector<int>>& documents, int vocab_size,
-    const SgnsOptions& options, Rng& rng, Budget& budget) {
-  StatusOr<std::vector<double>> counts =
-      PvDbowNoiseDistribution(documents, vocab_size, options.noise_power);
-  if (!counts.ok()) return counts.status();
-  CorpusSource source(documents);
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/false, vocab_size);
-  return Train(source, stats, *counts, static_cast<int>(documents.size()),
-               vocab_size, /*skipgram_window=*/false, options, rng, budget);
-}
-
-StatusOr<SgnsModel> TrainSgnsSharded(const Corpus& corpus,
-                                     const SgnsOptions& options, uint64_t seed,
-                                     Budget& budget) {
-  if (corpus.vocab.size() == 0) {
-    return Status::InvalidArgument("SGNS training needs a non-empty vocabulary");
-  }
-  CorpusSource source(corpus.sentences);
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/true,
-                                        corpus.vocab.size());
-  return TrainSharded(source, stats,
-                      corpus.vocab.NoiseDistribution(options.noise_power),
-                      corpus.vocab.size(), corpus.vocab.size(),
-                      /*skipgram_window=*/true, options, seed, budget);
-}
-
-StatusOr<SgnsModel> TrainPvDbowSharded(
-    const std::vector<std::vector<int>>& documents, int vocab_size,
-    const SgnsOptions& options, uint64_t seed, Budget& budget) {
-  StatusOr<std::vector<double>> counts =
-      PvDbowNoiseDistribution(documents, vocab_size, options.noise_power);
-  if (!counts.ok()) return counts.status();
-  CorpusSource source(documents);
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/false, vocab_size);
-  return TrainSharded(source, stats, *counts,
-                      static_cast<int>(documents.size()), vocab_size,
-                      /*skipgram_window=*/false, options, seed, budget);
-}
-
-StatusOr<SgnsModel> TrainSgnsStreaming(SentenceSource& source,
-                                       const StreamStats& stats,
-                                       const std::vector<double>& noise_weights,
-                                       const SgnsOptions& options, Rng& rng,
-                                       Budget& budget) {
-  if (noise_weights.empty()) {
-    return Status::InvalidArgument(
-        "streaming SGNS training needs a non-empty noise table");
-  }
-  const int rows = static_cast<int>(noise_weights.size());
-  if (static_cast<int64_t>(stats.token_counts.size()) > rows) {
-    return Status::InvalidArgument(
-        "streamed token id exceeds the noise-table size");
-  }
-  return Train(source, stats, noise_weights, rows, rows,
-               /*skipgram_window=*/true, options, rng, budget);
-}
-
-StatusOr<SgnsModel> TrainSgnsStreaming(SentenceSource& source,
-                                       const std::vector<double>& noise_weights,
-                                       const SgnsOptions& options, Rng& rng,
-                                       Budget& budget) {
-  if (noise_weights.empty()) {
-    return Status::InvalidArgument(
-        "streaming SGNS training needs a non-empty noise table");
-  }
-  const StreamStats stats =
-      CountStream(source, options.window, /*skipgram_window=*/true,
-                  static_cast<int>(noise_weights.size()));
-  return TrainSgnsStreaming(source, stats, noise_weights, options, rng,
-                            budget);
+StatusOr<SgnsModel> TrainSgnsStreaming(
+    SentenceSource& source, const StreamStats& stats,
+    const std::vector<double>& noise_weights, const SgnsOptions& options,
+    Rng& rng, Budget& budget) {
+  return TrainSkipGram(source, stats, noise_weights, options,
+                       Sequential{rng}, budget);
 }
 
 StatusOr<SgnsModel> TrainSgnsShardedStreaming(
     SentenceSource& source, const StreamStats& stats,
     const std::vector<double>& noise_weights, const SgnsOptions& options,
     uint64_t seed, Budget& budget) {
-  if (noise_weights.empty()) {
-    return Status::InvalidArgument(
-        "streaming SGNS training needs a non-empty noise table");
-  }
-  const int rows = static_cast<int>(noise_weights.size());
-  if (static_cast<int64_t>(stats.token_counts.size()) > rows) {
-    return Status::InvalidArgument(
-        "streamed token id exceeds the noise-table size");
-  }
-  return TrainSharded(source, stats, noise_weights, rows, rows,
-                      /*skipgram_window=*/true, options, seed, budget);
+  return TrainSkipGram(source, stats, noise_weights, options, Sharded(seed),
+                       budget);
 }
 
-StatusOr<SgnsModel> TrainSgnsShardedStreaming(
-    SentenceSource& source, const std::vector<double>& noise_weights,
-    const SgnsOptions& options, uint64_t seed, Budget& budget) {
-  if (noise_weights.empty()) {
-    return Status::InvalidArgument(
-        "streaming SGNS training needs a non-empty noise table");
-  }
-  const StreamStats stats =
-      CountStream(source, options.window, /*skipgram_window=*/true,
-                  static_cast<int>(noise_weights.size()));
-  return TrainSgnsShardedStreaming(source, stats, noise_weights, options,
-                                   seed, budget);
+StatusOr<SgnsModel> TrainPvDbowStreaming(
+    SentenceSource& source, int vocab_size, const SgnsOptions& options,
+    Rng& rng, Budget& budget) {
+  return TrainPvDbow(source, vocab_size, options, Sequential{rng}, budget);
 }
 
-StatusOr<SgnsModel> TrainPvDbowStreaming(SentenceSource& source,
-                                         int vocab_size,
-                                         const SgnsOptions& options, Rng& rng,
-                                         Budget& budget) {
-  if (vocab_size <= 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs a positive vocab_size");
-  }
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/false, vocab_size);
-  if (stats.num_sentences == 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one document");
-  }
-  if (static_cast<int64_t>(stats.token_counts.size()) > vocab_size) {
-    return Status::InvalidArgument(
-        "streamed PV-DBOW token id exceeds vocab_size");
-  }
-  if (stats.total_tokens == 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one token across the documents");
-  }
-  X2VEC_CHECK_LE(stats.num_sentences, std::numeric_limits<int>::max());
-  return Train(
-      source, stats,
-      NoiseFromCounts(stats.token_counts, vocab_size, options.noise_power),
-      static_cast<int>(stats.num_sentences), vocab_size,
-      /*skipgram_window=*/false, options, rng, budget);
-}
-
-StatusOr<SgnsModel> TrainPvDbowShardedStreaming(SentenceSource& source,
-                                                int vocab_size,
-                                                const SgnsOptions& options,
-                                                uint64_t seed, Budget& budget) {
-  if (vocab_size <= 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs a positive vocab_size");
-  }
-  const StreamStats stats = CountStream(source, options.window,
-                                        /*skipgram_window=*/false, vocab_size);
-  if (stats.num_sentences == 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one document");
-  }
-  if (static_cast<int64_t>(stats.token_counts.size()) > vocab_size) {
-    return Status::InvalidArgument(
-        "streamed PV-DBOW token id exceeds vocab_size");
-  }
-  if (stats.total_tokens == 0) {
-    return Status::InvalidArgument(
-        "PV-DBOW training needs at least one token across the documents");
-  }
-  X2VEC_CHECK_LE(stats.num_sentences, std::numeric_limits<int>::max());
-  return TrainSharded(
-      source, stats,
-      NoiseFromCounts(stats.token_counts, vocab_size, options.noise_power),
-      static_cast<int>(stats.num_sentences), vocab_size,
-      /*skipgram_window=*/false, options, seed, budget);
+StatusOr<SgnsModel> TrainPvDbowShardedStreaming(
+    SentenceSource& source, int vocab_size, const SgnsOptions& options,
+    uint64_t seed, Budget& budget) {
+  return TrainPvDbow(source, vocab_size, options, Sharded(seed), budget);
 }
 
 }  // namespace x2vec::embed

@@ -8,7 +8,6 @@
 #include "base/rng.h"
 #include "base/status.h"
 #include "embed/checkpoint.h"
-#include "embed/corpus.h"
 #include "embed/stream.h"
 #include "linalg/matrix.h"
 
@@ -43,134 +42,31 @@ struct SgnsModel {
   linalg::Matrix output;
 };
 
-/// Exact positive-pair accounting behind the linear LR-decay schedule:
-/// entry s+1 is the number of positive pairs contributed by sequences
-/// [0, s] — window-clipped skip-gram pairs (position `pos` of a length-n
-/// sequence pairs with [max(0, pos-window), min(n-1, pos+window)] minus
-/// itself) or, for PV-DBOW, one pair per token. The back entry is the
-/// exact pairs-per-epoch total. Both TrainSgns* and TrainPvDbow* trainers
-/// (sequential and sharded) derive their schedule from this one function,
-/// which is what keeps their learning rates aligned at matching
-/// (epoch, pair) slots; exposed for the schedule-parity tests.
-[[nodiscard]] std::vector<int64_t> PositivePairPrefix(
-    const std::vector<std::vector<int>>& sequences, int window,
-    bool skipgram_window);
-
 /// kInvalidArgument naming the first bad field (non-positive dimension /
 /// window / negatives, negative epochs, non-finite or non-positive
 /// learning rate), OK otherwise. Zero epochs is valid: it requests the
 /// untrained (randomly initialised) baseline.
 [[nodiscard]] Status ValidateSgnsOptions(const SgnsOptions& options);
 
-/// The PV-DBOW negative-sampling table: per-token occurrence counts over
-/// `documents` raised to `noise_power`, the same unigram^power convention
-/// as Vocabulary::NoiseDistribution — in particular a token that never
-/// occurs keeps weight exactly 0 and is never drawn as a negative (both
-/// trainer families share this contract; see tests/sampling_test.cc).
-/// kInvalidArgument for a non-positive vocab_size, no documents, or the
-/// degenerate all-empty case where no token occurs at all (an all-zero
-/// table cannot be sampled from). Exposed for the sampling-fidelity tests
-/// and the serving layer's workload generators.
-[[nodiscard]] StatusOr<std::vector<double>> PvDbowNoiseDistribution(
-    const std::vector<std::vector<int>>& documents, int vocab_size,
-    double noise_power);
-
-/// Trains skip-gram with negative sampling on a corpus: for each token
-/// occurrence, each context token within the window is a positive pair and
-/// `negatives` noise tokens are sampled from the unigram^power table. A
-/// noise draw that collides with the positive context token is redrawn
-/// (bounded retries) rather than dropped, so every pair trains against the
-/// full complement of negatives even for frequent tokens.
-SgnsModel TrainSgns(const Corpus& corpus, const SgnsOptions& options,
-                    Rng& rng);
-
-/// Trains PV-DBOW: each document d (a bag of token ids) predicts its own
-/// tokens; the document vectors are the embedding. `vocab_size` bounds the
-/// token ids. Returns document vectors in `input` and token vectors in
-/// `output`.
-SgnsModel TrainPvDbow(const std::vector<std::vector<int>>& documents,
-                      int vocab_size, const SgnsOptions& options, Rng& rng);
-
-/// ---- Budgeted, self-healing variants. One work unit = one positive
-/// training pair (with its negatives). After every epoch the embeddings and
-/// accumulated loss are checked for NaN/Inf and runaway magnitudes; on
-/// failure the trainer halves the learning rate, tightens the gradient clip,
-/// reseeds the offending rows and retries the epoch, giving up with
-/// kInternal after `options.recovery.max_retries` cumulative retries.
-/// Returns kResourceExhausted when the budget runs out and kInvalidArgument
-/// for bad options or inputs. With an unlimited budget and a healthy run the
-/// result is bit-identical to the plain functions above (which are thin
-/// wrappers over these).
-
-[[nodiscard]] StatusOr<SgnsModel> TrainSgnsBudgeted(const Corpus& corpus,
-                                      const SgnsOptions& options, Rng& rng,
-                                      Budget& budget);
-
-[[nodiscard]] StatusOr<SgnsModel> TrainPvDbowBudgeted(
-    const std::vector<std::vector<int>>& documents, int vocab_size,
-    const SgnsOptions& options, Rng& rng, Budget& budget);
-
-/// ---- Sharded deterministic parallel trainers. Each epoch is split into
-/// fixed mini-batches of sequences. Within a batch, gradients are computed
-/// in parallel against the batch-start parameters — one Rng stream per
-/// (epoch, sequence) via Rng::Fork, never per thread — and accumulated
-/// into per-sequence delta shards, which are then applied serially in
-/// sequence order. Batch boundaries, streams, the learning-rate schedule
-/// (exact per-pair prefix sums) and the apply order depend only on the
-/// data and the seed, so the trained model is bit-identical at any thread
-/// count; running with SetThreadCount(1) is the serial reference.
+/// ---- The four trainers: skip-gram (TrainSgns*: each token predicts its
+/// window-clipped context) and PV-DBOW (TrainPvDbow*: each sentence is a
+/// document predicting its tokens; `input` holds the document vectors),
+/// each on two schedules. Sequential (Rng&): plain SGD in stream order.
+/// Sharded (seed): batches of 32 sequences trained in parallel against
+/// batch-start parameters, one Rng::Fork stream per (epoch attempt,
+/// sequence), applied in sequence order — bit-identical at any thread
+/// count, numerically different from sequential. Both share negative
+/// sampling, the exact linear LR decay, the per-epoch health check with
+/// LR-backoff recovery (kInternal once exhausted) and checkpointing.
+/// Budget: one unit per positive pair (charged per sequence up front when
+/// sharded); kResourceExhausted when it runs out.
 ///
-/// This is a different algorithm from TrainSgns/TrainPvDbow (mini-batch
-/// synchronous rather than fully sequential SGD; Hogwild-style lock-free
-/// sharing would be faster but irreproducible), so models differ
-/// numerically from the sequential trainers while sharing the objective,
-/// schedule shape, budget semantics (one unit per positive pair, spent per
-/// sequence) and the per-epoch numeric-health check with LR-backoff
-/// recovery.
-
-[[nodiscard]] StatusOr<SgnsModel> TrainSgnsSharded(const Corpus& corpus,
-                                     const SgnsOptions& options, uint64_t seed,
-                                     Budget& budget);
-
-[[nodiscard]] StatusOr<SgnsModel> TrainPvDbowSharded(
-    const std::vector<std::vector<int>>& documents, int vocab_size,
-    const SgnsOptions& options, uint64_t seed, Budget& budget);
-
-/// ---- Streaming trainers (DESIGN.md §13). Identical algorithms to the
-/// corpus-based entry points above — in fact those are now thin wrappers
-/// that adapt their in-memory input through CorpusSource — but fed from a
-/// SentenceSource, so the corpus never has to exist in memory at once.
-/// The trainers make one counting pass (sentence/pair/occurrence totals
-/// for the LR schedule), one optional fingerprint pass when checkpointing
-/// is enabled, and one pass per epoch; the source must replay the
-/// identical stream on every Reset(). Feeding the same sentences in the
-/// same order produces bit-identical models to the in-memory paths — a
-/// WalkSource over a graph reproduces exactly what materialising
-/// GenerateWalksParallel and training on it would have.
-///
-/// The SGNS variants take the noise table explicitly (vocab size =
-/// noise_weights.size()); build it from a counting pass via CountStream +
-/// NoiseFromCounts (embed/stream.h) when no materialised vocabulary
-/// exists. The PV-DBOW variants count documents and build their noise
-/// table internally from the same single counting pass. Returns
-/// kInvalidArgument for an empty noise table / non-positive vocab_size /
-/// token ids beyond the table, plus everything the corpus-based trainers
-/// reject.
-
-[[nodiscard]] StatusOr<SgnsModel> TrainSgnsStreaming(
-    SentenceSource& source, const std::vector<double>& noise_weights,
-    const SgnsOptions& options, Rng& rng, Budget& budget);
-
-[[nodiscard]] StatusOr<SgnsModel> TrainSgnsShardedStreaming(
-    SentenceSource& source, const std::vector<double>& noise_weights,
-    const SgnsOptions& options, uint64_t seed, Budget& budget);
-
-/// Overloads taking a precomputed CountStream result, for callers that
-/// already made the counting pass (e.g. to build the noise table from the
-/// same stream): skips the trainers' internal pass. `stats` must come from
-/// CountStream over the same sentences with this options.window in
-/// skip-gram mode — or over any permutation of them, since every total is
-/// order-independent.
+/// Skip-gram takes the caller's CountStream `stats` (this window) and
+/// noise table, whose size is the vocabulary; PV-DBOW counts the source
+/// itself. Every later pass must replay the counted stream. kInvalidArgument
+/// for a token outside the model or an extra sentence, bad options, an
+/// empty noise table or counted tokens beyond it, and for PV-DBOW a
+/// non-positive vocab_size or no tokens.
 
 [[nodiscard]] StatusOr<SgnsModel> TrainSgnsStreaming(
     SentenceSource& source, const StreamStats& stats,

@@ -113,6 +113,19 @@ bool ShuffleBufferSource::Next(std::vector<int>& sentence) {
   return true;
 }
 
+int64_t SequencePairs(const std::vector<int>& sentence, int window,
+                      bool skipgram_window) {
+  const int len = static_cast<int>(sentence.size());
+  if (!skipgram_window) return len;
+  int64_t pairs = 0;
+  for (int pos = 0; pos < len; ++pos) {
+    const int lo = std::max(0, pos - window);
+    const int hi = std::min(len - 1, pos + window);
+    pairs += hi - lo;  // Excludes the centre itself.
+  }
+  return pairs;
+}
+
 StreamStats CountStream(SentenceSource& source, int window,
                         bool skipgram_window, int vocab_size_hint) {
   StreamStats stats;
@@ -123,20 +136,8 @@ StreamStats CountStream(SentenceSource& source, int window,
   std::vector<int> seq;
   while (source.Next(seq)) {
     ++stats.num_sentences;
-    const int len = static_cast<int>(seq.size());
-    stats.total_tokens += len;
-    if (skipgram_window) {
-      // The window-clipped pair count of PositivePairPrefix, accumulated
-      // streamingly: position pos pairs with [pos-window, pos+window]
-      // clipped to the sequence, minus itself.
-      for (int pos = 0; pos < len; ++pos) {
-        const int lo = std::max(0, pos - window);
-        const int hi = std::min(len - 1, pos + window);
-        stats.pairs_per_epoch += hi - lo;
-      }
-    } else {
-      stats.pairs_per_epoch += len;  // PV-DBOW: one pair per token.
-    }
+    stats.total_tokens += static_cast<int64_t>(seq.size());
+    stats.pairs_per_epoch += SequencePairs(seq, window, skipgram_window);
     for (const int token : seq) {
       X2VEC_CHECK_GE(token, 0);
       if (token >= static_cast<int>(stats.token_counts.size())) {

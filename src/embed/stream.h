@@ -116,12 +116,21 @@ class ShuffleBufferSource final : public SentenceSource {
   bool primed_ = false;
 };
 
+/// Positive pairs one sentence contributes per epoch: window-clipped
+/// skip-gram pairs when `skipgram_window` is set (position pos of a
+/// length-n sentence pairs with [max(0, pos-window), min(n-1, pos+window)]
+/// minus itself), one (document, token) pair per token for PV-DBOW
+/// otherwise. CountStream sums it into the LR-schedule denominator and the
+/// sharded trainer prices each batch with it, so both trainers' learning
+/// rates agree at matching (epoch, pair) slots.
+[[nodiscard]] int64_t SequencePairs(const std::vector<int>& sentence,
+                                    int window, bool skipgram_window);
+
 /// Everything the trainers need from one streaming counting pass, all in
 /// int64_t so ≥10M-edge corpora (billions of pairs) cannot overflow int:
-/// sentence/token totals, the exact window-clipped positive-pair count per
-/// epoch (the LR-schedule denominator — the streaming equivalent of
-/// PositivePairPrefix(...).back()), and per-token occurrence counts for
-/// noise-distribution construction.
+/// sentence/token totals, the exact positive-pair count per epoch (the
+/// LR-schedule denominator: SequencePairs summed over the stream), and
+/// per-token occurrence counts for noise-distribution construction.
 struct StreamStats {
   int64_t num_sentences = 0;
   int64_t total_tokens = 0;
@@ -141,12 +150,11 @@ struct StreamStats {
 
 /// Noise table from streaming occurrence counts: pow(count + base_count,
 /// power) per token over a table of `vocab_size` entries — the same
-/// unigram^power convention as Vocabulary::NoiseDistribution and
-/// PvDbowNoiseDistribution (with base_count 0, a zero-count token keeps
-/// weight exactly 0). base_count 1 reproduces the walk-corpus convention
-/// of embed/node_embeddings.cc, where every vertex is pre-seeded with one
-/// count before its walk occurrences. CHECKs that no counted token id is
-/// >= vocab_size.
+/// unigram^power convention as Vocabulary::NoiseDistribution (with
+/// base_count 0, a zero-count token keeps weight exactly 0 and is never
+/// drawn as a negative). base_count 1 is the walk-corpus convention of
+/// embed/node_embeddings.cc, where every vertex counts once before its
+/// walk occurrences. CHECKs that no counted token id is >= vocab_size.
 [[nodiscard]] std::vector<double> NoiseFromCounts(
     const std::vector<int64_t>& token_counts, int vocab_size, double power,
     int64_t base_count = 0);

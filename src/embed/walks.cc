@@ -63,11 +63,6 @@ int Node2VecStep(const GraphView& g, int previous, int current,
   return neighbors.To(neighbors.size() - 1);
 }
 
-int Node2VecStep(const Graph& g, int previous, int current,
-                 const WalkOptions& options, Rng& rng) {
-  return Node2VecStep(GraphView(g), previous, current, options, rng);
-}
-
 std::vector<int> GenerateWalk(const GraphView& g, int start,
                               const WalkOptions& options, Rng& rng) {
   std::vector<int> walk = {start};
@@ -104,12 +99,6 @@ std::vector<std::vector<int>> GenerateWalks(const GraphView& g,
   return walks;
 }
 
-std::vector<std::vector<int>> GenerateWalks(const Graph& g,
-                                            const WalkOptions& options,
-                                            Rng& rng) {
-  return GenerateWalks(GraphView(g), options, rng);
-}
-
 std::vector<std::vector<int>> GenerateWalksParallel(const GraphView& g,
                                                     const WalkOptions& options,
                                                     uint64_t seed) {
@@ -140,12 +129,6 @@ std::vector<std::vector<int>> GenerateWalksParallel(const GraphView& g,
   X2VEC_CHECK(status.ok()) << status.ToString();
   span.AddWork(passes * n);
   return walks;
-}
-
-std::vector<std::vector<int>> GenerateWalksParallel(const Graph& g,
-                                                    const WalkOptions& options,
-                                                    uint64_t seed) {
-  return GenerateWalksParallel(GraphView(g), options, seed);
 }
 
 linalg::Matrix EmpiricalWalkSimilarity(const Graph& g, int k,

@@ -34,8 +34,6 @@ struct WalkOptions {
 /// from identical draws. Exposed for distribution tests.
 int Node2VecStep(const graph::GraphView& g, int previous, int current,
                  const WalkOptions& options, Rng& rng);
-int Node2VecStep(const graph::Graph& g, int previous, int current,
-                 const WalkOptions& options, Rng& rng);
 
 /// One truncated walk from `start`, drawing every step from `rng`: the
 /// walk unit shared by the materialised generators below and the streaming
@@ -55,9 +53,6 @@ void CheckWalkOptions(const WalkOptions& options);
 std::vector<std::vector<int>> GenerateWalks(const graph::GraphView& g,
                                             const WalkOptions& options,
                                             Rng& rng);
-std::vector<std::vector<int>> GenerateWalks(const graph::Graph& g,
-                                            const WalkOptions& options,
-                                            Rng& rng);
 
 /// Parallel corpus generation with determinism by construction: the walk
 /// started at vertex v in pass p draws from its own stream
@@ -69,9 +64,6 @@ std::vector<std::vector<int>> GenerateWalks(const graph::Graph& g,
 /// streaming WalkSource (embed/stream.h) replays the same stream scheme,
 /// so it yields this exact corpus without materialising it.
 std::vector<std::vector<int>> GenerateWalksParallel(const graph::GraphView& g,
-                                                    const WalkOptions& options,
-                                                    uint64_t seed);
-std::vector<std::vector<int>> GenerateWalksParallel(const graph::Graph& g,
                                                     const WalkOptions& options,
                                                     uint64_t seed);
 

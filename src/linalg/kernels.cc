@@ -5,6 +5,7 @@
 
 #include "base/check.h"
 #include "linalg/kernels_backend.h"
+#include "linalg/matrix.h"
 
 namespace x2vec::linalg {
 
@@ -182,6 +183,12 @@ std::span<double> RowDeltaBuffer::Accumulator(int row) {
   }
   return {values_.data() + static_cast<size_t>(slot) * dim_,
           static_cast<size_t>(dim_)};
+}
+
+void RowDeltaBuffer::AddTo(Matrix& target) const {
+  for (size_t t = 0; t < touched_.size(); ++t) {
+    Axpy(1.0, Slot(static_cast<int>(t)), target.RowSpan(touched_[t]));
+  }
 }
 
 }  // namespace x2vec::linalg

@@ -5,6 +5,8 @@
 
 namespace x2vec::linalg {
 
+class Matrix;
+
 /// Free dense kernels over contiguous spans of doubles — the primitives
 /// every numeric hot loop (SGNS/PV-DBOW SGD steps, TransE/RESCAL scoring,
 /// kNN/k-means scans, Gram fills) runs on. Pair them with
@@ -20,10 +22,10 @@ namespace x2vec::linalg {
 ///
 /// These entry points dispatch through the runtime-switchable backend
 /// layer in linalg/kernels_backend.h (X2VEC_KERNEL_BACKEND /
-/// SetKernelBackend): `vectorized` reorders the summation for SIMD and
-/// `float32` rounds through fp32 — both are *numeric* changes relative to
-/// generic, tolerance-checked against it by tests/backend_parity_test.cc
-/// rather than digest-pinned. Copy and Sigmoid are backend-invariant.
+/// SetKernelBackend): `vectorized` reorders the summation for SIMD — a
+/// *numeric* change relative to generic, tolerance-checked against it by
+/// tests/backend_parity_test.cc rather than digest-pinned. Copy and
+/// Sigmoid are backend-invariant.
 ///
 /// std::vector<double> converts implicitly to std::span<const double>, so
 /// existing vector-based callers keep working; braced initializer lists do
@@ -113,6 +115,10 @@ class RowDeltaBuffer {
     return {values_.data() + static_cast<size_t>(slot) * dim_,
             static_cast<size_t>(dim_)};
   }
+
+  /// Adds every accumulated row into the matching row of `target` (Axpy),
+  /// in first-touch order.
+  void AddTo(Matrix& target) const;
 
  private:
   int dim_ = 0;

@@ -15,8 +15,6 @@ std::string_view KernelBackendName(KernelBackend backend) {
       return "generic";
     case KernelBackend::kVectorized:
       return "vectorized";
-    case KernelBackend::kFloat32:
-      return "float32";
   }
   return "generic";
 }
@@ -46,10 +44,9 @@ StatusOr<KernelBackend> ResolveKernelBackend(const char* env_value,
     return features.avx2 && features.fma ? KernelBackend::kVectorized
                                          : KernelBackend::kGeneric;
   }
-  if (value == "float32" || value == "fp32") return KernelBackend::kFloat32;
   return Status::InvalidArgument(
       "X2VEC_KERNEL_BACKEND: unknown backend '" + std::string(value) +
-      "' (expected generic, vectorized, avx2, float32/fp32)");
+      "' (expected generic, vectorized, avx2)");
 }
 
 const KernelOps& GetKernelOps(KernelBackend backend) {
@@ -58,8 +55,6 @@ const KernelOps& GetKernelOps(KernelBackend backend) {
       return GenericKernelOps();
     case KernelBackend::kVectorized:
       return VectorizedKernelOps();
-    case KernelBackend::kFloat32:
-      return Float32KernelOps();
   }
   return GenericKernelOps();
 }

@@ -11,20 +11,15 @@ namespace x2vec::linalg {
 /// linalg/kernels.h (DESIGN.md, "Kernel backends").
 ///
 /// `kGeneric` is the golden reference: the order-exact double loops whose
-/// bit patterns the kernels_test digests pin. The fast backends trade that
-/// bit-identity for throughput and are *tolerance-checked* against generic
-/// by tests/backend_parity_test.cc (ctest -L parity):
+/// bit patterns the kernels_test digests pin. The vectorized backend trades
+/// that bit-identity for throughput and is *tolerance-checked* against
+/// generic by tests/backend_parity_test.cc (ctest -L parity):
 ///
 ///   kVectorized  GCC/Clang vector-extension loops (multiple independent
 ///                accumulators, lane-folded), with an AVX2+FMA intrinsic
 ///                specialization bound at startup when CPUID reports both
 ///                features. Same double precision, different summation
 ///                order.
-///   kFloat32     mixed precision: operands rounded to fp32, products and
-///                element updates computed in fp32, reductions accumulated
-///                in double (cheap on every target). Storage at the Matrix
-///                layer stays double; this backend bounds the numeric cost
-///                of a future fp32 storage tier before committing to it.
 ///
 /// Selection mirrors X2VEC_THREADS: a programmatic SetKernelBackend()
 /// override wins, then the X2VEC_KERNEL_BACKEND environment variable (read
@@ -34,11 +29,10 @@ namespace x2vec::linalg {
 enum class KernelBackend {
   kGeneric = 0,
   kVectorized = 1,
-  kFloat32 = 2,
 };
 
-/// Stable lowercase name ("generic", "vectorized", "float32") — the same
-/// tokens X2VEC_KERNEL_BACKEND accepts.
+/// Stable lowercase name ("generic", "vectorized") — the same tokens
+/// X2VEC_KERNEL_BACKEND accepts.
 std::string_view KernelBackendName(KernelBackend backend);
 
 /// The ISA facts runtime dispatch consults. Detected once per process via
@@ -65,7 +59,6 @@ CpuFeatures DetectCpuFeatures();
 ///   "avx2"               -> kVectorized when features.avx2 && features.fma,
 ///                           else kGeneric (explicit ISA ask, unsupported
 ///                           hardware falls back to the reference path)
-///   "float32" / "fp32"   -> kFloat32
 ///   anything else        -> kInvalidArgument naming the bad value
 StatusOr<KernelBackend> ResolveKernelBackend(const char* env_value,
                                              const CpuFeatures& features);
@@ -105,11 +98,10 @@ struct KernelOps {
 };
 
 /// Per-backend tables. Generic lives in kernels.cc next to the reference
-/// loops; the fast tables live in their kernels_*.cc backend files (the
-/// only files where the `intrinsics` lint rule permits raw SIMD).
+/// loops; the vectorized table lives in kernels_vectorized.cc (the
+/// `intrinsics` lint rule permits raw SIMD only in linalg/kernels_*).
 const KernelOps& GenericKernelOps();
 const KernelOps& VectorizedKernelOps();
-const KernelOps& Float32KernelOps();
 
 /// Table for an explicit backend choice.
 const KernelOps& GetKernelOps(KernelBackend backend);

@@ -3,16 +3,15 @@
 //
 // The generic backend is the golden reference: bit-identical to the pinned
 // digests in kernels_test.cc, re-asserted here at 1 and 4 threads and after
-// backend flips. The fast backends (vectorized, float32) are *numeric*
-// variants — this harness holds them to explicit tolerance contracts
-// instead of bit equality, at three levels:
+// backend flips. The fast backend (vectorized) is a *numeric* variant —
+// this harness holds it to explicit tolerance contracts instead of bit
+// equality, at three levels:
 //
 //   1. Per-kernel property checks against the generic loop on adversarial
 //      inputs (mixed magnitudes, cancellation-heavy sums, denormals, large
-//      values near the fp32 range, dims exercising every lane/tail split),
-//      with ULP-aware bounds: abs_floor + coeff * eps * sum(|terms|), where
-//      eps is DBL_EPSILON for the reordered-double backend and FLT_EPSILON
-//      for the fp32 one, and abs_floor absorbs fp32 denormal flushing.
+//      values, dims exercising every lane/tail split), with ULP-aware
+//      bounds: abs_floor + coeff * DBL_EPSILON * sum(|terms|), where
+//      abs_floor only matters for pure-denormal inputs.
 //   2. End-to-end trained-model parity: SGNS trained under each backend
 //      must classify topic words within tolerance of the generic model,
 //      and kNN / Gram pipelines must agree with generic downstream.
@@ -31,6 +30,7 @@
 #include "base/budget.h"
 #include "base/parallel.h"
 #include "base/rng.h"
+#include "corpus_training.h"
 #include "data/datasets.h"
 #include "embed/corpus.h"
 #include "embed/sgns.h"
@@ -48,7 +48,6 @@ namespace x2vec {
 namespace {
 
 using graph::Graph;
-using linalg::Float32KernelOps;
 using linalg::GenericKernelOps;
 using linalg::GetKernelOps;
 using linalg::KernelBackend;
@@ -66,37 +65,24 @@ class BackendGuard {
   ~BackendGuard() { linalg::SetKernelBackend(KernelBackend::kGeneric); }
 };
 
-const KernelBackend kFastBackends[] = {KernelBackend::kVectorized,
-                                       KernelBackend::kFloat32};
+const KernelBackend kFastBackends[] = {KernelBackend::kVectorized};
 
 // ---- Tolerance policy -------------------------------------------------------
 //
-// For a reduction over n terms whose absolute values sum to `scale`:
-//   vectorized  reorders double arithmetic (lane accumulators, FMA), so the
-//               drift is bounded by a small multiple of n * DBL_EPSILON *
-//               scale; the absolute floor only matters for pure-denormal
-//               inputs.
-//   float32     rounds each operand and product through fp32 (a few
-//               FLT_EPSILON per term, n-independent because accumulation
-//               stays double) plus the double-accumulation term; doubles
-//               below FLT_MIN flush toward zero, absorbed by a per-term
-//               absolute floor well above FLT_MIN * n.
+// For a reduction over n terms whose absolute values sum to `scale`: the
+// vectorized backend reorders double arithmetic (lane accumulators, FMA),
+// so the drift is bounded by a small multiple of n * DBL_EPSILON * scale;
+// the absolute floor only matters for pure-denormal inputs.
 
-double ReductionTol(KernelBackend backend, size_t n, double scale) {
+double ReductionTol(size_t n, double scale) {
   const double dn = static_cast<double>(n);
-  if (backend == KernelBackend::kFloat32) {
-    return dn * 1e-36 + (8.0 * FLT_EPSILON + 4.0 * dn * DBL_EPSILON) * scale;
-  }
   return dn * 1e-290 + 4.0 * (dn + 2.0) * DBL_EPSILON * scale;
 }
 
 // Per-element bound for map-style kernels (Axpy, Scale, the SGD row
 // updates), where `magnitude` sums the absolute values of the operands
 // feeding that element.
-double ElementTol(KernelBackend backend, double magnitude) {
-  if (backend == KernelBackend::kFloat32) {
-    return 1e-30 + 8.0 * FLT_EPSILON * magnitude;
-  }
+double ElementTol(double magnitude) {
   return 1e-300 + 4.0 * DBL_EPSILON * magnitude;
 }
 
@@ -142,8 +128,8 @@ VecPair CancellationPair(size_t n, uint64_t seed) {
   return p;
 }
 
-// Double denormals (and values below FLT_MIN): fp32 flushes these to zero,
-// which the absolute floor in the tolerance must absorb.
+// Double denormals: the absolute floor in the tolerance must absorb their
+// reordered sums.
 VecPair DenormalPair(size_t n, uint64_t seed) {
   Rng rng = MakeRng(seed);
   VecPair p{std::vector<double>(n), std::vector<double>(n)};
@@ -155,9 +141,8 @@ VecPair DenormalPair(size_t n, uint64_t seed) {
   return p;
 }
 
-// Large values capped so fp32 *products* stay finite (1e15^2 = 1e30 <
-// FLT_MAX): exercises magnitude handling without tripping the (separately
-// tested) overflow-to-inf behavior.
+// Large values (products near 1e30): exercises magnitude handling well
+// clear of overflow.
 VecPair LargeCappedPair(size_t n, uint64_t seed) {
   Rng rng = MakeRng(seed);
   VecPair p{std::vector<double>(n), std::vector<double>(n)};
@@ -206,7 +191,7 @@ TEST(BackendKernelParityTest, DotWithinUlpAwareBounds) {
         const double got = ops.dot(p.a, p.b);
         double scale = 0.0;
         for (size_t i = 0; i < n; ++i) scale += std::abs(p.a[i] * p.b[i]);
-        EXPECT_NEAR(got, expected, ReductionTol(backend, n, scale))
+        EXPECT_NEAR(got, expected, ReductionTol(n, scale))
             << CaseName(backend, gen.name, n);
       }
     }
@@ -227,7 +212,7 @@ TEST(BackendKernelParityTest, SquaredDistanceWithinUlpAwareBounds) {
           const double m = std::abs(p.a[i]) + std::abs(p.b[i]);
           scale += m * m;
         }
-        EXPECT_NEAR(got, expected, ReductionTol(backend, n, scale))
+        EXPECT_NEAR(got, expected, ReductionTol(n, scale))
             << CaseName(backend, gen.name, n);
       }
     }
@@ -249,7 +234,7 @@ TEST(BackendKernelParityTest, AxpyWithinElementwiseBounds) {
           for (size_t i = 0; i < n; ++i) {
             const double magnitude =
                 std::abs(alpha * p.a[i]) + std::abs(p.b[i]);
-            ASSERT_NEAR(got[i], expected[i], ElementTol(backend, magnitude))
+            ASSERT_NEAR(got[i], expected[i], ElementTol(magnitude))
                 << CaseName(backend, gen.name, n) << " alpha=" << alpha
                 << " i=" << i;
           }
@@ -273,7 +258,7 @@ TEST(BackendKernelParityTest, ScaleWithinElementwiseBounds) {
           ops.scale(got, alpha);
           for (size_t i = 0; i < n; ++i) {
             ASSERT_NEAR(got[i], expected[i],
-                        ElementTol(backend, std::abs(p.a[i] * alpha)))
+                        ElementTol(std::abs(p.a[i] * alpha)))
                 << CaseName(backend, gen.name, n) << " alpha=" << alpha
                 << " i=" << i;
           }
@@ -317,7 +302,7 @@ TEST(BackendKernelParityTest, SgdPairUpdateWithinDerivedBounds) {
         for (size_t i = 0; i < n; ++i) {
           dot_scale += std::abs(center[i] * context[i]);
         }
-        const double score_tol = ReductionTol(backend, n, dot_scale);
+        const double score_tol = ReductionTol(n, dot_scale);
         const double sig_tol = 0.25 * score_tol + 1e-13;
         const double gradient_tol = lr * sig_tol;
 
@@ -330,7 +315,7 @@ TEST(BackendKernelParityTest, SgdPairUpdateWithinDerivedBounds) {
           const double operand =
               std::abs(center[d]) + std::abs(context[d]);
           const double tol = gradient_tol * operand +
-                             ElementTol(backend, lr * operand) + 1e-15;
+                             ElementTol(lr * operand) + 1e-15;
           ASSERT_NEAR(got_context[d], ref_context[d], tol)
               << CaseName(backend, "sgd-context", n) << " d=" << d;
           ASSERT_NEAR(got_gradient[d], ref_gradient[d], tol)
@@ -367,8 +352,7 @@ TEST(BackendKernelParityTest, SgdPairUpdateDeltaMatchesInPlaceVariant) {
     EXPECT_EQ(gradient_a, gradient_b) << linalg::KernelBackendName(backend);
     for (size_t d = 0; d < n; ++d) {
       EXPECT_NEAR(context[d] + delta[d], inplace[d],
-                  ElementTol(backend,
-                             std::abs(context[d]) + std::abs(center[d])))
+                  ElementTol(std::abs(context[d]) + std::abs(center[d])))
           << linalg::KernelBackendName(backend) << " d=" << d;
     }
   }
@@ -423,8 +407,9 @@ TEST(BackendEndToEndParityTest, SgnsTopicClassificationWithinTolerance) {
   const embed::Corpus corpus = GoldenCorpus();
 
   Rng generic_rng = MakeRng(7);
+  Budget unlimited;
   const embed::SgnsModel generic_model =
-      embed::TrainSgns(corpus, GoldenSgnsOptions(), generic_rng);
+      *TrainSgnsOnCorpus(corpus, GoldenSgnsOptions(), generic_rng, unlimited);
   const double generic_accuracy = TopicWordAccuracy(generic_model, corpus);
   // The golden model separates the topics; a meaningless baseline would
   // sit near 1/3.
@@ -434,7 +419,7 @@ TEST(BackendEndToEndParityTest, SgnsTopicClassificationWithinTolerance) {
     BackendGuard guard(backend);
     Rng rng = MakeRng(7);
     const embed::SgnsModel model =
-        embed::TrainSgns(corpus, GoldenSgnsOptions(), rng);
+        *TrainSgnsOnCorpus(corpus, GoldenSgnsOptions(), rng, unlimited);
     EXPECT_TRUE(model.input.AllFinite())
         << linalg::KernelBackendName(backend);
     const double accuracy = TopicWordAccuracy(model, corpus);
@@ -447,9 +432,8 @@ TEST(BackendEndToEndParityTest, ShardedSgnsAtFourThreadsWithinTolerance) {
   const embed::Corpus corpus = GoldenCorpus();
 
   Budget unlimited;
-  const StatusOr<embed::SgnsModel> generic_model =
-      embed::TrainSgnsSharded(corpus, GoldenSgnsOptions(), /*seed=*/7,
-                              unlimited);
+  const StatusOr<embed::SgnsModel> generic_model = TrainSgnsShardedOnCorpus(
+      corpus, GoldenSgnsOptions(), /*seed=*/7, unlimited);
   ASSERT_TRUE(generic_model.ok());
   const double generic_accuracy = TopicWordAccuracy(*generic_model, corpus);
   ASSERT_GE(generic_accuracy, 0.7);
@@ -458,9 +442,8 @@ TEST(BackendEndToEndParityTest, ShardedSgnsAtFourThreadsWithinTolerance) {
     BackendGuard guard(backend);
     SetThreadCount(4);
     Budget budget;
-    const StatusOr<embed::SgnsModel> model =
-        embed::TrainSgnsSharded(corpus, GoldenSgnsOptions(), /*seed=*/7,
-                                budget);
+    const StatusOr<embed::SgnsModel> model = TrainSgnsShardedOnCorpus(
+        corpus, GoldenSgnsOptions(), /*seed=*/7, budget);
     SetThreadCount(0);
     ASSERT_TRUE(model.ok()) << linalg::KernelBackendName(backend);
     EXPECT_TRUE(model->input.AllFinite())
@@ -515,9 +498,7 @@ TEST(BackendEndToEndParityTest, GraphletGramCloseToGeneric) {
       }
     }
     const double relative = std::sqrt(diff) / std::sqrt(norm);
-    const double tol =
-        backend == KernelBackend::kFloat32 ? 2e-5 : 1e-12;
-    EXPECT_LE(relative, tol) << linalg::KernelBackendName(backend);
+    EXPECT_LE(relative, 1e-12) << linalg::KernelBackendName(backend);
   }
 }
 
@@ -549,15 +530,15 @@ TEST(BackendGoldenGuaranteeTest, GenericBitIdenticalAtOneAndFourThreads) {
   const embed::Corpus corpus = GoldenCorpus();
 
   Rng rng = MakeRng(7);
+  Budget unlimited;
   const embed::SgnsModel sequential =
-      embed::TrainSgns(corpus, GoldenSgnsOptions(), rng);
+      *TrainSgnsOnCorpus(corpus, GoldenSgnsOptions(), rng, unlimited);
   EXPECT_EQ(Digest(sequential.input), 18278926393330042903ull);
   EXPECT_EQ(Digest(sequential.output), 993439134845477708ull);
 
   for (int threads : {1, 4}) {
     SetThreadCount(threads);
-    Budget unlimited;
-    const StatusOr<embed::SgnsModel> sharded = embed::TrainSgnsSharded(
+    const StatusOr<embed::SgnsModel> sharded = TrainSgnsShardedOnCorpus(
         corpus, GoldenSgnsOptions(), /*seed=*/7, unlimited);
     ASSERT_TRUE(sharded.ok());
     EXPECT_EQ(Digest(sharded->input), 3462095741590153806ull)
@@ -574,17 +555,18 @@ TEST(BackendGoldenGuaranteeTest, GenericStaysGoldenAfterBackendRoundTrip) {
   // Run real work under each fast backend, then switch back and require
   // the reference digests to the last bit — proving backend state cannot
   // contaminate the golden path.
+  Budget unlimited;
   for (const KernelBackend backend : kFastBackends) {
     {
       BackendGuard guard(backend);
       Rng rng = MakeRng(7);
       const embed::SgnsModel model =
-          embed::TrainSgns(corpus, GoldenSgnsOptions(), rng);
+          *TrainSgnsOnCorpus(corpus, GoldenSgnsOptions(), rng, unlimited);
       EXPECT_TRUE(model.input.AllFinite());
     }
     Rng rng = MakeRng(7);
     const embed::SgnsModel model =
-        embed::TrainSgns(corpus, GoldenSgnsOptions(), rng);
+        *TrainSgnsOnCorpus(corpus, GoldenSgnsOptions(), rng, unlimited);
     EXPECT_EQ(Digest(model.input), 18278926393330042903ull)
         << "after round-trip through " << linalg::KernelBackendName(backend);
     EXPECT_EQ(Digest(model.output), 993439134845477708ull)

@@ -18,6 +18,7 @@
 #include "base/budget.h"
 #include "base/parallel.h"
 #include "base/rng.h"
+#include "corpus_training.h"
 #include "embed/corpus.h"
 #include "embed/graph2vec.h"
 #include "embed/node_embeddings.h"
@@ -36,6 +37,7 @@ namespace x2vec {
 namespace {
 
 using graph::Graph;
+using graph::GraphView;
 using linalg::Matrix;
 
 std::vector<int> SweepThreadCounts() {
@@ -141,7 +143,7 @@ TEST(WalkDeterminismTest, ParallelCorpusBitIdentical) {
   options.walks_per_node = 4;
   options.walk_length = 12;
   ExpectThreadCountInvariant(
-      [&] { return embed::GenerateWalksParallel(g, options, 99); },
+      [&] { return embed::GenerateWalksParallel(GraphView(g), options, 99); },
       [](const std::vector<std::vector<int>>& a,
          const std::vector<std::vector<int>>& b) { return a == b; });
 }
@@ -155,7 +157,7 @@ TEST(WalkDeterminismTest, BiasedParallelCorpusBitIdentical) {
   options.p = 0.5;
   options.q = 2.0;
   ExpectThreadCountInvariant(
-      [&] { return embed::GenerateWalksParallel(g, options, 1); },
+      [&] { return embed::GenerateWalksParallel(GraphView(g), options, 1); },
       [](const std::vector<std::vector<int>>& a,
          const std::vector<std::vector<int>>& b) { return a == b; });
 }
@@ -190,7 +192,7 @@ TEST(TrainerDeterminismTest, ShardedSgnsBitIdentical) {
   ExpectThreadCountInvariant(
       [&] {
         Budget unlimited;
-        return *embed::TrainSgnsSharded(corpus, options, 321, unlimited);
+        return *TrainSgnsShardedOnCorpus(corpus, options, 321, unlimited);
       },
       [](const embed::SgnsModel& a, const embed::SgnsModel& b) {
         return a.input.AllClose(b.input, 0.0) &&
@@ -211,7 +213,8 @@ TEST(TrainerDeterminismTest, ShardedPvDbowBitIdentical) {
   ExpectThreadCountInvariant(
       [&] {
         Budget unlimited;
-        return *embed::TrainPvDbowSharded(documents, 30, options, 7, unlimited);
+        return *TrainPvDbowShardedOnDocuments(documents, 30, options, 7,
+                                              unlimited);
       },
       [](const embed::SgnsModel& a, const embed::SgnsModel& b) {
         return a.input.AllClose(b.input, 0.0) &&
@@ -228,14 +231,14 @@ TEST(TrainerDeterminismTest, ShardedSgnsRespectsBudget) {
     SetThreadCount(threads);
     Budget tiny = Budget::WorkUnits(25);
     const StatusOr<embed::SgnsModel> model =
-        embed::TrainSgnsSharded(corpus, options, 321, tiny);
+        TrainSgnsShardedOnCorpus(corpus, options, 321, tiny);
     ASSERT_FALSE(model.ok()) << threads << " threads";
     EXPECT_EQ(model.status().code(), StatusCode::kResourceExhausted);
   }
   SetThreadCount(0);
 }
 
-TEST(PipelineDeterminismTest, DeepWalkParallelBitIdentical) {
+TEST(PipelineDeterminismTest, DeepWalkStreamingBitIdentical) {
   Rng rng = MakeRng(80);
   const Graph g = graph::ConnectedGnp(14, 0.3, rng);
   embed::Node2VecOptions options;
@@ -245,11 +248,12 @@ TEST(PipelineDeterminismTest, DeepWalkParallelBitIdentical) {
   options.sgns.epochs = 2;
   ExpectMatrixInvariant([&] {
     Budget unlimited;
-    return *embed::DeepWalkEmbeddingParallel(g, options, 55, unlimited);
+    return *embed::DeepWalkEmbeddingStreaming(GraphView(g), options, 55,
+                                              unlimited);
   });
 }
 
-TEST(PipelineDeterminismTest, Node2VecParallelBitIdentical) {
+TEST(PipelineDeterminismTest, Node2VecStreamingBitIdentical) {
   Rng rng = MakeRng(81);
   const Graph g = graph::ConnectedGnp(14, 0.3, rng);
   embed::Node2VecOptions options;
@@ -261,7 +265,8 @@ TEST(PipelineDeterminismTest, Node2VecParallelBitIdentical) {
   options.sgns.epochs = 2;
   ExpectMatrixInvariant([&] {
     Budget unlimited;
-    return *embed::Node2VecEmbeddingParallel(g, options, 56, unlimited);
+    return *embed::Node2VecEmbeddingStreaming(GraphView(g), options, 56,
+                                              unlimited);
   });
 }
 
@@ -312,8 +317,8 @@ TEST(SharedClassifierDeterminismTest, ConcurrentKnnPredictBitIdentical) {
 }
 
 TEST(PipelineDeterminismTest, SequentialEmbeddersThreadCountInvariant) {
-  // The Budgeted paths now generate their corpora on the parallel walk
-  // path; the embedding must still not depend on the thread count.
+  // The Budgeted paths stream their walks from per-walk forked streams;
+  // the embedding must not depend on the thread count.
   Rng dataset_rng = MakeRng(82);
   const Graph g = graph::ConnectedGnp(12, 0.35, dataset_rng);
   embed::Node2VecOptions options;
@@ -323,7 +328,9 @@ TEST(PipelineDeterminismTest, SequentialEmbeddersThreadCountInvariant) {
   options.sgns.epochs = 2;
   ExpectMatrixInvariant([&] {
     Rng rng = MakeRng(9);
-    return embed::DeepWalkEmbedding(g, options, rng);
+    Budget unlimited;
+    return *embed::DeepWalkEmbeddingBudgeted(GraphView(g), options, rng,
+                                             unlimited);
   });
 }
 

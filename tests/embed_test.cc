@@ -2,7 +2,9 @@
 #include <string>
 #include <vector>
 
+#include "base/budget.h"
 #include "base/rng.h"
+#include "corpus_training.h"
 #include "data/datasets.h"
 #include "embed/corpus.h"
 #include "embed/graph2vec.h"
@@ -52,7 +54,8 @@ TEST(SgnsTest, TopicCorpusClustersSeparate) {
   SgnsOptions options;
   options.dimension = 16;
   options.epochs = 4;
-  const SgnsModel model = TrainSgns(corpus, options, rng);
+  Budget unlimited;
+  const SgnsModel model = *TrainSgnsOnCorpus(corpus, options, rng, unlimited);
 
   // Average cosine within topics must beat across topics.
   auto topic_word = [&corpus](int topic, int word) {
@@ -96,8 +99,9 @@ TEST(SgnsTest, DeterministicGivenSeed) {
   options.epochs = 2;
   Rng rng1 = MakeRng(7);
   Rng rng2 = MakeRng(7);
-  const SgnsModel m1 = TrainSgns(corpus, options, rng1);
-  const SgnsModel m2 = TrainSgns(corpus, options, rng2);
+  Budget unlimited;
+  const SgnsModel m1 = *TrainSgnsOnCorpus(corpus, options, rng1, unlimited);
+  const SgnsModel m2 = *TrainSgnsOnCorpus(corpus, options, rng2, unlimited);
   EXPECT_TRUE(m1.input.AllClose(m2.input, 0.0));
 }
 
@@ -107,7 +111,7 @@ TEST(WalksTest, WalksFollowEdges) {
   WalkOptions options;
   options.walks_per_node = 3;
   options.walk_length = 10;
-  const auto walks = GenerateWalks(g, options, rng);
+  const auto walks = GenerateWalks(graph::GraphView(g), options, rng);
   EXPECT_EQ(walks.size(), 12u * 3u);
   for (const auto& walk : walks) {
     EXPECT_EQ(walk.size(), 10u);
@@ -124,7 +128,7 @@ TEST(WalksTest, IsolatedVertexStops) {
   WalkOptions options;
   options.walks_per_node = 1;
   options.walk_length = 5;
-  const auto walks = GenerateWalks(g, options, rng);
+  const auto walks = GenerateWalks(graph::GraphView(g), options, rng);
   for (const auto& walk : walks) {
     if (walk.front() == 2) {
       EXPECT_EQ(walk.size(), 1u);
@@ -144,7 +148,7 @@ TEST(WalksTest, ReturnParameterBiasesBacktracking) {
   returny.walk_length = 4;
   int backtracks = 0;
   int opportunities = 0;
-  for (const auto& walk : GenerateWalks(path, returny, rng)) {
+  for (const auto& walk : GenerateWalks(graph::GraphView(path), returny, rng)) {
     for (size_t i = 2; i < walk.size(); ++i) {
       if (path.Degree(walk[i - 1]) > 1) {
         ++opportunities;
@@ -229,7 +233,9 @@ TEST(NodeEmbeddingTest, DeepWalkKeepsCommunitiesTogether) {
   Node2VecOptions options;
   options.sgns.dimension = 8;
   options.sgns.epochs = 3;
-  const linalg::Matrix x = DeepWalkEmbedding(g, options, rng);
+  Budget unlimited;
+  const linalg::Matrix x =
+      *DeepWalkEmbeddingBudgeted(graph::GraphView(g), options, rng, unlimited);
   double intra = 0.0;
   double inter = 0.0;
   int intra_count = 0;
@@ -265,8 +271,11 @@ TEST(Graph2VecTest, ShapesAndDeterminism) {
   options.sgns.epochs = 3;
   Rng a = MakeRng(5);
   Rng b = MakeRng(5);
-  const linalg::Matrix e1 = Graph2VecEmbedding(graphs, options, a);
-  const linalg::Matrix e2 = Graph2VecEmbedding(graphs, options, b);
+  Budget unlimited;
+  const linalg::Matrix e1 =
+      *Graph2VecEmbeddingBudgeted(graphs, options, a, unlimited);
+  const linalg::Matrix e2 =
+      *Graph2VecEmbeddingBudgeted(graphs, options, b, unlimited);
   EXPECT_EQ(e1.rows(), 6);
   EXPECT_EQ(e1.cols(), 12);
   EXPECT_TRUE(e1.AllClose(e2, 0.0));
@@ -281,7 +290,9 @@ TEST(Graph2VecTest, SeparatesVeryDifferentFamilies) {
   options.sgns.dimension = 8;
   options.sgns.epochs = 20;
   Rng rng = MakeRng(98);
-  const linalg::Matrix e = Graph2VecEmbedding(graphs, options, rng);
+  Budget unlimited;
+  const linalg::Matrix e =
+      *Graph2VecEmbeddingBudgeted(graphs, options, rng, unlimited);
   double intra = 0.0;
   double inter = 0.0;
   int intra_count = 0;

@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
@@ -23,11 +24,14 @@
 #include <gtest/gtest.h>
 
 #include "base/budget.h"
+#include "base/metrics.h"
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "data/datasets.h"
 #include "kg/datasets.h"
+#include "corpus_training.h"
 #include "embed/corpus.h"
+#include "embed/graph2vec.h"
 #include "embed/node_embeddings.h"
 #include "embed/sgns.h"
 #include "graph/generators.h"
@@ -114,10 +118,12 @@ std::vector<Graph> GoldenGraphs() {
 TEST(KernelBitIdentityTest, SgnsSequential) {
   const embed::Corpus corpus = GoldenCorpus();
   Rng rng = MakeRng(7);
-  const embed::SgnsModel model =
-      embed::TrainSgns(corpus, GoldenSgnsOptions(), rng);
-  EXPECT_EQ(Digest(model.input), 18278926393330042903ull);
-  EXPECT_EQ(Digest(model.output), 993439134845477708ull);
+  Budget unlimited;
+  const StatusOr<embed::SgnsModel> model =
+      TrainSgnsOnCorpus(corpus, GoldenSgnsOptions(), rng, unlimited);
+  ASSERT_TRUE(model.ok());
+  EXPECT_EQ(Digest(model->input), 18278926393330042903ull);
+  EXPECT_EQ(Digest(model->output), 993439134845477708ull);
 }
 
 TEST(KernelBitIdentityTest, SgnsShardedAtOneAndManyThreads) {
@@ -125,7 +131,7 @@ TEST(KernelBitIdentityTest, SgnsShardedAtOneAndManyThreads) {
   for (int threads : {1, 4}) {
     SetThreadCount(threads);
     Budget unlimited;
-    const StatusOr<embed::SgnsModel> model = embed::TrainSgnsSharded(
+    const StatusOr<embed::SgnsModel> model = TrainSgnsShardedOnCorpus(
         corpus, GoldenSgnsOptions(), /*seed=*/7, unlimited);
     ASSERT_TRUE(model.ok());
     EXPECT_EQ(Digest(model->input), 3462095741590153806ull) << threads << " threads";
@@ -136,9 +142,11 @@ TEST(KernelBitIdentityTest, SgnsShardedAtOneAndManyThreads) {
 
 TEST(KernelBitIdentityTest, PvDbowSequential) {
   Rng rng = MakeRng(9);
-  const embed::SgnsModel model =
-      embed::TrainPvDbow(GoldenDocuments(), 40, GoldenSgnsOptions(), rng);
-  EXPECT_EQ(Digest(model.input), 7506412274478109361ull);
+  Budget unlimited;
+  const StatusOr<embed::SgnsModel> model = TrainPvDbowOnDocuments(
+      GoldenDocuments(), 40, GoldenSgnsOptions(), rng, unlimited);
+  ASSERT_TRUE(model.ok());
+  EXPECT_EQ(Digest(model->input), 7506412274478109361ull);
 }
 
 TEST(KernelBitIdentityTest, PvDbowShardedAtOneAndManyThreads) {
@@ -146,10 +154,82 @@ TEST(KernelBitIdentityTest, PvDbowShardedAtOneAndManyThreads) {
   for (int threads : {1, 4}) {
     SetThreadCount(threads);
     Budget unlimited;
-    const StatusOr<embed::SgnsModel> model = embed::TrainPvDbowSharded(
+    const StatusOr<embed::SgnsModel> model = TrainPvDbowShardedOnDocuments(
         documents, 40, GoldenSgnsOptions(), /*seed=*/11, unlimited);
     ASSERT_TRUE(model.ok());
     EXPECT_EQ(Digest(model->input), 16656231216226078774ull) << threads << " threads";
+  }
+  SetThreadCount(0);
+}
+
+// ---- Sequential embedders (the method suite's deepwalk, node2vec and
+// graph2vec). The walk digests were captured from the materialised-corpus
+// implementation and now pin the WalkSource pipeline that replaced it.
+
+graph::Graph GoldenNodeGraph() {
+  Rng rng = MakeRng(77);
+  return graph::ConnectedGnp(24, 0.2, rng);
+}
+
+embed::Node2VecOptions GoldenWalkOptions() {
+  embed::Node2VecOptions options;
+  options.walks.walks_per_node = 4;
+  options.walks.walk_length = 10;
+  options.sgns.dimension = 8;
+  options.sgns.window = 3;
+  options.sgns.negatives = 3;
+  options.sgns.epochs = 2;
+  return options;
+}
+
+TEST(KernelBitIdentityTest, DeepWalkSequentialAtOneAndManyThreads) {
+  const Graph g = GoldenNodeGraph();
+  for (int threads : {1, 4}) {
+    SetThreadCount(threads);
+    Rng rng = MakeRng(19);
+    Budget budget = Budget::WorkUnits(1'000'000'000);
+    const StatusOr<Matrix> embedding = embed::DeepWalkEmbeddingBudgeted(
+        graph::GraphView(g), GoldenWalkOptions(), rng, budget);
+    ASSERT_TRUE(embedding.ok());
+    EXPECT_EQ(Digest(*embedding), 10486663230332059249ull) << threads << " threads";
+    EXPECT_EQ(budget.work_spent(), 9312) << threads << " threads";
+  }
+  SetThreadCount(0);
+}
+
+TEST(KernelBitIdentityTest, Node2VecSequentialAtOneAndManyThreads) {
+  const Graph g = GoldenNodeGraph();
+  embed::Node2VecOptions options = GoldenWalkOptions();
+  options.walks.p = 1.0;
+  options.walks.q = 0.5;
+  for (int threads : {1, 4}) {
+    SetThreadCount(threads);
+    Rng rng = MakeRng(23);
+    Budget budget = Budget::WorkUnits(1'000'000'000);
+    const StatusOr<Matrix> embedding = embed::Node2VecEmbeddingBudgeted(
+        graph::GraphView(g), options, rng, budget);
+    ASSERT_TRUE(embedding.ok());
+    EXPECT_EQ(Digest(*embedding), 5938407196543842321ull) << threads << " threads";
+    EXPECT_EQ(budget.work_spent(), 9312) << threads << " threads";
+  }
+  SetThreadCount(0);
+}
+
+TEST(KernelBitIdentityTest, Graph2VecSequentialAtOneAndManyThreads) {
+  const std::vector<Graph> graphs = GoldenGraphs();
+  embed::Graph2VecOptions options;
+  options.wl_rounds = 2;
+  options.sgns.dimension = 8;
+  options.sgns.epochs = 3;
+  for (int threads : {1, 4}) {
+    SetThreadCount(threads);
+    Rng rng = MakeRng(29);
+    Budget budget = Budget::WorkUnits(1'000'000'000);
+    const StatusOr<Matrix> embedding =
+        embed::Graph2VecEmbeddingBudgeted(graphs, options, rng, budget);
+    ASSERT_TRUE(embedding.ok());
+    EXPECT_EQ(Digest(*embedding), 10778255640977380102ull) << threads << " threads";
+    EXPECT_EQ(budget.work_spent(), 432) << threads << " threads";
   }
   SetThreadCount(0);
 }
@@ -426,10 +506,27 @@ TEST(KernelBackendTest, ResolveNamedBackends) {
   const linalg::CpuFeatures none;
   EXPECT_EQ(linalg::ResolveKernelBackend("vectorized", none).value(),
             linalg::KernelBackend::kVectorized);
-  EXPECT_EQ(linalg::ResolveKernelBackend("float32", none).value(),
-            linalg::KernelBackend::kFloat32);
-  EXPECT_EQ(linalg::ResolveKernelBackend("fp32", none).value(),
-            linalg::KernelBackend::kFloat32);
+  // float32 and fp32 name no backend: they are unknown values, which the
+  // environment path turns into generic plus an env-invalid count.
+  for (const char* removed : {"float32", "fp32"}) {
+    const StatusOr<linalg::KernelBackend> resolved =
+        linalg::ResolveKernelBackend(removed, none);
+    ASSERT_FALSE(resolved.ok()) << removed;
+    EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument);
+  }
+  // A fresh process (threadsafe death-test style re-executes the binary)
+  // resolves X2VEC_KERNEL_BACKEND=float32 on its first kernel dispatch.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("X2VEC_KERNEL_BACKEND", "float32", /*overwrite=*/1);
+        const bool generic =
+            linalg::ActiveKernelBackend() == linalg::KernelBackend::kGeneric;
+        const int64_t invalid = metrics::GlobalSnapshot().counter(
+            "kernels.backend_env_invalid");
+        std::exit(generic && invalid == 1 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(KernelBackendTest, ResolveUnknownValueIsInvalidArgument) {
@@ -459,8 +556,6 @@ TEST(KernelBackendTest, BackendNamesAreStable) {
             "generic");
   EXPECT_EQ(linalg::KernelBackendName(linalg::KernelBackend::kVectorized),
             "vectorized");
-  EXPECT_EQ(linalg::KernelBackendName(linalg::KernelBackend::kFloat32),
-            "float32");
 }
 
 TEST(KernelBackendTest, DetectCpuFeaturesIsStableAcrossCalls) {
@@ -481,9 +576,9 @@ TEST(KernelBackendTest, SetKernelBackendSwitchesPublicDispatch) {
   const std::vector<double> b = TestVector(33, 22);
   const double generic = linalg::GenericKernelOps().dot(a, b);
 
-  linalg::SetKernelBackend(linalg::KernelBackend::kFloat32);
-  EXPECT_EQ(linalg::ActiveKernelBackend(), linalg::KernelBackend::kFloat32);
-  EXPECT_EQ(linalg::Dot(a, b), linalg::Float32KernelOps().dot(a, b));
+  linalg::SetKernelBackend(linalg::KernelBackend::kVectorized);
+  EXPECT_EQ(linalg::ActiveKernelBackend(), linalg::KernelBackend::kVectorized);
+  EXPECT_EQ(linalg::Dot(a, b), linalg::VectorizedKernelOps().dot(a, b));
 
   linalg::SetKernelBackend(linalg::KernelBackend::kGeneric);
   EXPECT_EQ(linalg::ActiveKernelBackend(), linalg::KernelBackend::kGeneric);
@@ -495,8 +590,6 @@ TEST(KernelBackendTest, GetKernelOpsCoversEveryBackend) {
             &linalg::GenericKernelOps());
   EXPECT_EQ(&linalg::GetKernelOps(linalg::KernelBackend::kVectorized),
             &linalg::VectorizedKernelOps());
-  EXPECT_EQ(&linalg::GetKernelOps(linalg::KernelBackend::kFloat32),
-            &linalg::Float32KernelOps());
 }
 
 TEST(SpanKernelTest, MatrixApplyAcceptsSpansAndVectors) {

@@ -370,8 +370,7 @@ TEST(LintWhitelistTest, KernelBackendFilesMayUseIntrinsics) {
   // The real backend files ARE the sanctioned raw-SIMD surface; they must
   // lint clean under their real paths, as must hypothetical siblings.
   for (const std::string rel :
-       {"src/linalg/kernels_vectorized.cc", "src/linalg/kernels_float32.cc",
-        "src/linalg/kernels_backend.cc"}) {
+       {"src/linalg/kernels_vectorized.cc", "src/linalg/kernels_backend.cc"}) {
     const auto diags = LintFile(rel, ReadFileOrDie(SourcePath(rel)));
     EXPECT_TRUE(diags.empty())
         << rel << ": " << FormatDiagnostic(diags.front());

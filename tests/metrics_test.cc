@@ -18,6 +18,7 @@
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "base/trace.h"
+#include "corpus_training.h"
 #include "core/registry.h"
 #include "embed/corpus.h"
 #include "embed/sgns.h"
@@ -231,10 +232,13 @@ TEST(MetricsDeterminismTest, DisablingMetricsDoesNotChangeTraining) {
 
   metrics::SetEnabled(true);
   Rng rng_on = MakeRng(5);
-  const embed::SgnsModel seq_on = embed::TrainSgns(corpus, options, rng_on);
+  Budget unlimited;
+  const embed::SgnsModel seq_on =
+      *TrainSgnsOnCorpus(corpus, options, rng_on, unlimited);
   metrics::SetEnabled(false);
   Rng rng_off = MakeRng(5);
-  const embed::SgnsModel seq_off = embed::TrainSgns(corpus, options, rng_off);
+  const embed::SgnsModel seq_off =
+      *TrainSgnsOnCorpus(corpus, options, rng_off, unlimited);
   metrics::SetEnabled(true);
   EXPECT_TRUE(seq_on.input.AllClose(seq_off.input, 0.0));
   EXPECT_TRUE(seq_on.output.AllClose(seq_off.output, 0.0));
@@ -244,11 +248,11 @@ TEST(MetricsDeterminismTest, DisablingMetricsDoesNotChangeTraining) {
     metrics::SetEnabled(true);
     Budget unlimited_on;
     const embed::SgnsModel sharded_on =
-        *embed::TrainSgnsSharded(corpus, options, 31, unlimited_on);
+        *TrainSgnsShardedOnCorpus(corpus, options, 31, unlimited_on);
     metrics::SetEnabled(false);
     Budget unlimited_off;
     const embed::SgnsModel sharded_off =
-        *embed::TrainSgnsSharded(corpus, options, 31, unlimited_off);
+        *TrainSgnsShardedOnCorpus(corpus, options, 31, unlimited_off);
     metrics::SetEnabled(true);
     EXPECT_TRUE(sharded_on.input.AllClose(sharded_off.input, 0.0)) << threads;
     EXPECT_TRUE(sharded_on.output.AllClose(sharded_off.output, 0.0))

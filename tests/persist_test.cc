@@ -24,6 +24,7 @@
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "base/status.h"
+#include "corpus_training.h"
 #include "data/datasets.h"
 #include "kg/datasets.h"
 #include "embed/checkpoint.h"
@@ -393,7 +394,7 @@ TEST(ResumeTest, SgnsSequentialResumeIsBitIdenticalToGolden) {
     Rng rng = MakeRng(7);
     Budget budget = Budget::WorkUnits(kSgnsPairsPerEpoch + 500);
     const StatusOr<embed::SgnsModel> killed =
-        embed::TrainSgnsBudgeted(corpus, options, rng, budget);
+        TrainSgnsOnCorpus(corpus, options, rng, budget);
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
   }
@@ -403,7 +404,7 @@ TEST(ResumeTest, SgnsSequentialResumeIsBitIdenticalToGolden) {
   Rng rng = MakeRng(7);
   Budget unlimited;
   const StatusOr<embed::SgnsModel> model =
-      embed::TrainSgnsBudgeted(corpus, options, rng, unlimited);
+      TrainSgnsOnCorpus(corpus, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(Digest(model->input), kSgnsSequentialInput);
   EXPECT_EQ(Digest(model->output), kSgnsSequentialOutput);
@@ -422,13 +423,13 @@ TEST(ResumeTest, SgnsShardedResumeIsBitIdenticalAtOneAndFourThreads) {
 
     Budget finite = Budget::WorkUnits(kSgnsPairsPerEpoch + 500);
     const StatusOr<embed::SgnsModel> killed =
-        embed::TrainSgnsSharded(corpus, options, /*seed=*/7, finite);
+        TrainSgnsShardedOnCorpus(corpus, options, /*seed=*/7, finite);
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
 
     Budget unlimited;
     const StatusOr<embed::SgnsModel> model =
-        embed::TrainSgnsSharded(corpus, options, /*seed=*/7, unlimited);
+        TrainSgnsShardedOnCorpus(corpus, options, /*seed=*/7, unlimited);
     ASSERT_TRUE(model.ok());
     EXPECT_EQ(Digest(model->input), kSgnsShardedInput) << threads << " threads";
     EXPECT_EQ(Digest(model->output), kSgnsShardedOutput)
@@ -447,7 +448,7 @@ TEST(ResumeTest, PvDbowSequentialResumeWithSparserBarriers) {
     Rng rng = MakeRng(9);
     Budget budget = Budget::WorkUnits(2 * kPvDbowPairsPerEpoch + 100);
     const StatusOr<embed::SgnsModel> killed =
-        embed::TrainPvDbowBudgeted(documents, 40, options, rng, budget);
+        TrainPvDbowOnDocuments(documents, 40, options, rng, budget);
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
   }
@@ -460,7 +461,7 @@ TEST(ResumeTest, PvDbowSequentialResumeWithSparserBarriers) {
   Rng rng = MakeRng(9);
   Budget unlimited;
   const StatusOr<embed::SgnsModel> model =
-      embed::TrainPvDbowBudgeted(documents, 40, options, rng, unlimited);
+      TrainPvDbowOnDocuments(documents, 40, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(Digest(model->input), kPvDbowSequentialInput);
 }
@@ -474,15 +475,14 @@ TEST(ResumeTest, PvDbowShardedResumeIsBitIdenticalAtOneAndFourThreads) {
         ScratchDir("resume_pvdbow_sharded_t" + std::to_string(threads));
 
     Budget finite = Budget::WorkUnits(kPvDbowPairsPerEpoch + 100);
-    const StatusOr<embed::SgnsModel> killed =
-        embed::TrainPvDbowSharded(documents, 40, options, /*seed=*/11, finite);
+    const StatusOr<embed::SgnsModel> killed = TrainPvDbowShardedOnDocuments(
+        documents, 40, options, /*seed=*/11, finite);
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
 
     Budget unlimited;
-    const StatusOr<embed::SgnsModel> model =
-        embed::TrainPvDbowSharded(documents, 40, options, /*seed=*/11,
-                                  unlimited);
+    const StatusOr<embed::SgnsModel> model = TrainPvDbowShardedOnDocuments(
+        documents, 40, options, /*seed=*/11, unlimited);
     ASSERT_TRUE(model.ok());
     EXPECT_EQ(Digest(model->input), kPvDbowShardedInput)
         << threads << " threads";
@@ -506,7 +506,7 @@ TEST(ResumeTest, TornCheckpointFallsBackToOlderBarrierAndStillMatchesGolden) {
     Rng rng = MakeRng(7);
     Budget budget = Budget::WorkUnits(2 * kSgnsPairsPerEpoch + 500);
     const StatusOr<embed::SgnsModel> killed =
-        embed::TrainSgnsBudgeted(corpus, options, rng, budget);
+        TrainSgnsOnCorpus(corpus, options, rng, budget);
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
     EXPECT_EQ(faulty.faults_injected(), 1);
@@ -518,7 +518,7 @@ TEST(ResumeTest, TornCheckpointFallsBackToOlderBarrierAndStillMatchesGolden) {
   Rng rng = MakeRng(7);
   Budget unlimited;
   const StatusOr<embed::SgnsModel> model =
-      embed::TrainSgnsBudgeted(corpus, options, rng, unlimited);
+      TrainSgnsOnCorpus(corpus, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(Digest(model->input), kSgnsSequentialInput);
   EXPECT_EQ(Digest(model->output), kSgnsSequentialOutput);
@@ -540,7 +540,7 @@ TEST(ResumeTest, StaleOptionsCheckpointIsSkippedNotResumed) {
     Rng rng = MakeRng(7);
     Budget budget = Budget::WorkUnits(kSgnsPairsPerEpoch + 500);
     const StatusOr<embed::SgnsModel> killed =
-        embed::TrainSgnsBudgeted(corpus, stale, rng, budget);
+        TrainSgnsOnCorpus(corpus, stale, rng, budget);
     ASSERT_FALSE(killed.ok());
   }
 
@@ -551,7 +551,7 @@ TEST(ResumeTest, StaleOptionsCheckpointIsSkippedNotResumed) {
   Rng rng = MakeRng(7);
   Budget unlimited;
   const StatusOr<embed::SgnsModel> model =
-      embed::TrainSgnsBudgeted(corpus, options, rng, unlimited);
+      TrainSgnsOnCorpus(corpus, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(Digest(model->input), kSgnsSequentialInput);
   EXPECT_EQ(Digest(model->output), kSgnsSequentialOutput);

@@ -1,6 +1,6 @@
 // Fault-injection and budget-exhaustion suite (ctest label: robustness).
 //
-// Three families of tests:
+// Four families of tests:
 //  - Budget semantics: quotas admit exactly their work, deadlines trip,
 //    exhaustion latches, and every budgeted entry point returns
 //    kResourceExhausted (never crashes or hangs) on a zero budget.
@@ -8,11 +8,16 @@
 //    RESCAL to diverge deterministically; recovery must heal the run
 //    (finite final parameters) and, when back-off is disabled, give up with
 //    kInternal after max_retries.
+//  - Caller input: bad options and sentence sources that do not replay
+//    their counted stream end in kInvalidArgument, never a crash.
 //  - FaultInjectingRng: a scripted Rng subclass feeding degenerate bit
 //    streams into the randomised pipelines, which must stay well-defined.
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,10 +25,13 @@
 #include "base/budget.h"
 #include "base/rng.h"
 #include "base/status.h"
+#include "corpus_training.h"
 #include "embed/corpus.h"
 #include "embed/graph2vec.h"
 #include "embed/node_embeddings.h"
 #include "embed/sgns.h"
+#include "embed/stream.h"
+#include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/isomorphism.h"
@@ -32,9 +40,6 @@
 #include "kg/knowledge_graph.h"
 #include "kg/rescal.h"
 #include "kg/transe.h"
-#include "linalg/health.h"
-#include "linalg/kernels.h"
-#include "linalg/kernels_backend.h"
 #include "linalg/matrix.h"
 #include "wl/kwl.h"
 
@@ -271,10 +276,10 @@ TEST(ZeroBudgetTest, AllFourTrainers) {
   Rng rng = MakeRng(1);
   Budget b1 = Budget::WorkUnits(0);
   ExpectExhausted(
-      embed::TrainSgnsBudgeted(SmallCorpus(), embed::SgnsOptions{}, rng, b1));
+      TrainSgnsOnCorpus(SmallCorpus(), embed::SgnsOptions{}, rng, b1));
   Budget b2 = Budget::WorkUnits(0);
-  ExpectExhausted(embed::TrainPvDbowBudgeted({{0, 1, 2}, {2, 3}}, 4,
-                                             embed::SgnsOptions{}, rng, b2));
+  ExpectExhausted(TrainPvDbowOnDocuments({{0, 1, 2}, {2, 3}}, 4,
+                                         embed::SgnsOptions{}, rng, b2));
   Budget b3 = Budget::WorkUnits(0);
   ExpectExhausted(kg::TrainTransEBudgeted(SmallKg(), kg::TransEOptions{}, rng, b3));
   Budget b4 = Budget::WorkUnits(0);
@@ -288,11 +293,11 @@ TEST(ZeroBudgetTest, EmbeddingPipelines) {
   ExpectExhausted(embed::Graph2VecEmbeddingBudgeted(
       {g, graph::Graph::Path(8)}, embed::Graph2VecOptions{}, rng, b1));
   Budget b2 = Budget::WorkUnits(0);
-  ExpectExhausted(
-      embed::DeepWalkEmbeddingBudgeted(g, embed::Node2VecOptions{}, rng, b2));
+  ExpectExhausted(embed::DeepWalkEmbeddingBudgeted(
+      graph::GraphView(g), embed::Node2VecOptions{}, rng, b2));
   Budget b3 = Budget::WorkUnits(0);
-  ExpectExhausted(
-      embed::Node2VecEmbeddingBudgeted(g, embed::Node2VecOptions{}, rng, b3));
+  ExpectExhausted(embed::Node2VecEmbeddingBudgeted(
+      graph::GraphView(g), embed::Node2VecOptions{}, rng, b3));
 }
 
 // ---------------------------------------------------------------------------
@@ -336,7 +341,7 @@ TEST(PartialBudgetTest, TrainerStopsMidEpoch) {
   Rng rng = MakeRng(3);
   Budget budget = Budget::WorkUnits(5);  // A handful of pairs, then stop.
   ExpectExhausted(
-      embed::TrainSgnsBudgeted(SmallCorpus(), embed::SgnsOptions{}, rng, budget));
+      TrainSgnsOnCorpus(SmallCorpus(), embed::SgnsOptions{}, rng, budget));
   EXPECT_EQ(budget.work_spent(), 6);  // 5 admitted + the failing 6th probe.
 }
 
@@ -374,14 +379,16 @@ TEST(BudgetEquivalenceTest, SgnsBitIdenticalUnderGenerousBudget) {
   options.dimension = 8;
   options.epochs = 2;
   Rng plain_rng = MakeRng(11);
-  const embed::SgnsModel plain = embed::TrainSgns(corpus, options, plain_rng);
+  Budget unlimited;
+  const auto plain = TrainSgnsOnCorpus(corpus, options, plain_rng, unlimited);
+  ASSERT_TRUE(plain.ok());
   Rng budgeted_rng = MakeRng(11);
   Budget budget = Budget::WorkUnits(1'000'000'000);
   const auto budgeted =
-      embed::TrainSgnsBudgeted(corpus, options, budgeted_rng, budget);
+      TrainSgnsOnCorpus(corpus, options, budgeted_rng, budget);
   ASSERT_TRUE(budgeted.ok());
-  EXPECT_EQ(budgeted->input, plain.input);
-  EXPECT_EQ(budgeted->output, plain.output);
+  EXPECT_EQ(budgeted->input, plain->input);
+  EXPECT_EQ(budgeted->output, plain->output);
 }
 
 TEST(BudgetEquivalenceTest, TransEBitIdenticalUnderGenerousBudget) {
@@ -427,7 +434,7 @@ TEST(RecoveryTest, SgnsHealsForcedDivergence) {
   options.recovery.lr_backoff = 1e-14;  // One retry lands at a sane rate.
   Rng rng = MakeRng(21);
   Budget unlimited;
-  const auto model = embed::TrainSgnsBudgeted(SmallCorpus(), options, rng, unlimited);
+  const auto model = TrainSgnsOnCorpus(SmallCorpus(), options, rng, unlimited);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_TRUE(model->input.AllFinite());
   EXPECT_TRUE(model->output.AllFinite());
@@ -441,7 +448,7 @@ TEST(RecoveryTest, SgnsGivesUpAfterMaxRetries) {
   options.recovery.max_retries = 2;
   Rng rng = MakeRng(22);
   Budget unlimited;
-  const auto model = embed::TrainSgnsBudgeted(SmallCorpus(), options, rng, unlimited);
+  const auto model = TrainSgnsOnCorpus(SmallCorpus(), options, rng, unlimited);
   ASSERT_FALSE(model.ok());
   EXPECT_EQ(model.status().code(), StatusCode::kInternal);
   EXPECT_NE(model.status().message().find("exhausted 2 recovery retries"),
@@ -455,7 +462,7 @@ TEST(RecoveryTest, PvDbowHealsForcedDivergence) {
       {0, 1, 2, 0}, {1, 2, 3}, {3, 0, 2, 1}};
   Rng rng = MakeRng(23);
   Budget unlimited;
-  const auto model = embed::TrainPvDbowBudgeted(documents, 4, options, rng, unlimited);
+  const auto model = TrainPvDbowOnDocuments(documents, 4, options, rng, unlimited);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_TRUE(model->input.AllFinite());
   EXPECT_TRUE(model->output.AllFinite());
@@ -469,7 +476,7 @@ TEST(RecoveryTest, PvDbowGivesUpAfterMaxRetries) {
   Rng rng = MakeRng(24);
   Budget unlimited;
   const auto model =
-      embed::TrainPvDbowBudgeted({{0, 1, 2}, {2, 3, 0}}, 4, options, rng, unlimited);
+      TrainPvDbowOnDocuments({{0, 1, 2}, {2, 3, 0}}, 4, options, rng, unlimited);
   ASSERT_FALSE(model.ok());
   EXPECT_EQ(model.status().code(), StatusCode::kInternal);
 }
@@ -541,7 +548,7 @@ TEST(OptionValidationTest, TrainersRejectBadOptions) {
   embed::SgnsOptions sgns;
   sgns.learning_rate = -1.0;
   const auto sgns_result =
-      embed::TrainSgnsBudgeted(SmallCorpus(), sgns, rng, unlimited);
+      TrainSgnsOnCorpus(SmallCorpus(), sgns, rng, unlimited);
   ASSERT_FALSE(sgns_result.ok());
   EXPECT_EQ(sgns_result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(sgns_result.status().message().find("learning_rate"),
@@ -569,7 +576,7 @@ TEST(OptionValidationTest, TrainersRejectDegenerateInputs) {
   Rng rng = MakeRng(32);
   Budget unlimited;
 
-  const auto empty_corpus = embed::TrainSgnsBudgeted(
+  const auto empty_corpus = TrainSgnsOnCorpus(
       embed::Corpus{}, embed::SgnsOptions{}, rng, unlimited);
   ASSERT_FALSE(empty_corpus.ok());
   EXPECT_EQ(empty_corpus.status().code(), StatusCode::kInvalidArgument);
@@ -585,6 +592,148 @@ TEST(OptionValidationTest, TrainersRejectDegenerateInputs) {
       {}, embed::Graph2VecOptions{}, rng, unlimited);
   ASSERT_FALSE(no_graphs.ok());
   EXPECT_EQ(no_graphs.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(OptionValidationTest, WalkEmbeddersRejectBadWalkOptionsOnBothSchedules) {
+  // Bad walk options are a typed error before any walk is generated, not a
+  // CHECK abort inside the walk generator.
+  const graph::Graph g = graph::Graph::Cycle(6);
+  const graph::GraphView view(g);
+  const auto expect_invalid = [&](const embed::Node2VecOptions& options,
+                                  bool node2vec, const char* field) {
+    Rng rng = MakeRng(33);
+    Budget unlimited;
+    const auto sequential =
+        node2vec
+            ? embed::Node2VecEmbeddingBudgeted(view, options, rng, unlimited)
+            : embed::DeepWalkEmbeddingBudgeted(view, options, rng, unlimited);
+    const auto sharded =
+        node2vec
+            ? embed::Node2VecEmbeddingStreaming(view, options, 33, unlimited)
+            : embed::DeepWalkEmbeddingStreaming(view, options, 33, unlimited);
+    for (const StatusOr<linalg::Matrix>* result : {&sequential, &sharded}) {
+      ASSERT_FALSE(result->ok()) << field;
+      EXPECT_EQ(result->status().code(), StatusCode::kInvalidArgument) << field;
+      EXPECT_NE(result->status().message().find(field), std::string::npos)
+          << result->status().ToString();
+    }
+  };
+  for (const bool node2vec : {false, true}) {
+    embed::Node2VecOptions options;
+    options.walks.walk_length = 0;
+    expect_invalid(options, node2vec, "walk_length");
+    options = embed::Node2VecOptions{};
+    options.walks.walks_per_node = -1;
+    expect_invalid(options, node2vec, "walks_per_node");
+  }
+  // DeepWalk ignores p and q; node2vec requires both positive and finite.
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    embed::Node2VecOptions options;
+    options.walks.p = bad;
+    expect_invalid(options, /*node2vec=*/true, "p ");
+    options = embed::Node2VecOptions{};
+    options.walks.q = bad;
+    expect_invalid(options, /*node2vec=*/true, "q ");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sources that do not replay their counted stream: the trainers size the
+// model from the counting pass, so a later pass with a token beyond it or
+// an extra document must end in kInvalidArgument, never an out-of-bounds
+// row access.
+
+// Yields `first` on the counting pass and `later` on every pass after it.
+class DriftingSource final : public embed::SentenceSource {
+ public:
+  DriftingSource(std::vector<std::vector<int>> first,
+                 std::vector<std::vector<int>> later)
+      : first_(std::move(first)), later_(std::move(later)) {}
+
+  void Reset() override {
+    ++passes_;
+    next_ = 0;
+  }
+  bool Next(std::vector<int>& sentence) override {
+    const std::vector<std::vector<int>>& pass = passes_ <= 1 ? first_ : later_;
+    if (next_ >= pass.size()) return false;
+    sentence = pass[next_++];
+    return true;
+  }
+
+ private:
+  std::vector<std::vector<int>> first_;
+  std::vector<std::vector<int>> later_;
+  int passes_ = 0;
+  size_t next_ = 0;
+};
+
+embed::SgnsOptions DriftOptions() {
+  embed::SgnsOptions options;
+  options.dimension = 4;
+  options.window = 2;
+  options.negatives = 1;
+  options.epochs = 1;
+  return options;
+}
+
+void ExpectDriftRejected(const StatusOr<embed::SgnsModel>& result) {
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+}
+
+// Both skip-gram trainers, fed the caller's count of `first`.
+void ExpectSkipGramRejects(const std::vector<std::vector<int>>& first,
+                           const std::vector<std::vector<int>>& later) {
+  const embed::SgnsOptions options = DriftOptions();
+  const std::vector<double> noise = {1.0, 1.0};
+  {
+    DriftingSource source(first, later);
+    const embed::StreamStats stats =
+        embed::CountStream(source, options.window, /*skipgram_window=*/true, 2);
+    Rng rng = MakeRng(1);
+    Budget unlimited;
+    ExpectDriftRejected(embed::TrainSgnsStreaming(source, stats, noise,
+                                                  options, rng, unlimited));
+  }
+  DriftingSource source(first, later);
+  const embed::StreamStats stats =
+      embed::CountStream(source, options.window, /*skipgram_window=*/true, 2);
+  Budget unlimited;
+  ExpectDriftRejected(embed::TrainSgnsShardedStreaming(
+      source, stats, noise, options, /*seed=*/1, unlimited));
+}
+
+// Both PV-DBOW trainers, which count the stream themselves.
+void ExpectPvDbowRejects(const std::vector<std::vector<int>>& first,
+                         const std::vector<std::vector<int>>& later) {
+  {
+    DriftingSource source(first, later);
+    Rng rng = MakeRng(1);
+    Budget unlimited;
+    ExpectDriftRejected(embed::TrainPvDbowStreaming(
+        source, /*vocab_size=*/2, DriftOptions(), rng, unlimited));
+  }
+  DriftingSource source(first, later);
+  Budget unlimited;
+  ExpectDriftRejected(embed::TrainPvDbowShardedStreaming(
+      source, /*vocab_size=*/2, DriftOptions(), /*seed=*/1, unlimited));
+}
+
+TEST(DriftingSourceTest, AllFourTrainersRejectATokenBeyondTheModel) {
+  ExpectSkipGramRejects({{0, 1, 0, 1}}, {{0, 1, 5000, 1}});
+  ExpectPvDbowRejects({{0, 1, 0, 1}}, {{0, 1, 5000, 1}});
+  ExpectSkipGramRejects({{0, 1, 0, 1}}, {{0, 1, -3, 1}});
+  ExpectPvDbowRejects({{0, 1, 0, 1}}, {{0, 1, -3, 1}});
+}
+
+TEST(DriftingSourceTest, AllFourTrainersRejectMoreSentencesThanCounted) {
+  // PV-DBOW indexes its input rows by document: an extra document on a
+  // later pass would train a row the model does not have.
+  ExpectSkipGramRejects({{0, 1}}, {{0, 1}, {1, 0}});
+  ExpectPvDbowRejects({{0, 1}}, {{0, 1}, {1, 0}});
 }
 
 // ---------------------------------------------------------------------------
@@ -621,7 +770,7 @@ TEST(FaultInjectionTest, SgnsStaysFiniteOnDegenerateBits) {
   FaultInjectingRng rng(/*seed=*/43, /*healthy_draws=*/100);
   Budget unlimited;
   const auto model =
-      embed::TrainSgnsBudgeted(SmallCorpus(), options, rng, unlimited);
+      TrainSgnsOnCorpus(SmallCorpus(), options, rng, unlimited);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_TRUE(model->input.AllFinite());
   EXPECT_TRUE(model->output.AllFinite());
@@ -637,97 +786,6 @@ TEST(FaultInjectionTest, TransEStaysFiniteOnDegenerateBits) {
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_TRUE(model->entities.AllFinite());
   EXPECT_TRUE(model->relations.AllFinite());
-}
-
-// ---------------------------------------------------------------------------
-// Numeric-health guards under the float32 kernel backend. The fp32 path
-// rounds operands through float, so values representable in double can
-// overflow to inf (|x| > FLT_MAX) and inf arithmetic can mint NaNs — the
-// linalg/health.h predicates must trip on both, and the SGNS recovery loop
-// must keep healing / giving up exactly as it does under generic.
-
-class Float32BackendFixture : public ::testing::Test {
- protected:
-  void SetUp() override {
-    linalg::SetKernelBackend(linalg::KernelBackend::kFloat32);
-  }
-  void TearDown() override {
-    linalg::SetKernelBackend(linalg::KernelBackend::kGeneric);
-  }
-};
-
-TEST_F(Float32BackendFixture, AxpyOverflowToInfTripsRowUnhealthy) {
-  // 1e39 fits a double but not a float: the fp32 product overflows to inf.
-  linalg::Matrix m(2, 3);
-  const std::vector<double> x = {1e39, 1.0, 1.0};
-  linalg::Axpy(1.0, x, m.RowSpan(0));
-  EXPECT_TRUE(std::isinf(m(0, 0)));
-  EXPECT_TRUE(linalg::RowUnhealthy(m, 0, /*max_abs=*/1e6));
-  EXPECT_FALSE(linalg::RowUnhealthy(m, 1, /*max_abs=*/1e6));
-  EXPECT_FALSE(linalg::MatrixHealthy(m, /*max_abs=*/1e6));
-}
-
-TEST_F(Float32BackendFixture, OpposingOverflowsMintNanAndAreDetected) {
-  // +inf + (-inf) accumulated into the same cell is NaN; AllFinite and
-  // RowUnhealthy must both flag it (NaN compares false with everything).
-  linalg::Matrix m(1, 2);
-  const std::vector<double> up = {1e39, 0.0};
-  const std::vector<double> down = {-1e39, 0.0};
-  linalg::Axpy(1.0, up, m.RowSpan(0));
-  linalg::Axpy(1.0, down, m.RowSpan(0));
-  EXPECT_TRUE(std::isnan(m(0, 0)));
-  EXPECT_FALSE(m.AllFinite());
-  EXPECT_TRUE(linalg::RowUnhealthy(m, 0, /*max_abs=*/1e300));
-  EXPECT_FALSE(linalg::MatrixHealthy(m, /*max_abs=*/1e300));
-}
-
-TEST_F(Float32BackendFixture, SquaredDistanceOverflowsToInfNotGarbage) {
-  // Differences near 2e38 square past FLT_MAX: the fp32 backend must
-  // report inf (which health checks catch), never a silently wrapped
-  // finite value.
-  const std::vector<double> a = {2e38, 0.0};
-  const std::vector<double> b = {-2e38, 0.0};
-  EXPECT_TRUE(std::isinf(linalg::SquaredDistance(a, b)));
-  const std::vector<double> big = {1e39, 1e39};
-  EXPECT_TRUE(std::isinf(linalg::Dot(big, big)));
-}
-
-TEST_F(Float32BackendFixture, ReseedClearsFp32OverflowRows) {
-  linalg::Matrix m(3, 2);
-  const std::vector<double> x = {1e39, 1.0};
-  linalg::Axpy(1.0, x, m.RowSpan(1));
-  ASSERT_TRUE(linalg::RowUnhealthy(m, 1, /*max_abs=*/1e6));
-  Rng rng = MakeRng(3);
-  linalg::ReseedUnhealthyRows(m, /*init=*/0.01, /*max_abs=*/1e6, rng);
-  EXPECT_TRUE(linalg::MatrixHealthy(m, /*max_abs=*/1e6));
-}
-
-TEST_F(Float32BackendFixture, SgnsHealsForcedDivergenceUnderFp32) {
-  embed::SgnsOptions options = PoisonedSgnsOptions();
-  options.recovery.lr_backoff = 1e-14;  // One retry lands at a sane rate.
-  Rng rng = MakeRng(21);
-  Budget unlimited;
-  const auto model =
-      embed::TrainSgnsBudgeted(SmallCorpus(), options, rng, unlimited);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  EXPECT_TRUE(model->input.AllFinite());
-  EXPECT_TRUE(model->output.AllFinite());
-  EXPECT_LE(model->input.MaxAbs(), options.recovery.max_abs);
-}
-
-TEST_F(Float32BackendFixture, SgnsGivesUpAfterMaxRetriesUnderFp32) {
-  embed::SgnsOptions options = PoisonedSgnsOptions();
-  options.recovery.lr_backoff = 1.0;  // Never back off: every retry diverges.
-  options.recovery.clip_backoff = 1.0;
-  options.recovery.max_retries = 2;
-  Rng rng = MakeRng(22);
-  Budget unlimited;
-  const auto model =
-      embed::TrainSgnsBudgeted(SmallCorpus(), options, rng, unlimited);
-  ASSERT_FALSE(model.ok());
-  EXPECT_EQ(model.status().code(), StatusCode::kInternal);
-  EXPECT_NE(model.status().message().find("exhausted 2 recovery retries"),
-            std::string::npos);
 }
 
 }  // namespace

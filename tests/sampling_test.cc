@@ -16,7 +16,9 @@
 #include "base/metrics.h"
 #include "base/parallel.h"
 #include "base/rng.h"
+#include "corpus_training.h"
 #include "embed/corpus.h"
+#include "embed/stream.h"
 #include "embed/walks.h"
 #include "graph/graph.h"
 
@@ -24,6 +26,7 @@ namespace x2vec {
 namespace {
 
 using graph::Graph;
+using graph::GraphView;
 using metrics::Delta;
 using metrics::GlobalSnapshot;
 using metrics::Snapshot;
@@ -45,30 +48,28 @@ int64_t BruteForcePairs(const std::vector<std::vector<int>>& sequences,
   return pairs;
 }
 
-TEST(PositivePairPrefixTest, MatchesBruteForceOnEdgeWindowSequences) {
+TEST(SequencePairsTest, MatchesBruteForceOnEdgeWindowSequences) {
   // Lengths below, at and above the window, where the old 2*window*|seq|
   // upper bound overcounted the most.
   const std::vector<std::vector<int>> sequences = {
       {0}, {1, 2}, {0, 1, 2}, {3, 1, 4, 1, 5}, {0, 1, 2, 3, 4, 5, 6, 7, 8}};
   for (int window : {1, 2, 4, 10}) {
-    const std::vector<int64_t> prefix =
-        embed::PositivePairPrefix(sequences, window, /*skipgram_window=*/true);
-    ASSERT_EQ(prefix.size(), sequences.size() + 1);
-    EXPECT_EQ(prefix[0], 0);
-    int64_t running = 0;
     for (size_t s = 0; s < sequences.size(); ++s) {
-      running += BruteForcePairs({sequences[s]}, window);
-      EXPECT_EQ(prefix[s + 1], running) << "window " << window << " seq " << s;
+      EXPECT_EQ(embed::SequencePairs(sequences[s], window,
+                                     /*skipgram_window=*/true),
+                BruteForcePairs({sequences[s]}, window))
+          << "window " << window << " seq " << s;
     }
   }
 }
 
-TEST(PositivePairPrefixTest, PvDbowCountsOnePairPerToken) {
+TEST(SequencePairsTest, PvDbowCountsOnePairPerToken) {
   const std::vector<std::vector<int>> documents = {{0, 1, 2}, {}, {4, 4}};
-  const std::vector<int64_t> prefix =
-      embed::PositivePairPrefix(documents, /*window=*/4,
-                                /*skipgram_window=*/false);
-  EXPECT_EQ(prefix, (std::vector<int64_t>{0, 3, 3, 5}));
+  for (const std::vector<int>& document : documents) {
+    EXPECT_EQ(embed::SequencePairs(document, /*window=*/4,
+                                   /*skipgram_window=*/false),
+              static_cast<int64_t>(document.size()));
+  }
 }
 
 embed::Corpus ShortSentenceCorpus() {
@@ -94,20 +95,17 @@ TEST(ScheduleParityTest, BothTrainersEnumerateTheExactPairCount) {
   for (int epochs : {1, 2, 3}) {
     options.epochs = epochs;
     const int64_t expected =
-        epochs * embed::PositivePairPrefix(corpus.sentences, options.window,
-                                           /*skipgram_window=*/true)
-                     .back();
+        epochs * BruteForcePairs(corpus.sentences, options.window);
 
     Snapshot before = GlobalSnapshot();
     Rng rng = MakeRng(11);
-    embed::TrainSgns(corpus, options, rng);
+    Budget unlimited;
+    ASSERT_TRUE(TrainSgnsOnCorpus(corpus, options, rng, unlimited).ok());
     EXPECT_EQ(Delta(before, GlobalSnapshot()).counter("sgns.pairs"), expected)
         << "sequential, epochs " << epochs;
 
     before = GlobalSnapshot();
-    Budget unlimited;
-    ASSERT_TRUE(
-        embed::TrainSgnsSharded(corpus, options, 11, unlimited).ok());
+    ASSERT_TRUE(TrainSgnsShardedOnCorpus(corpus, options, 11, unlimited).ok());
     EXPECT_EQ(Delta(before, GlobalSnapshot()).counter("sgns.pairs"), expected)
         << "sharded, epochs " << epochs;
   }
@@ -128,14 +126,14 @@ TEST(ScheduleParityTest, SequentialDecayReachesTheFloor) {
 
   Snapshot before = GlobalSnapshot();
   Rng rng = MakeRng(11);
-  embed::TrainSgns(corpus, options, rng);
+  Budget unlimited;
+  ASSERT_TRUE(TrainSgnsOnCorpus(corpus, options, rng, unlimited).ok());
   const double sequential_lr =
       Delta(before, GlobalSnapshot()).gauge("sgns.lr_epoch_end");
   EXPECT_DOUBLE_EQ(sequential_lr, options.learning_rate * 1e-4);
 
   before = GlobalSnapshot();
-  Budget unlimited;
-  ASSERT_TRUE(embed::TrainSgnsSharded(corpus, options, 11, unlimited).ok());
+  ASSERT_TRUE(TrainSgnsShardedOnCorpus(corpus, options, 11, unlimited).ok());
   const double sharded_lr =
       Delta(before, GlobalSnapshot()).gauge("sgns.lr_epoch_end");
   EXPECT_EQ(sequential_lr, sharded_lr);
@@ -155,7 +153,8 @@ TEST(NegativeSamplingTest, EveryPairTrainsAgainstAllNegatives) {
 
   const Snapshot before = GlobalSnapshot();
   Rng rng = MakeRng(3);
-  embed::TrainSgns(corpus, options, rng);
+  Budget unlimited;
+  ASSERT_TRUE(TrainSgnsOnCorpus(corpus, options, rng, unlimited).ok());
   const Snapshot delta = Delta(before, GlobalSnapshot());
   EXPECT_EQ(delta.counter("sgns.negative_exhausted"), 0);
   EXPECT_EQ(delta.counter("sgns.negatives"),
@@ -178,7 +177,10 @@ TEST(NegativeSamplingTest, DegenerateNoiseTableGivesUpAfterBoundedRetries) {
 
   const Snapshot before = GlobalSnapshot();
   Rng rng = MakeRng(4);
-  embed::TrainPvDbow(documents, /*vocab_size=*/1, options, rng);
+  Budget unlimited;
+  ASSERT_TRUE(TrainPvDbowOnDocuments(documents, /*vocab_size=*/1, options, rng,
+                                     unlimited)
+                  .ok());
   const Snapshot delta = Delta(before, GlobalSnapshot());
   EXPECT_EQ(delta.counter("sgns.pairs"), 4);
   EXPECT_EQ(delta.counter("sgns.negatives"), 0);
@@ -191,7 +193,7 @@ TEST(Node2VecStepTest, DeadEndReturnsMinusOne) {
   g.AddEdge(0, 1);  // Vertex 2 is isolated.
   embed::WalkOptions options;
   Rng rng = MakeRng(1);
-  EXPECT_EQ(embed::Node2VecStep(g, -1, 2, options, rng), -1);
+  EXPECT_EQ(embed::Node2VecStep(GraphView(g), -1, 2, options, rng), -1);
 }
 
 TEST(Node2VecStepTest, RouletteMatchesTheNode2VecDistribution) {
@@ -216,8 +218,8 @@ TEST(Node2VecStepTest, RouletteMatchesTheNode2VecDistribution) {
   std::vector<int> observed(5, 0);
   Rng rng = MakeRng(99);
   for (int i = 0; i < kDraws; ++i) {
-    const int next = embed::Node2VecStep(g, /*previous=*/0, /*current=*/1,
-                                         options, rng);
+    const int next = embed::Node2VecStep(GraphView(g), /*previous=*/0,
+                                         /*current=*/1, options, rng);
     ASSERT_GE(next, 0);
     ASSERT_NE(next, 1);
     ++observed[next];
@@ -236,6 +238,16 @@ TEST(Node2VecStepTest, RouletteMatchesTheNode2VecDistribution) {
   EXPECT_LT(chi_square, 16.27) << "chi-square " << chi_square;
 }
 
+// The PV-DBOW trainers' noise table: one counting pass, then unigram^power.
+std::vector<double> DocumentNoise(
+    const std::vector<std::vector<int>>& documents, int vocab_size,
+    double noise_power) {
+  embed::CorpusSource source(documents);
+  const embed::StreamStats stats = embed::CountStream(
+      source, /*window=*/1, /*skipgram_window=*/false, vocab_size);
+  return embed::NoiseFromCounts(stats.token_counts, vocab_size, noise_power);
+}
+
 TEST(NoiseDistributionTest, ZeroCountTokensAreNeverDrawn) {
   // Regression: PV-DBOW's noise table used to clamp counts to
   // max(c, 1e-9) before pow, giving never-observed tokens nonzero
@@ -246,14 +258,13 @@ TEST(NoiseDistributionTest, ZeroCountTokensAreNeverDrawn) {
   // Tokens 5..9 never occur.
   const std::vector<std::vector<int>> documents = {
       {0, 1, 2, 0, 3}, {4, 4, 1}, {2, 0}};
-  const StatusOr<std::vector<double>> weights =
-      embed::PvDbowNoiseDistribution(documents, kVocab, /*noise_power=*/0.75);
-  ASSERT_TRUE(weights.ok());
-  ASSERT_EQ(weights->size(), static_cast<size_t>(kVocab));
+  const std::vector<double> weights =
+      DocumentNoise(documents, kVocab, /*noise_power=*/0.75);
+  ASSERT_EQ(weights.size(), static_cast<size_t>(kVocab));
   for (int token = 5; token < kVocab; ++token) {
-    EXPECT_EQ((*weights)[token], 0.0) << token;
+    EXPECT_EQ(weights[token], 0.0) << token;
   }
-  const AliasTable noise(*weights);
+  const AliasTable noise(weights);
   Rng rng = MakeRng(17);
   std::vector<int> observed(kVocab, 0);
   for (int draw = 0; draw < 20000; ++draw) ++observed[noise.Sample(rng)];
@@ -280,30 +291,20 @@ TEST(NoiseDistributionTest, PvDbowMatchesVocabularyConvention) {
   }
   const std::vector<double> from_vocab =
       corpus.vocab.NoiseDistribution(/*power=*/0.75);
-  const StatusOr<std::vector<double>> from_documents =
-      embed::PvDbowNoiseDistribution(documents, corpus.vocab.size(),
-                                     /*noise_power=*/0.75);
-  ASSERT_TRUE(from_documents.ok());
-  EXPECT_EQ(from_vocab, *from_documents);
+  EXPECT_EQ(from_vocab, DocumentNoise(documents, corpus.vocab.size(),
+                                      /*noise_power=*/0.75));
 }
 
 TEST(NoiseDistributionTest, AllEmptyDocumentsAreAnExplicitError) {
   // The degenerate all-zero table is rejected up front (it cannot be
   // sampled from), instead of being silently clamped into a uniform one.
-  const StatusOr<std::vector<double>> weights =
-      embed::PvDbowNoiseDistribution({{}, {}}, /*vocab_size=*/4,
-                                     /*noise_power=*/0.75);
-  EXPECT_FALSE(weights.ok());
-  EXPECT_EQ(weights.status().code(), StatusCode::kInvalidArgument);
-
   embed::SgnsOptions options;
   options.dimension = 4;
   options.epochs = 1;
   Rng rng = MakeRng(3);
   Budget unlimited;
-  const StatusOr<embed::SgnsModel> model =
-      embed::TrainPvDbowBudgeted({{}, {}}, /*vocab_size=*/4, options, rng,
-                                 unlimited);
+  const StatusOr<embed::SgnsModel> model = TrainPvDbowOnDocuments(
+      {{}, {}}, /*vocab_size=*/4, options, rng, unlimited);
   EXPECT_FALSE(model.ok());
   EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
 }
@@ -320,7 +321,7 @@ TEST(Node2VecStepTest, UniformFastPathCoversAllNeighbors) {
   Rng rng = MakeRng(7);
   constexpr int kDraws = 6000;
   for (int i = 0; i < kDraws; ++i) {
-    ++observed[embed::Node2VecStep(g, -1, 0, options, rng)];
+    ++observed[embed::Node2VecStep(GraphView(g), -1, 0, options, rng)];
   }
   EXPECT_EQ(observed[0], 0);
   for (int v = 1; v < 4; ++v) {
@@ -341,7 +342,7 @@ TEST(Node2VecStepTest, DegenerateWeightsStillReturnANeighbor) {
   options.q = 1e12;
   Rng rng = MakeRng(13);
   for (int i = 0; i < 200; ++i) {
-    const int next = embed::Node2VecStep(g, 0, 1, options, rng);
+    const int next = embed::Node2VecStep(GraphView(g), 0, 1, options, rng);
     EXPECT_TRUE(next == 0 || next == 2);
   }
 }

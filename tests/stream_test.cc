@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "base/budget.h"
 #include "base/parallel.h"
 #include "base/rng.h"
+#include "embed/corpus.h"
 #include "embed/node_embeddings.h"
 #include "embed/sgns.h"
 #include "embed/stream.h"
@@ -52,7 +54,7 @@ TEST(StreamTest, WalkSourceReplaysGenerateWalksParallelCorpus) {
   options.walk_length = 8;
   const uint64_t seed = 99;
   const std::vector<std::vector<int>> materialized =
-      GenerateWalksParallel(g, options, seed);
+      GenerateWalksParallel(GraphView(g), options, seed);
 
   WalkSource source(GraphView(g), options, seed);
   EXPECT_EQ(source.NumSentences(),
@@ -76,7 +78,7 @@ TEST(StreamTest, CsrAndAdjacencyListWalksAreIdentical) {
     options.q = trial % 2 == 0 ? 1.0 : 2.0;
     const uint64_t seed = 1000 + trial;
     EXPECT_EQ(GenerateWalksParallel(GraphView(csr), options, seed),
-              GenerateWalksParallel(g, options, seed))
+              GenerateWalksParallel(GraphView(g), options, seed))
         << "trial " << trial;
   }
 }
@@ -134,7 +136,7 @@ TEST(StreamTest, ShuffleBufferCapacityOneIsPassThrough) {
   EXPECT_EQ(Drain(shuffled), sentences);
 }
 
-TEST(StreamTest, CountStreamMatchesPositivePairPrefix) {
+TEST(StreamTest, CountStreamSumsSequencePairs) {
   const std::vector<std::vector<int>> sentences = {
       {0, 1, 2, 3, 4}, {2, 2}, {}, {5, 0, 1}};
   for (const bool skipgram : {true, false}) {
@@ -143,8 +145,11 @@ TEST(StreamTest, CountStreamMatchesPositivePairPrefix) {
         CountStream(source, /*window=*/2, skipgram, /*vocab_size_hint=*/6);
     EXPECT_EQ(stats.num_sentences, 4);
     EXPECT_EQ(stats.total_tokens, 10);
-    EXPECT_EQ(stats.pairs_per_epoch,
-              PositivePairPrefix(sentences, 2, skipgram).back());
+    int64_t pairs = 0;
+    for (const std::vector<int>& sentence : sentences) {
+      pairs += SequencePairs(sentence, 2, skipgram);
+    }
+    EXPECT_EQ(stats.pairs_per_epoch, pairs);
     ASSERT_EQ(stats.token_counts.size(), 6u);
     EXPECT_EQ(stats.token_counts[0], 2);
     EXPECT_EQ(stats.token_counts[2], 3);
@@ -152,22 +157,26 @@ TEST(StreamTest, CountStreamMatchesPositivePairPrefix) {
   }
 }
 
-TEST(StreamTest, NoiseFromCountsMatchesPvDbowNoiseDistribution) {
-  const std::vector<std::vector<int>> documents = {{0, 1, 1, 3}, {3, 3, 0}};
-  CorpusSource source(documents);
+TEST(StreamTest, NoiseFromCountsMatchesTheWalkCorpusVocabulary) {
+  // base_count 1 is the walk-corpus convention: a Vocabulary that adds
+  // every vertex once and then every walk occurrence gives the same table,
+  // bit for bit.
+  const std::vector<std::vector<int>> walks = {{0, 1, 1, 3}, {3, 3, 0}};
+  CorpusSource source(walks);
   const StreamStats stats =
-      CountStream(source, /*window=*/1, /*skipgram_window=*/false, 5);
-  const std::vector<double> streamed =
-      NoiseFromCounts(stats.token_counts, 5, 0.75);
-  StatusOr<std::vector<double>> reference =
-      PvDbowNoiseDistribution(documents, 5, 0.75);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(streamed, *reference);  // Bit-equal, not approximately equal.
+      CountStream(source, /*window=*/1, /*skipgram_window=*/true, 5);
+  Vocabulary vocab;
+  for (int v = 0; v < 5; ++v) vocab.Add("n" + std::to_string(v));
+  for (const std::vector<int>& walk : walks) {
+    for (const int v : walk) vocab.Add("n" + std::to_string(v));
+  }
+  EXPECT_EQ(NoiseFromCounts(stats.token_counts, 5, 0.75, /*base_count=*/1),
+            vocab.NoiseDistribution(0.75));
 }
 
 TEST(StreamTest, StreamingTrainerMatchesInMemoryOnCorpusSource) {
-  // Feeding TrainSgnsShardedStreaming the corpus through the adapter must
-  // reproduce TrainSgnsSharded bit for bit: same counting, same noise
+  // The walk stream must train bit for bit like the materialised corpus
+  // replayed through the adapter: same walks, same counting, same noise
   // table, same streams.
   Rng rng = MakeRng(13);
   const Graph g = graph::ErdosRenyiGnp(20, 0.3, rng);
@@ -179,19 +188,28 @@ TEST(StreamTest, StreamingTrainerMatchesInMemoryOnCorpusSource) {
   options.sgns.window = 2;
   options.sgns.negatives = 2;
 
+  const std::vector<std::vector<int>> walks =
+      GenerateWalksParallel(GraphView(g), options.walks, MixSeed(42, 0));
+  CorpusSource corpus(walks);
+  const int n = g.NumVertices();
+  const StreamStats stats = CountStream(corpus, options.sgns.window,
+                                        /*skipgram_window=*/true, n);
   Budget unlimited;
-  StatusOr<linalg::Matrix> in_memory =
-      DeepWalkEmbeddingParallel(g, options, /*seed=*/42, unlimited);
+  StatusOr<SgnsModel> in_memory = TrainSgnsShardedStreaming(
+      corpus, stats,
+      NoiseFromCounts(stats.token_counts, n, options.sgns.noise_power,
+                      /*base_count=*/1),
+      options.sgns, MixSeed(42, 1), unlimited);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
 
   Budget unlimited2;
   StatusOr<linalg::Matrix> streaming = DeepWalkEmbeddingStreaming(
       GraphView(g), options, /*seed=*/42, unlimited2);
   ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
-  EXPECT_EQ(*streaming, *in_memory);
+  EXPECT_EQ(*streaming, in_memory->input);
 }
 
-TEST(StreamTest, StreamingNode2VecOverCsrMatchesParallelOverGraph) {
+TEST(StreamTest, StreamingNode2VecOverCsrMatchesAdjacencyList) {
   Rng rng = MakeRng(29);
   const Graph g = graph::ConnectedGnp(18, 0.25, rng);
   const CsrGraph csr = CsrGraph::FromGraph(g);
@@ -207,7 +225,7 @@ TEST(StreamTest, StreamingNode2VecOverCsrMatchesParallelOverGraph) {
 
   Budget a;
   StatusOr<linalg::Matrix> reference =
-      Node2VecEmbeddingParallel(g, options, /*seed=*/4, a);
+      Node2VecEmbeddingStreaming(GraphView(g), options, /*seed=*/4, a);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   Budget b;
@@ -228,17 +246,30 @@ TEST(StreamTest, ShuffledStreamingIsBitIdenticalAcrossThreadCounts) {
   options.sgns.window = 2;
   options.sgns.negatives = 2;
 
+  // The composed pipeline with a bounded shuffle stage between the walks
+  // and the trainer, seeded like DeepWalkEmbeddingStreaming's streams.
+  const auto shuffled_embedding = [&] {
+    const int n = g.NumVertices();
+    WalkSource walks(GraphView(g), options.walks, MixSeed(77, 0));
+    const StreamStats stats = CountStream(walks, options.sgns.window,
+                                          /*skipgram_window=*/true, n);
+    ShuffleBufferSource shuffled(walks, /*capacity=*/8, MixSeed(77, 2));
+    Budget budget;
+    return TrainSgnsShardedStreaming(
+        shuffled, stats,
+        NoiseFromCounts(stats.token_counts, n, options.sgns.noise_power,
+                        /*base_count=*/1),
+        options.sgns, MixSeed(77, 1), budget);
+  };
   linalg::Matrix reference;
   for (const int threads : {1, 2, 4, 8}) {
     SetThreadCount(threads);
-    Budget budget;
-    StatusOr<linalg::Matrix> embedding = DeepWalkEmbeddingStreaming(
-        GraphView(g), options, /*seed=*/77, budget, /*shuffle_buffer=*/8);
-    ASSERT_TRUE(embedding.ok()) << embedding.status().ToString();
+    StatusOr<SgnsModel> model = shuffled_embedding();
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
     if (threads == 1) {
-      reference = std::move(*embedding);
+      reference = std::move(model->input);
     } else {
-      EXPECT_EQ(*embedding, reference) << "threads=" << threads;
+      EXPECT_EQ(model->input, reference) << "threads=" << threads;
     }
   }
   SetThreadCount(0);  // Restore the default for other tests.
@@ -252,7 +283,7 @@ TEST(StreamTest, ShuffledStreamingIsBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(*unshuffled, reference);
 }
 
-TEST(StreamTest, StreamingBudgetSemanticsMatchParallel) {
+TEST(StreamTest, StreamingBudgetChargesWalksUpFront) {
   Rng rng = MakeRng(17);
   const Graph g = graph::ErdosRenyiGnp(12, 0.3, rng);
   Node2VecOptions options;
