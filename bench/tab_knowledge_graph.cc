@@ -60,7 +60,15 @@ int main(int argc, char** argv) {
       options.checkpoint.every_n_epochs = 50;
     }
     Rng train_rng = MakeRng(100 + dim);
-    const kg::TransEModel model = kg::TrainTransE(base, options, train_rng);
+    Budget unlimited;
+    const StatusOr<kg::TransEModel> trained =
+        kg::TrainTransEBudgeted(base, options, train_rng, unlimited);
+    if (!trained.ok()) {
+      std::printf("TransE dim %d failed: %s\n", dim,
+                  trained.status().ToString().c_str());
+      return 1;
+    }
+    const kg::TransEModel& model = *trained;
 
     std::vector<kg::Triple> test;
     const int capital_of = base.RelationId("capital-of");
@@ -125,8 +133,9 @@ int main(int argc, char** argv) {
     options.dimension = dim;
     Rng before_rng = MakeRng(200 + dim);
     options.epochs = 0;
-    const double before =
-        kg::TrainRescal(base, options, before_rng).ReconstructionError(base);
+    Budget unlimited;
+    const StatusOr<kg::RescalModel> untrained =
+        kg::TrainRescalBudgeted(base, options, before_rng, unlimited);
     options.epochs = 300;
     options.learning_rate = 0.01;
     if (!checkpoint_dir.empty()) {
@@ -135,9 +144,18 @@ int main(int argc, char** argv) {
       options.checkpoint.every_n_epochs = 50;
     }
     Rng after_rng = MakeRng(200 + dim);
-    const double after =
-        kg::TrainRescal(base, options, after_rng).ReconstructionError(base);
-    std::printf("%-8d  %-16.2f  %-16.2f\n", dim, before, after);
+    const StatusOr<kg::RescalModel> trained =
+        kg::TrainRescalBudgeted(base, options, after_rng, unlimited);
+    if (!untrained.ok() || !trained.ok()) {
+      const Status& failed =
+          untrained.ok() ? trained.status() : untrained.status();
+      std::printf("RESCAL dim %d failed: %s\n", dim,
+                  failed.ToString().c_str());
+      return 1;
+    }
+    std::printf("%-8d  %-16.2f  %-16.2f\n", dim,
+                untrained->ReconstructionError(base),
+                trained->ReconstructionError(base));
   }
 
   if (!checkpoint_dir.empty()) {

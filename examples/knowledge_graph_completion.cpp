@@ -22,7 +22,15 @@ int main() {
   kg::TransEOptions transe_options;
   transe_options.dimension = 24;
   transe_options.epochs = 500;
-  const kg::TransEModel transe = kg::TrainTransE(base, transe_options, rng);
+  Budget unlimited;
+  const StatusOr<kg::TransEModel> trained_transe =
+      kg::TrainTransEBudgeted(base, transe_options, rng, unlimited);
+  if (!trained_transe.ok()) {
+    std::printf("TransE failed: %s\n",
+                trained_transe.status().ToString().c_str());
+    return 1;
+  }
+  const kg::TransEModel& transe = *trained_transe;
 
   auto entity_diff = [&](const char* a, const char* b) {
     std::vector<double> out(transe.entities.cols());
@@ -62,7 +70,14 @@ int main() {
   rescal_options.dimension = 16;
   rescal_options.epochs = 300;
   rescal_options.learning_rate = 0.01;
-  const kg::RescalModel rescal = kg::TrainRescal(base, rescal_options, rng);
+  const StatusOr<kg::RescalModel> trained_rescal =
+      kg::TrainRescalBudgeted(base, rescal_options, rng, unlimited);
+  if (!trained_rescal.ok()) {
+    std::printf("RESCAL failed: %s\n",
+                trained_rescal.status().ToString().c_str());
+    return 1;
+  }
+  const kg::RescalModel& rescal = *trained_rescal;
   const int paris = base.EntityId("Paris");
   const int france = base.EntityId("France");
   const int chile = base.EntityId("Chile");

@@ -56,7 +56,8 @@ while [[ $# -gt 0 ]]; do
     -j) JOBS="$2"; shift ;;
     -j*) JOBS="${1#-j}" ;;
     -h|--help)
-      sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+      # The whole leading comment block, up to the first code line.
+      sed -n '/^[^#]/q; 2,$ s/^# \{0,1\}//p' "$0"
       exit 0 ;;
     *) echo "check.sh: unknown argument: $1" >&2; exit 2 ;;
   esac

@@ -3,7 +3,8 @@
 namespace x2vec {
 
 /// Numeric self-healing knobs shared by the iterative trainers (SGNS,
-/// PV-DBOW, TransE, RESCAL). After every epoch the trainer checks that its
+/// PV-DBOW, TransE, RESCAL), all applied by the one epoch loop of
+/// embed/epochs.h. After every epoch it checks that the trainer's
 /// parameters and epoch loss are numerically healthy: all entries finite
 /// and below max_abs, loss finite. On a violation it
 ///   1. halves (scales by lr_backoff) the effective learning rate,
@@ -19,8 +20,9 @@ namespace x2vec {
 struct RecoveryPolicy {
   int max_retries = 3;      ///< K: total NaN/Inf recoveries before kInternal.
   double lr_backoff = 0.5;  ///< Learning-rate multiplier per recovery.
-  /// L2 gradient-norm clip (SGNS centre updates, TransE steps). Healthy
-  /// gradients are O(learning_rate), far below this.
+  /// L2 gradient-norm clip (SGNS centre updates, TransE steps; RESCAL
+  /// never reads it). Healthy gradients are O(learning_rate), far below
+  /// this.
   double clip_norm = 100.0;
   double clip_backoff = 0.5;  ///< Clip-threshold multiplier per recovery.
   /// Entries with magnitude above this count as divergence even when

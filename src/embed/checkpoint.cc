@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <utility>
 
 #include "base/metrics.h"
@@ -139,10 +140,15 @@ linalg::Matrix PayloadReader::GetMatrix() {
   const uint32_t rows = GetU32();
   const uint32_t cols = GetU32();
   if (!status_.ok()) return {};
+  // A Matrix holds at most INT_MAX rows and columns: a 2^31 x 0 header
+  // claims no entries but must fail too.
+  constexpr uint32_t kMaxExtent = std::numeric_limits<int>::max();
   const uint64_t entries = static_cast<uint64_t>(rows) * cols;
-  if (entries > (bytes_.size() - pos_) / 8) {
+  if (rows > kMaxExtent || cols > kMaxExtent ||
+      entries > (bytes_.size() - pos_) / 8) {
     Fail("matrix claims " + std::to_string(rows) + "x" + std::to_string(cols) +
-         " entries but the payload is too short");
+         " entries: beyond INT_MAX rows or columns, or the payload is too "
+         "short");
     return {};
   }
   linalg::Matrix m(static_cast<int>(rows), static_cast<int>(cols));
@@ -352,16 +358,15 @@ StatusOr<std::optional<CheckpointData>> LoadLatestCheckpoint(
   return std::optional<CheckpointData>();  // Nothing usable: fresh start.
 }
 
-namespace {
-
 Status SaveArtifact(Fs& fs, const std::string& path, CheckpointKind kind,
-                    CheckpointData data) {
-  data.kind = kind;
+                    std::string section, std::string payload) {
+  CheckpointData data{kind, 0, {{std::move(section), std::move(payload)}}};
   return fs.WriteFileAtomic(path, EncodeCheckpoint(data));
 }
 
-StatusOr<CheckpointData> LoadArtifact(Fs& fs, const std::string& path,
-                                      CheckpointKind kind) {
+Status LoadArtifact(Fs& fs, const std::string& path, CheckpointKind kind,
+                    std::string_view section,
+                    const std::function<void(PayloadReader&)>& read) {
   StatusOr<std::string> bytes = fs.ReadFile(path);
   if (!bytes.ok()) return bytes.status();
   StatusOr<CheckpointData> decoded = DecodeCheckpoint(*bytes);
@@ -374,37 +379,37 @@ StatusOr<CheckpointData> LoadArtifact(Fs& fs, const std::string& path,
         std::to_string(static_cast<uint32_t>(decoded->kind)) + " (expected " +
         std::to_string(static_cast<uint32_t>(kind)) + ")");
   }
-  return decoded;
+  const CheckpointSection* found = decoded->Find(section);
+  if (found == nullptr) {
+    return Status::CorruptedData(path + ": missing '" + std::string(section) +
+                                 "' section");
+  }
+  PayloadReader reader(found->payload);
+  read(reader);
+  reader.ExpectEnd();
+  if (!reader.status().ok()) {
+    return Status::CorruptedData(path + ": " + reader.status().message());
+  }
+  return Status::Ok();
 }
-
-}  // namespace
 
 Status SaveSgnsModel(Fs& fs, const std::string& path, const SgnsModel& model) {
   PayloadWriter writer;
   writer.PutMatrix(model.input);
   writer.PutMatrix(model.output);
-  CheckpointData data;
-  data.sections.push_back({"model", writer.Take()});
-  return SaveArtifact(fs, path, CheckpointKind::kSgnsModelArtifact,
-                      std::move(data));
+  return SaveArtifact(fs, path, CheckpointKind::kSgnsModelArtifact, "model",
+                      writer.Take());
 }
 
 StatusOr<SgnsModel> LoadSgnsModel(Fs& fs, const std::string& path) {
-  StatusOr<CheckpointData> data =
-      LoadArtifact(fs, path, CheckpointKind::kSgnsModelArtifact);
-  if (!data.ok()) return data.status();
-  const CheckpointSection* section = data->Find("model");
-  if (section == nullptr) {
-    return Status::CorruptedData(path + ": missing 'model' section");
-  }
-  PayloadReader reader(section->payload);
   SgnsModel model;
-  model.input = reader.GetMatrix();
-  model.output = reader.GetMatrix();
-  reader.ExpectEnd();
-  if (!reader.status().ok()) {
-    return Status::CorruptedData(path + ": " + reader.status().message());
-  }
+  const Status status =
+      LoadArtifact(fs, path, CheckpointKind::kSgnsModelArtifact, "model",
+                   [&](PayloadReader& reader) {
+                     model.input = reader.GetMatrix();
+                     model.output = reader.GetMatrix();
+                   });
+  if (!status.ok()) return status;
   return model;
 }
 
@@ -412,26 +417,16 @@ Status SaveEmbeddingMatrix(Fs& fs, const std::string& path,
                            const linalg::Matrix& matrix) {
   PayloadWriter writer;
   writer.PutMatrix(matrix);
-  CheckpointData data;
-  data.sections.push_back({"matrix", writer.Take()});
-  return SaveArtifact(fs, path, CheckpointKind::kMatrixArtifact,
-                      std::move(data));
+  return SaveArtifact(fs, path, CheckpointKind::kMatrixArtifact, "matrix",
+                      writer.Take());
 }
 
 StatusOr<linalg::Matrix> LoadEmbeddingMatrix(Fs& fs, const std::string& path) {
-  StatusOr<CheckpointData> data =
-      LoadArtifact(fs, path, CheckpointKind::kMatrixArtifact);
-  if (!data.ok()) return data.status();
-  const CheckpointSection* section = data->Find("matrix");
-  if (section == nullptr) {
-    return Status::CorruptedData(path + ": missing 'matrix' section");
-  }
-  PayloadReader reader(section->payload);
-  linalg::Matrix matrix = reader.GetMatrix();
-  reader.ExpectEnd();
-  if (!reader.status().ok()) {
-    return Status::CorruptedData(path + ": " + reader.status().message());
-  }
+  linalg::Matrix matrix;
+  const Status status = LoadArtifact(
+      fs, path, CheckpointKind::kMatrixArtifact, "matrix",
+      [&](PayloadReader& reader) { matrix = reader.GetMatrix(); });
+  if (!status.ok()) return status;
   return matrix;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,9 +34,10 @@ struct SgnsModel;
 /// last section. `kind` tags which trainer family wrote the file and
 /// `fingerprint` binds it to one (options, data, seed) combination, so a
 /// stale or foreign checkpoint is skipped rather than resumed into the
-/// wrong run. Section payloads are opaque here: each trainer encodes its
-/// own state with PayloadWriter/PayloadReader below, which is what keeps
-/// this layer free of kg/ types (kg links against embed, not vice versa).
+/// wrong run. Section payloads are opaque here: the epoch loop
+/// (embed/epochs.h) and the artifact savers encode them with
+/// PayloadWriter/PayloadReader below, which is what keeps this layer free
+/// of kg/ types (kg links against embed, not vice versa).
 ///
 /// Resume contract: a trainer that saves at an epoch barrier and is later
 /// resumed from that file replays the remaining epochs with the exact draw
@@ -73,12 +75,13 @@ class Fnv1a {
 };
 
 /// Which trainer family (or artifact type) wrote a checkpoint file.
-/// Values are part of the on-disk format; never renumber.
+/// Values are part of the on-disk format; never renumber. Kinds 1-4 are
+/// mid-training checkpoints, all in the layout of embed/epochs.h.
 enum class CheckpointKind : uint32_t {
   kSgnsSequential = 1,   ///< TrainSgnsStreaming / TrainPvDbowStreaming.
   kSgnsSharded = 2,      ///< TrainSgns/PvDbowShardedStreaming.
-  kTransE = 3,           ///< kg::TrainTransE mid-training.
-  kRescal = 4,           ///< kg::TrainRescal mid-training.
+  kTransE = 3,           ///< kg::TrainTransEBudgeted mid-training.
+  kRescal = 4,           ///< kg::TrainRescalBudgeted mid-training.
   kSgnsModelArtifact = 5,  ///< Final SgnsModel (input + output matrices).
   kMatrixArtifact = 6,   ///< Final embedding matrix (graph / node outputs).
   kTransEModelArtifact = 7,  ///< Final TransEModel (kg/persist.h).
@@ -198,6 +201,21 @@ struct CheckpointData {
     uint64_t fingerprint);
 
 /// ---- Final-artifact persistence (the save-a-trained-model API). ----
+
+/// Writes a one-section artifact atomically via `fs`: `payload` as section
+/// `section` of a container tagged `kind` (fingerprint 0). The Save*Model
+/// functions here and in kg/persist.h are built on it.
+[[nodiscard]] Status SaveArtifact(Fs& fs, const std::string& path,
+                                  CheckpointKind kind, std::string section,
+                                  std::string payload);
+
+/// Reads an artifact written by SaveArtifact and hands its section
+/// `section` to `read`, which must consume the whole payload. kCorruptedData
+/// naming `path` on checksum or structure damage, a wrong kind, a missing
+/// section or a malformed payload; kNotFound / kIoError from the filesystem.
+[[nodiscard]] Status LoadArtifact(
+    Fs& fs, const std::string& path, CheckpointKind kind,
+    std::string_view section, const std::function<void(PayloadReader&)>& read);
 
 /// Writes a trained SgnsModel (input + output matrices) to `path`
 /// atomically via `fs`.

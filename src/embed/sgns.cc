@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 
 #include "base/metrics.h"
 #include "base/parallel.h"
-#include "base/trace.h"
 #include "base/validation.h"
+#include "embed/epochs.h"
 #include "linalg/health.h"
 #include "linalg/kernels.h"
 #include "linalg/kernels_backend.h"
@@ -19,7 +19,7 @@
 namespace x2vec::embed {
 namespace {
 
-// One training run as the epoch driver sees it: the stream and its
+// One training run as the schedules see it: the stream and its
 // counting-pass totals, the noise table, the model shape and the objective.
 struct Job {
   SentenceSource& source;
@@ -31,7 +31,7 @@ struct Job {
   const SgnsOptions& options;
 };
 
-// ---- Checkpoint plumbing.
+// ---- The checkpoint fingerprint.
 
 // Binds a checkpoint to one exact run — options (recovery included), data
 // shape and content, noise table, seed — so LoadLatestCheckpoint skips any
@@ -66,70 +66,6 @@ uint64_t SgnsFingerprint(CheckpointKind kind, const Job& job, uint64_t seed) {
   hasher.UpdateU64(job.noise_weights.size());
   for (double w : job.noise_weights) hasher.UpdateDouble(w);
   return hasher.digest();
-}
-
-// Where a run stands at an epoch barrier: with the model and the
-// schedule's generator, all a resumed run needs to finish bit-identically.
-struct TrainState {
-  int next_epoch = 0;
-  int64_t attempt = 0;    // Epoch attempts so far, retries included.
-  double lr_scale = 1.0;  // Backed off on each numeric recovery.
-  double clip = 0.0;
-  int retries = 0;
-};
-
-// Sections "model" (input, output) and "trainer" (next epoch, position,
-// LR scale, clip, retries, engine state). The position is attempt * unit:
-// pairs for the sequential schedule, epoch attempts for the sharded one.
-CheckpointData EncodeTrainState(CheckpointKind kind, uint64_t fingerprint,
-                                const SgnsModel& model, const TrainState& state,
-                                int64_t unit, const Rng& rng) {
-  PayloadWriter model_writer;
-  model_writer.PutMatrix(model.input);
-  model_writer.PutMatrix(model.output);
-  PayloadWriter trainer_writer;
-  trainer_writer.PutI64(state.next_epoch);
-  trainer_writer.PutI64(state.attempt * unit);
-  trainer_writer.PutDouble(state.lr_scale);
-  trainer_writer.PutDouble(state.clip);
-  trainer_writer.PutI64(state.retries);
-  trainer_writer.PutString(rng.SaveEngineState());
-  return CheckpointData{kind, fingerprint,
-                        {{"model", model_writer.Take()},
-                         {"trainer", trainer_writer.Take()}}};
-}
-
-// Inverse of EncodeTrainState, plus a model-shape check.
-Status DecodeTrainState(const CheckpointData& data, const Job& job,
-                        int64_t unit, SgnsModel& model, TrainState& state,
-                        Rng& rng) {
-  const CheckpointSection* model_section = data.Find("model");
-  const CheckpointSection* trainer_section = data.Find("trainer");
-  if (model_section == nullptr || trainer_section == nullptr) {
-    return Status::CorruptedData(
-        "checkpoint is missing its 'model' or 'trainer' section");
-  }
-  PayloadReader model_reader(model_section->payload);
-  model.input = model_reader.GetMatrix();
-  model.output = model_reader.GetMatrix();
-  model_reader.ExpectEnd();
-  if (!model_reader.status().ok()) return model_reader.status();
-  PayloadReader trainer_reader(trainer_section->payload);
-  state.next_epoch = static_cast<int>(trainer_reader.GetI64());
-  state.attempt = trainer_reader.GetI64() / std::max<int64_t>(unit, 1);
-  state.lr_scale = trainer_reader.GetDouble();
-  state.clip = trainer_reader.GetDouble();
-  state.retries = static_cast<int>(trainer_reader.GetI64());
-  const std::string engine = trainer_reader.GetString();
-  trainer_reader.ExpectEnd();
-  if (!trainer_reader.status().ok()) return trainer_reader.status();
-  const int dim = job.options.dimension;
-  if (model.input.rows() != job.rows_in || model.input.cols() != dim ||
-      model.output.rows() != job.rows_out || model.output.cols() != dim) {
-    return Status::CorruptedData(
-        "checkpoint model shape does not match this run's (rows, dimension)");
-  }
-  return rng.LoadEngineState(engine);
 }
 
 // ---- The pair step, shared by both objectives and both schedules.
@@ -252,8 +188,8 @@ Status CheckCounted(const Job& job, const std::vector<int>& seq,
 }
 
 // ---- The two schedules: each supplies its epoch pass and generators, the
-// driver below the rest. Epoch `attempt` (retries included) starts at
-// schedule position attempt * pairs_per_epoch.
+// epoch loop (embed/epochs.h) the rest. Epoch `attempt` (retries
+// included) starts at schedule position attempt * pairs_per_epoch.
 
 // Plain SGD in stream order on the live model, one budget unit per pair.
 // Every draw comes from the caller's generator, whose engine state the
@@ -400,107 +336,63 @@ class Sharded {
   std::array<int64_t, kBatchSequences + 1> batch_prefix_{};
 };
 
-// ---- The epoch driver: resume, then per epoch one schedule pass, the
-// numeric-health check with LR-backoff recovery, and the checkpoint.
+// ---- The SGNS side of the epoch loop (embed/epochs.h): the two
+// matrices, their fresh start and one schedule pass per epoch.
 template <class Schedule>
 StatusOr<SgnsModel> Train(const Job& job, Schedule schedule, Budget& budget) {
   const SgnsOptions& options = job.options;
-  Status valid = ValidateSgnsOptions(options);
-  if (valid.ok()) valid = ValidateCheckpointOptions(options.checkpoint);
-  if (!valid.ok()) return valid;
-  if (budget.Exhausted()) return budget.ExhaustedError(Schedule::kOperation);
+  if (Status valid = ValidateSgnsOptions(options); !valid.ok()) return valid;
   X2VEC_METRIC_GAUGE("kernels.backend",
                      static_cast<double>(linalg::ActiveKernelBackend()));
-  const CheckpointOptions& ckpt = options.checkpoint;
-  const uint64_t fingerprint =
-      ckpt.enabled() ? SgnsFingerprint(Schedule::kKind, job, schedule.seed())
-                     : 0;
   // Exact pairs per epoch from the counting pass: the unit of the decay and
   // of the sequential schedule's checkpointed position.
   const int64_t pairs_per_epoch = job.stats.pairs_per_epoch;
   const int64_t total_pairs =
       std::max<int64_t>(1, pairs_per_epoch * options.epochs);
-  const int64_t unit =
-      Schedule::kKind == CheckpointKind::kSgnsSequential ? pairs_per_epoch : 1;
-
+  const int dim = options.dimension;
+  const double init = 0.5 / dim;
+  std::optional<AliasTable> noise;  // Built on first use, after the checks.
   SgnsModel model;
-  TrainState state{.clip = options.recovery.clip_norm};
-  bool resumed = false;
-  if (ckpt.enabled()) {
-    StatusOr<std::optional<CheckpointData>> loaded =
-        LoadLatestCheckpoint(ckpt, Schedule::kKind, fingerprint);
-    if (!loaded.ok()) return loaded.status();
-    if (loaded->has_value()) {
-      if (Status status = DecodeTrainState(**loaded, job, unit, model, state,
-                                           schedule.state_rng());
-          !status.ok()) {
-        return status;
-      }
-      resumed = true;
-      X2VEC_METRIC_COUNT("checkpoint.resumes", 1);
-    }
-  }
-  const double init = 0.5 / options.dimension;
-  if (!resumed) {
-    model.input = linalg::Matrix(job.rows_in, options.dimension);
-    Rng& init_rng = schedule.init_rng();
-    for (double& v : model.input.mutable_data()) {
-      v = UniformReal(init_rng, -init, init);
-    }
-    model.output = linalg::Matrix(job.rows_out, options.dimension);  // Zeros.
-  }
-
-  const RecoveryPolicy& recovery = options.recovery;
-  const AliasTable noise(job.noise_weights);
-  trace::Span train_span(Schedule::kSpan);
-  for (int epoch = state.next_epoch; epoch < options.epochs; ++epoch) {
-    trace::Span epoch_span("sgns.epoch");
-    const Step step{noise, options.negatives, options.window, state.clip,
-                    options.learning_rate * state.lr_scale, total_pairs};
-    StatusOr<double> loss =
-        schedule.Epoch(job, model, step, state.attempt, budget);
-    if (!loss.ok()) return loss.status();
-    ++state.attempt;
-    epoch_span.AddWork(pairs_per_epoch);
-    train_span.AddWork(pairs_per_epoch);
-    // The LR of the next pair; identical for both schedules.
-    X2VEC_METRIC_GAUGE("sgns.lr_epoch_end",
-                       step.Lr(state.attempt * pairs_per_epoch));
-
-    // Per-epoch numeric health check with bounded self-healing.
-    const bool healthy = std::isfinite(*loss) &&
-                         linalg::MatrixHealthy(model.input, recovery.max_abs) &&
-                         linalg::MatrixHealthy(model.output, recovery.max_abs);
-    if (!healthy) {
-      if (++state.retries > recovery.max_retries) {
-        return Status::Internal(
-            std::string(Schedule::kOperation) +
-            " diverged (non-finite or runaway parameters) and exhausted " +
-            std::to_string(recovery.max_retries) + " recovery retries");
-      }
-      X2VEC_METRIC_COUNT("sgns.recovery_retries", 1);
-      state.lr_scale *= recovery.lr_backoff;
-      state.clip *= recovery.clip_backoff;
-      linalg::ReseedUnhealthyRows(model.input, init, recovery.max_abs,
-                                  schedule.state_rng());
-      linalg::ReseedUnhealthyRows(model.output, init, recovery.max_abs,
-                                  schedule.state_rng());
-      --epoch;  // Retry the failed epoch with the gentler settings.
-      continue;
-    }
-
-    // Healthy barrier: persist the resume state; a failed save is an error.
-    state.next_epoch = epoch + 1;
-    if (ckpt.enabled() && state.next_epoch % ckpt.every_n_epochs == 0) {
-      if (Status status = SaveCheckpoint(
-              ckpt, state.next_epoch,
-              EncodeTrainState(Schedule::kKind, fingerprint, model, state,
-                               unit, schedule.state_rng()));
-          !status.ok()) {
-        return status;
-      }
-    }
-  }
+  const Status status = RunEpochs(
+      {.kind = Schedule::kKind,
+       .operation = Schedule::kOperation,
+       .span = Schedule::kSpan,
+       .epoch_span = "sgns.epoch",
+       .work_per_epoch = pairs_per_epoch,
+       .epochs = options.epochs,
+       .recovery = options.recovery,
+       .checkpoint = options.checkpoint,
+       .params = {{&model.input, job.rows_in, dim},
+                  {&model.output, job.rows_out, dim}},
+       .init = init,
+       .rng = schedule.state_rng(),
+       .fingerprint =
+           [&] { return SgnsFingerprint(Schedule::kKind, job, schedule.seed()); },
+       .initialize =
+           [&] {  // The output rows start at zero.
+             for (double& v : model.input.mutable_data()) {
+               v = UniformReal(schedule.init_rng(), -init, init);
+             }
+           },
+       .epoch = [&](const EpochState& state,
+                    Budget& quota) -> StatusOr<double> {
+         if (!noise) noise.emplace(job.noise_weights);
+         const Step step{*noise, options.negatives, options.window, state.clip,
+                         options.learning_rate * state.lr_scale, total_pairs};
+         StatusOr<double> loss =
+             schedule.Epoch(job, model, step, state.attempt, quota);
+         // The LR of the next pair; identical for both schedules.
+         if (loss.ok()) {
+           X2VEC_METRIC_GAUGE("sgns.lr_epoch_end",
+                              step.Lr((state.attempt + 1) * pairs_per_epoch));
+         }
+         return loss;
+       },
+       .position_unit = Schedule::kKind == CheckpointKind::kSgnsSequential
+                            ? pairs_per_epoch
+                            : 1},
+      budget);
+  if (!status.ok()) return status;
   return model;
 }
 

@@ -1,18 +1,30 @@
 #include "kg/persist.h"
 
-#include <utility>
+#include <cstdint>
 
 namespace x2vec::kg {
 
-using embed::CheckpointData;
 using embed::CheckpointKind;
-using embed::CheckpointSection;
-using embed::DecodeCheckpoint;
-using embed::EncodeCheckpoint;
+using embed::LoadArtifact;
 using embed::PayloadReader;
 using embed::PayloadWriter;
+using embed::SaveArtifact;
 
-void HashKnowledgeGraph(embed::Fnv1a& hasher, const KnowledgeGraph& kg) {
+uint64_t TrainerFingerprint(CheckpointKind kind, int dimension, int epochs,
+                            double learning_rate, double penalty,
+                            const RecoveryPolicy& recovery,
+                            const KnowledgeGraph& kg, const Rng& rng) {
+  embed::Fnv1a hasher;
+  hasher.UpdateU64(static_cast<uint64_t>(kind));
+  hasher.UpdateU64(static_cast<uint64_t>(dimension));
+  hasher.UpdateU64(static_cast<uint64_t>(epochs));
+  hasher.UpdateDouble(learning_rate);
+  hasher.UpdateDouble(penalty);
+  hasher.UpdateU64(static_cast<uint64_t>(recovery.max_retries));
+  hasher.UpdateDouble(recovery.lr_backoff);
+  hasher.UpdateDouble(recovery.clip_norm);
+  hasher.UpdateDouble(recovery.clip_backoff);
+  hasher.UpdateDouble(recovery.max_abs);
   hasher.UpdateU64(static_cast<uint64_t>(kg.NumEntities()));
   hasher.UpdateU64(static_cast<uint64_t>(kg.NumRelations()));
   hasher.UpdateU64(kg.Triples().size());
@@ -21,62 +33,28 @@ void HashKnowledgeGraph(embed::Fnv1a& hasher, const KnowledgeGraph& kg) {
     hasher.UpdateU64(static_cast<uint64_t>(triple.relation));
     hasher.UpdateU64(static_cast<uint64_t>(triple.tail));
   }
+  hasher.Update(rng.SaveEngineState());
+  return hasher.digest();
 }
-
-namespace {
-
-Status SaveArtifact(Fs& fs, const std::string& path, CheckpointKind kind,
-                    CheckpointData data) {
-  data.kind = kind;
-  return fs.WriteFileAtomic(path, EncodeCheckpoint(data));
-}
-
-StatusOr<CheckpointData> LoadArtifact(Fs& fs, const std::string& path,
-                                      CheckpointKind kind) {
-  StatusOr<std::string> bytes = fs.ReadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  StatusOr<CheckpointData> decoded = DecodeCheckpoint(*bytes);
-  if (!decoded.ok()) {
-    return Status::CorruptedData(path + ": " + decoded.status().message());
-  }
-  if (decoded->kind != kind) {
-    return Status::CorruptedData(
-        path + ": wrong artifact kind " +
-        std::to_string(static_cast<uint32_t>(decoded->kind)) + " (expected " +
-        std::to_string(static_cast<uint32_t>(kind)) + ")");
-  }
-  return decoded;
-}
-
-}  // namespace
 
 Status SaveTransEModel(Fs& fs, const std::string& path,
                        const TransEModel& model) {
   PayloadWriter writer;
   writer.PutMatrix(model.entities);
   writer.PutMatrix(model.relations);
-  CheckpointData data;
-  data.sections.push_back({"model", writer.Take()});
-  return SaveArtifact(fs, path, CheckpointKind::kTransEModelArtifact,
-                      std::move(data));
+  return SaveArtifact(fs, path, CheckpointKind::kTransEModelArtifact, "model",
+                      writer.Take());
 }
 
 StatusOr<TransEModel> LoadTransEModel(Fs& fs, const std::string& path) {
-  StatusOr<CheckpointData> data =
-      LoadArtifact(fs, path, CheckpointKind::kTransEModelArtifact);
-  if (!data.ok()) return data.status();
-  const CheckpointSection* section = data->Find("model");
-  if (section == nullptr) {
-    return Status::CorruptedData(path + ": missing 'model' section");
-  }
-  PayloadReader reader(section->payload);
   TransEModel model;
-  model.entities = reader.GetMatrix();
-  model.relations = reader.GetMatrix();
-  reader.ExpectEnd();
-  if (!reader.status().ok()) {
-    return Status::CorruptedData(path + ": " + reader.status().message());
-  }
+  const Status status =
+      LoadArtifact(fs, path, CheckpointKind::kTransEModelArtifact, "model",
+                   [&](PayloadReader& reader) {
+                     model.entities = reader.GetMatrix();
+                     model.relations = reader.GetMatrix();
+                   });
+  if (!status.ok()) return status;
   return model;
 }
 
@@ -88,31 +66,22 @@ Status SaveRescalModel(Fs& fs, const std::string& path,
   for (const linalg::Matrix& relation : model.relations) {
     writer.PutMatrix(relation);
   }
-  CheckpointData data;
-  data.sections.push_back({"model", writer.Take()});
-  return SaveArtifact(fs, path, CheckpointKind::kRescalModelArtifact,
-                      std::move(data));
+  return SaveArtifact(fs, path, CheckpointKind::kRescalModelArtifact, "model",
+                      writer.Take());
 }
 
 StatusOr<RescalModel> LoadRescalModel(Fs& fs, const std::string& path) {
-  StatusOr<CheckpointData> data =
-      LoadArtifact(fs, path, CheckpointKind::kRescalModelArtifact);
-  if (!data.ok()) return data.status();
-  const CheckpointSection* section = data->Find("model");
-  if (section == nullptr) {
-    return Status::CorruptedData(path + ": missing 'model' section");
-  }
-  PayloadReader reader(section->payload);
   RescalModel model;
-  model.entities = reader.GetMatrix();
-  const uint32_t relation_count = reader.GetU32();
-  for (uint32_t r = 0; r < relation_count && reader.status().ok(); ++r) {
-    model.relations.push_back(reader.GetMatrix());
-  }
-  reader.ExpectEnd();
-  if (!reader.status().ok()) {
-    return Status::CorruptedData(path + ": " + reader.status().message());
-  }
+  const Status status = LoadArtifact(
+      fs, path, CheckpointKind::kRescalModelArtifact, "model",
+      [&](PayloadReader& reader) {
+        model.entities = reader.GetMatrix();
+        const uint32_t relation_count = reader.GetU32();
+        for (uint32_t r = 0; r < relation_count && reader.status().ok(); ++r) {
+          model.relations.push_back(reader.GetMatrix());
+        }
+      });
+  if (!status.ok()) return status;
   return model;
 }
 

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "base/fs.h"
+#include "base/recovery.h"
+#include "base/rng.h"
 #include "base/status.h"
 #include "embed/checkpoint.h"
 #include "kg/knowledge_graph.h"
@@ -16,11 +19,16 @@ namespace x2vec::kg {
 /// never links kg, which is why these functions live here rather than
 /// next to the generic format).
 
-/// Folds the full knowledge graph — entity/relation counts and every
-/// triple — into `hasher`. The trainers use this to fingerprint their
-/// checkpoints so a checkpoint from different data is skipped, not
-/// resumed.
-void HashKnowledgeGraph(embed::Fnv1a& hasher, const KnowledgeGraph& kg);
+/// Binds a TransE or RESCAL checkpoint (`kind`) to one exact run, so that
+/// one from other options, data or seed is skipped, not resumed: the shared
+/// options (`penalty` is TransE's margin or RESCAL's l2), the recovery
+/// policy, every triple of `kg` and `rng`'s starting state (the seed).
+[[nodiscard]] uint64_t TrainerFingerprint(embed::CheckpointKind kind,
+                                          int dimension, int epochs,
+                                          double learning_rate, double penalty,
+                                          const RecoveryPolicy& recovery,
+                                          const KnowledgeGraph& kg,
+                                          const Rng& rng);
 
 /// Writes a trained TransE model (entities + relations) atomically.
 [[nodiscard]] Status SaveTransEModel(Fs& fs, const std::string& path,

@@ -2,96 +2,42 @@
 
 #include <cmath>
 
-#include "base/metrics.h"
 #include "base/validation.h"
+#include "embed/epochs.h"
 #include "kg/persist.h"
-#include "linalg/health.h"
 
 namespace x2vec::kg {
 namespace {
 
 constexpr std::string_view kOperation = "RESCAL training";
 
-using embed::CheckpointData;
-using embed::CheckpointKind;
-using embed::CheckpointOptions;
-using embed::CheckpointSection;
-using embed::PayloadReader;
-using embed::PayloadWriter;
-
-uint64_t RescalFingerprint(const KnowledgeGraph& kg,
-                           const RescalOptions& options) {
-  embed::Fnv1a hasher;
-  hasher.UpdateU64(static_cast<uint64_t>(CheckpointKind::kRescal));
-  hasher.UpdateU64(static_cast<uint64_t>(options.dimension));
-  hasher.UpdateU64(static_cast<uint64_t>(options.epochs));
-  hasher.UpdateDouble(options.learning_rate);
-  hasher.UpdateDouble(options.l2);
-  hasher.UpdateU64(static_cast<uint64_t>(options.recovery.max_retries));
-  hasher.UpdateDouble(options.recovery.lr_backoff);
-  hasher.UpdateDouble(options.recovery.max_abs);
-  HashKnowledgeGraph(hasher, kg);
-  return hasher.digest();
-}
-
-CheckpointData EncodeRescalState(uint64_t fingerprint,
-                                 const RescalModel& model, int next_epoch,
-                                 double lr_scale, int retries,
-                                 const std::string& rng_state) {
-  CheckpointData data;
-  data.kind = CheckpointKind::kRescal;
-  data.fingerprint = fingerprint;
-  PayloadWriter model_writer;
-  model_writer.PutMatrix(model.entities);
-  model_writer.PutU32(static_cast<uint32_t>(model.relations.size()));
-  for (const linalg::Matrix& relation : model.relations) {
-    model_writer.PutMatrix(relation);
+// One full-batch gradient step on sum_R ||X B_R X^T - A_R||^2, charged one
+// budget unit per relation.
+StatusOr<double> RescalEpoch(const std::vector<linalg::Matrix>& targets,
+                             const RescalOptions& options,
+                             const embed::EpochState& state,
+                             RescalModel& model, Budget& budget) {
+  const double lr = options.learning_rate * state.lr_scale;
+  double epoch_loss = 0.0;
+  linalg::Matrix x_gradient(model.entities.rows(), model.entities.cols());
+  for (size_t r = 0; r < targets.size(); ++r) {
+    if (!budget.Spend(1)) return budget.ExhaustedError(kOperation);
+    const linalg::Matrix& b = model.relations[r];
+    const linalg::Matrix xb = model.entities * b;                 // n x d.
+    const linalg::Matrix xbt = model.entities * b.Transposed();   // n x d.
+    const linalg::Matrix residual =
+        xb * model.entities.Transposed() - targets[r];            // n x n.
+    const double residual_norm = residual.FrobeniusNorm();
+    epoch_loss += residual_norm * residual_norm;
+    // dX  += 2 (E X B^T + E^T X B),  dB = 2 X^T E X.
+    x_gradient += (residual * xbt + residual.Transposed() * xb) * 2.0;
+    const linalg::Matrix b_gradient =
+        (model.entities.Transposed() * residual * model.entities) * 2.0;
+    model.relations[r] -= (b_gradient + b * (2.0 * options.l2)) * lr;
   }
-  data.sections.push_back({"model", model_writer.Take()});
-  PayloadWriter trainer_writer;
-  trainer_writer.PutI64(next_epoch);
-  trainer_writer.PutDouble(lr_scale);
-  trainer_writer.PutI64(retries);
-  trainer_writer.PutString(rng_state);
-  data.sections.push_back({"trainer", trainer_writer.Take()});
-  return data;
-}
-
-Status DecodeRescalState(const CheckpointData& data, RescalModel& model,
-                         int& next_epoch, double& lr_scale, int& retries,
-                         std::string& rng_state) {
-  const CheckpointSection* model_section = data.Find("model");
-  const CheckpointSection* trainer_section = data.Find("trainer");
-  if (model_section == nullptr || trainer_section == nullptr) {
-    return Status::CorruptedData(
-        "RESCAL checkpoint is missing its 'model' or 'trainer' section");
-  }
-  PayloadReader model_reader(model_section->payload);
-  model.entities = model_reader.GetMatrix();
-  const uint32_t relation_count = model_reader.GetU32();
-  model.relations.clear();
-  for (uint32_t r = 0; r < relation_count && model_reader.status().ok(); ++r) {
-    model.relations.push_back(model_reader.GetMatrix());
-  }
-  model_reader.ExpectEnd();
-  if (!model_reader.status().ok()) return model_reader.status();
-  PayloadReader trainer_reader(trainer_section->payload);
-  next_epoch = static_cast<int>(trainer_reader.GetI64());
-  lr_scale = trainer_reader.GetDouble();
-  retries = static_cast<int>(trainer_reader.GetI64());
-  rng_state = trainer_reader.GetString();
-  trainer_reader.ExpectEnd();
-  return trainer_reader.status();
-}
-
-// Dense relation adjacency matrices A_R.
-std::vector<linalg::Matrix> RelationAdjacency(const KnowledgeGraph& kg) {
-  std::vector<linalg::Matrix> adjacency(
-      kg.NumRelations(), linalg::Matrix(kg.NumEntities(), kg.NumEntities()));
-  for (const Triple& triple : kg.Triples()) {
-    adjacency[triple.relation](triple.head, triple.tail) = 1.0;
-  }
-  return adjacency;
+  x_gradient += model.entities * (2.0 * options.l2);
+  model.entities -= x_gradient * lr;
+  return epoch_loss;
 }
 
 }  // namespace
@@ -131,12 +77,6 @@ Status ValidateRescalOptions(const RescalOptions& options) {
   });
 }
 
-RescalModel TrainRescal(const KnowledgeGraph& kg, const RescalOptions& options,
-                        Rng& rng) {
-  Budget unlimited;
-  return *TrainRescalBudgeted(kg, options, rng, unlimited);
-}
-
 StatusOr<RescalModel> TrainRescalBudgeted(const KnowledgeGraph& kg,
                                           const RescalOptions& options,
                                           Rng& rng, Budget& budget) {
@@ -153,123 +93,42 @@ StatusOr<RescalModel> TrainRescalBudgeted(const KnowledgeGraph& kg,
     return Status::InvalidArgument(
         "RESCAL training needs at least one relation");
   }
-  if (Status status = embed::ValidateCheckpointOptions(options.checkpoint);
-      !status.ok()) {
-    return status;
-  }
-  if (budget.Exhausted()) return budget.ExhaustedError(kOperation);
-
-  const CheckpointOptions& ckpt = options.checkpoint;
-  const uint64_t fingerprint =
-      ckpt.enabled() ? RescalFingerprint(kg, options) : 0;
-
   RescalModel model;
-  const double init = 1.0 / std::sqrt(static_cast<double>(d));
-  const RecoveryPolicy& recovery = options.recovery;
-  double lr_scale = 1.0;  // Backed off on each numeric recovery.
-  int retries = 0;
-  int start_epoch = 0;
-
-  bool resumed = false;
-  if (ckpt.enabled()) {
-    StatusOr<std::optional<CheckpointData>> loaded =
-        embed::LoadLatestCheckpoint(ckpt, CheckpointKind::kRescal,
-                                    fingerprint);
-    if (!loaded.ok()) return loaded.status();
-    if (loaded->has_value()) {
-      std::string rng_state;
-      if (Status status = DecodeRescalState(**loaded, model, start_epoch,
-                                            lr_scale, retries, rng_state);
-          !status.ok()) {
-        return status;
-      }
-      bool shapes_ok = model.entities.rows() == n &&
-                       model.entities.cols() == d &&
-                       static_cast<int>(model.relations.size()) ==
-                           kg.NumRelations();
-      for (const linalg::Matrix& relation : model.relations) {
-        shapes_ok = shapes_ok && relation.rows() == d && relation.cols() == d;
-      }
-      if (!shapes_ok) {
-        return Status::CorruptedData(
-            "RESCAL checkpoint model shape does not match this run's");
-      }
-      if (Status status = rng.LoadEngineState(rng_state); !status.ok()) {
-        return status;
-      }
-      resumed = true;
-      X2VEC_METRIC_COUNT("checkpoint.resumes", 1);
-    }
+  model.relations.resize(kg.NumRelations());
+  std::vector<embed::EpochParam> params = {{&model.entities, n, d}};
+  for (linalg::Matrix& relation : model.relations) {
+    params.push_back({&relation, d, d});
   }
-  if (!resumed) {
-    model.entities = linalg::Matrix(n, d);
-    for (double& v : model.entities.mutable_data()) {
-      v = UniformReal(rng, -init, init);
-    }
-    model.relations.assign(kg.NumRelations(), linalg::Matrix(d, d));
-    for (linalg::Matrix& b : model.relations) {
-      for (double& v : b.mutable_data()) v = UniformReal(rng, -init, init);
-    }
+  // Dense relation adjacency matrices A_R.
+  std::vector<linalg::Matrix> targets(kg.NumRelations(), linalg::Matrix(n, n));
+  for (const Triple& triple : kg.Triples()) {
+    targets[triple.relation](triple.head, triple.tail) = 1.0;
   }
-
-  const std::vector<linalg::Matrix> targets = RelationAdjacency(kg);
-
-  for (int epoch = start_epoch; epoch < options.epochs; ++epoch) {
-    const double lr = options.learning_rate * lr_scale;
-    double epoch_loss = 0.0;
-    // Full-batch gradients of sum_R ||X B_R X^T - A_R||^2.
-    linalg::Matrix x_gradient(n, d);
-    for (int r = 0; r < kg.NumRelations(); ++r) {
-      if (!budget.Spend(1)) return budget.ExhaustedError(kOperation);
-      const linalg::Matrix& b = model.relations[r];
-      const linalg::Matrix xb = model.entities * b;                 // n x d.
-      const linalg::Matrix xbt = model.entities * b.Transposed();   // n x d.
-      const linalg::Matrix residual =
-          xb * model.entities.Transposed() - targets[r];            // n x n.
-      const double residual_norm = residual.FrobeniusNorm();
-      epoch_loss += residual_norm * residual_norm;
-      // dX  += 2 (E X B^T + E^T X B),  dB = 2 X^T E X.
-      x_gradient += (residual * xbt + residual.Transposed() * xb) * 2.0;
-      const linalg::Matrix b_gradient =
-          (model.entities.Transposed() * residual * model.entities) * 2.0;
-      model.relations[r] -= (b_gradient + b * (2.0 * options.l2)) * lr;
-    }
-    x_gradient += model.entities * (2.0 * options.l2);
-    model.entities -= x_gradient * lr;
-
-    // Per-epoch numeric health check with bounded self-healing.
-    bool healthy = std::isfinite(epoch_loss) &&
-                   linalg::MatrixHealthy(model.entities, recovery.max_abs);
-    for (const linalg::Matrix& relation : model.relations) {
-      healthy = healthy && linalg::MatrixHealthy(relation, recovery.max_abs);
-    }
-    if (!healthy) {
-      if (++retries > recovery.max_retries) {
-        return Status::Internal(
-            "RESCAL training diverged (non-finite or runaway parameters) and "
-            "exhausted " +
-            std::to_string(recovery.max_retries) + " recovery retries");
-      }
-      lr_scale *= recovery.lr_backoff;
-      linalg::ReseedUnhealthyRows(model.entities, init, recovery.max_abs, rng);
-      for (linalg::Matrix& relation : model.relations) {
-        linalg::ReseedUnhealthyRows(relation, init, recovery.max_abs, rng);
-      }
-      --epoch;  // Retry the failed epoch with the gentler settings.
-      continue;
-    }
-
-    // Healthy epoch barrier: persist the resume state.
-    if (ckpt.enabled() && (epoch + 1) % ckpt.every_n_epochs == 0) {
-      if (Status status = embed::SaveCheckpoint(
-              ckpt, epoch + 1,
-              EncodeRescalState(fingerprint, model, epoch + 1, lr_scale,
-                                retries, rng.SaveEngineState()));
-          !status.ok()) {
-        return status;
-      }
-    }
-  }
+  const Status status = embed::RunEpochs(
+      {.kind = embed::CheckpointKind::kRescal,
+       .operation = kOperation,
+       .span = "rescal.train",
+       .epoch_span = "rescal.epoch",
+       .work_per_epoch = kg.NumRelations(),
+       .epochs = options.epochs,
+       .recovery = options.recovery,
+       .checkpoint = options.checkpoint,
+       .params = params,
+       .init = 1.0 / std::sqrt(static_cast<double>(d)),
+       .rng = rng,
+       .fingerprint =
+           [&] {
+             return TrainerFingerprint(embed::CheckpointKind::kRescal,
+                                       options.dimension, options.epochs,
+                                       options.learning_rate, options.l2,
+                                       options.recovery, kg, rng);
+           },
+       .epoch =
+           [&](const embed::EpochState& state, Budget& quota) {
+             return RescalEpoch(targets, options, state, model, quota);
+           }},
+      budget);
+  if (!status.ok()) return status;
   return model;
 }
 

@@ -47,19 +47,16 @@ struct RescalModel {
 /// l2), OK otherwise. Zero epochs requests the untrained baseline.
 [[nodiscard]] Status ValidateRescalOptions(const RescalOptions& options);
 
-RescalModel TrainRescal(const KnowledgeGraph& kg, const RescalOptions& options,
-                        Rng& rng);
-
-/// Budgeted, self-healing variant. One work unit = one relation processed
-/// in one full-batch epoch. After every epoch the factor matrices and the
+/// Trains RESCAL. One work unit = one relation processed in one
+/// full-batch epoch. The epochs run through the shared epoch loop of
+/// embed/epochs.h: after every epoch the factor matrices and the
 /// accumulated residual Frobenius loss are checked for NaN/Inf and runaway
-/// magnitudes; on failure the trainer backs off the learning rate, reseeds
-/// the offending rows and retries the epoch, giving up with kInternal after
-/// `options.recovery.max_retries` cumulative retries. Returns
-/// kResourceExhausted when the budget runs out and kInvalidArgument for bad
-/// options or a degenerate knowledge graph. With an unlimited budget and a
-/// healthy run the result is bit-identical to TrainRescal (which is a thin
-/// wrapper over this).
+/// magnitudes; on failure the loop backs off the learning rate (and the
+/// clip, which RESCAL never reads), reseeds the offending rows and retries
+/// the epoch, giving up with kInternal after `options.recovery.max_retries`
+/// cumulative retries. Returns kResourceExhausted when the budget runs out
+/// and kInvalidArgument for bad options or a degenerate knowledge graph,
+/// never an abort. Pass an unlimited Budget for an unbounded run.
 [[nodiscard]] StatusOr<RescalModel> TrainRescalBudgeted(const KnowledgeGraph& kg,
                                           const RescalOptions& options,
                                           Rng& rng, Budget& budget);

@@ -4,83 +4,95 @@
 #include <cmath>
 #include <span>
 
-#include "base/metrics.h"
 #include "base/validation.h"
+#include "embed/epochs.h"
 #include "kg/persist.h"
-#include "linalg/health.h"
 
 namespace x2vec::kg {
 namespace {
 
 constexpr std::string_view kOperation = "TransE training";
 
-using embed::CheckpointData;
-using embed::CheckpointKind;
-using embed::CheckpointOptions;
-using embed::CheckpointSection;
-using embed::PayloadReader;
-using embed::PayloadWriter;
-
-uint64_t TransEFingerprint(const KnowledgeGraph& kg,
-                           const TransEOptions& options) {
-  embed::Fnv1a hasher;
-  hasher.UpdateU64(static_cast<uint64_t>(CheckpointKind::kTransE));
-  hasher.UpdateU64(static_cast<uint64_t>(options.dimension));
-  hasher.UpdateU64(static_cast<uint64_t>(options.epochs));
-  hasher.UpdateDouble(options.learning_rate);
-  hasher.UpdateDouble(options.margin);
-  hasher.UpdateU64(static_cast<uint64_t>(options.recovery.max_retries));
-  hasher.UpdateDouble(options.recovery.lr_backoff);
-  hasher.UpdateDouble(options.recovery.clip_norm);
-  hasher.UpdateDouble(options.recovery.clip_backoff);
-  hasher.UpdateDouble(options.recovery.max_abs);
-  HashKnowledgeGraph(hasher, kg);
-  return hasher.digest();
-}
-
-CheckpointData EncodeTransEState(uint64_t fingerprint,
-                                 const TransEModel& model, int next_epoch,
-                                 double lr_scale, double clip, int retries,
-                                 const std::string& rng_state) {
-  CheckpointData data;
-  data.kind = CheckpointKind::kTransE;
-  data.fingerprint = fingerprint;
-  PayloadWriter model_writer;
-  model_writer.PutMatrix(model.entities);
-  model_writer.PutMatrix(model.relations);
-  data.sections.push_back({"model", model_writer.Take()});
-  PayloadWriter trainer_writer;
-  trainer_writer.PutI64(next_epoch);
-  trainer_writer.PutDouble(lr_scale);
-  trainer_writer.PutDouble(clip);
-  trainer_writer.PutI64(retries);
-  trainer_writer.PutString(rng_state);
-  data.sections.push_back({"trainer", trainer_writer.Take()});
-  return data;
-}
-
-Status DecodeTransEState(const CheckpointData& data, TransEModel& model,
-                         int& next_epoch, double& lr_scale, double& clip,
-                         int& retries, std::string& rng_state) {
-  const CheckpointSection* model_section = data.Find("model");
-  const CheckpointSection* trainer_section = data.Find("trainer");
-  if (model_section == nullptr || trainer_section == nullptr) {
-    return Status::CorruptedData(
-        "TransE checkpoint is missing its 'model' or 'trainer' section");
+void NormalizeEntities(linalg::Matrix& entities) {
+  for (int e = 0; e < entities.rows(); ++e) {
+    const std::span<double> row = entities.RowSpan(e);
+    double norm = 0.0;
+    for (const double v : row) norm += v * v;
+    norm = std::sqrt(norm);
+    if (norm > 1e-12) {
+      for (double& v : row) v /= norm;
+    }
   }
-  PayloadReader model_reader(model_section->payload);
-  model.entities = model_reader.GetMatrix();
-  model.relations = model_reader.GetMatrix();
-  model_reader.ExpectEnd();
-  if (!model_reader.status().ok()) return model_reader.status();
-  PayloadReader trainer_reader(trainer_section->payload);
-  next_epoch = static_cast<int>(trainer_reader.GetI64());
-  lr_scale = trainer_reader.GetDouble();
-  clip = trainer_reader.GetDouble();
-  retries = static_cast<int>(trainer_reader.GetI64());
-  rng_state = trainer_reader.GetString();
-  trainer_reader.ExpectEnd();
-  return trainer_reader.status();
+}
+
+// One epoch: renormalise the entities, then one margin-ranking step per
+// training triple against a corrupted copy. Checkpoints therefore hold the
+// raw (un-normalised) entities: every epoch, resumed or not, renormalises
+// on entry, and the trainer renormalises once more at the end.
+StatusOr<double> TransEEpoch(const KnowledgeGraph& kg,
+                             const TransEOptions& options,
+                             const embed::EpochState& state,
+                             TransEModel& model, Rng& rng, Budget& budget) {
+  NormalizeEntities(model.entities);
+  const int dim = options.dimension;
+  double epoch_loss = 0.0;
+  // The translation step direction (h + t - r)/score has unit L2 norm, so
+  // capping the step scale at `clip` clips the per-update step norm. With
+  // the default threshold and a sane learning rate this is the plain
+  // learning rate, bit for bit.
+  const double step_scale =
+      std::min(options.learning_rate * state.lr_scale, state.clip);
+  for (const Triple& triple : kg.Triples()) {
+    if (!budget.Spend(1)) return budget.ExhaustedError(kOperation);
+    // Corrupt head or tail uniformly; resample until the corruption is
+    // actually false.
+    Triple corrupted = triple;
+    for (int attempt = 0; attempt < 50; ++attempt) {
+      corrupted = triple;
+      if (Coin(rng, 0.5)) {
+        corrupted.head =
+            static_cast<int>(UniformInt(rng, 0, kg.NumEntities() - 1));
+      } else {
+        corrupted.tail =
+            static_cast<int>(UniformInt(rng, 0, kg.NumEntities() - 1));
+      }
+      if (!kg.HasTriple(corrupted.head, corrupted.relation,
+                        corrupted.tail)) {
+        break;
+      }
+    }
+    const double positive = model.Score(triple.head, triple.relation,
+                                        triple.tail);
+    const double negative = model.Score(corrupted.head, corrupted.relation,
+                                        corrupted.tail);
+    // Track the positive energy before the violation test: a diverged
+    // model scores Inf/NaN everywhere and would otherwise skip every
+    // update (and so every loss term) while staying silently wedged.
+    epoch_loss += positive;
+    if (positive + options.margin <= negative) continue;  // No violation.
+
+    // Gradient of ||h + t - r|| w.r.t. each vector (L2 distance), applied
+    // to push the positive together and the negative apart.
+    // Row views may alias when head == tail (a reflexive triple); the
+    // per-dimension read-then-update order below matches the historical
+    // element-indexed loop either way.
+    auto apply = [&](const Triple& t, double sign, double score) {
+      if (score < 1e-9) return;
+      const std::span<double> head = model.entities.RowSpan(t.head);
+      const std::span<double> rel = model.relations.RowSpan(t.relation);
+      const std::span<double> tail = model.entities.RowSpan(t.tail);
+      for (int d = 0; d < dim; ++d) {
+        const double diff = (head[d] + rel[d] - tail[d]) / score;
+        const double step = sign * step_scale * diff;
+        head[d] -= step;
+        rel[d] -= step;
+        tail[d] += step;
+      }
+    };
+    apply(triple, +1.0, positive);
+    apply(corrupted, -1.0, negative);
+  }
+  return epoch_loss;
 }
 
 }  // namespace
@@ -123,12 +135,6 @@ Status ValidateTransEOptions(const TransEOptions& options) {
   });
 }
 
-TransEModel TrainTransE(const KnowledgeGraph& kg, const TransEOptions& options,
-                        Rng& rng) {
-  Budget unlimited;
-  return *TrainTransEBudgeted(kg, options, rng, unlimited);
-}
-
 StatusOr<TransEModel> TrainTransEBudgeted(const KnowledgeGraph& kg,
                                           const TransEOptions& options,
                                           Rng& rng, Budget& budget) {
@@ -147,172 +153,35 @@ StatusOr<TransEModel> TrainTransEBudgeted(const KnowledgeGraph& kg,
     return Status::InvalidArgument(
         "TransE training needs at least one triple");
   }
-  if (Status status = embed::ValidateCheckpointOptions(options.checkpoint);
-      !status.ok()) {
-    return status;
-  }
-  if (budget.Exhausted()) return budget.ExhaustedError(kOperation);
-
-  const CheckpointOptions& ckpt = options.checkpoint;
-  const uint64_t fingerprint =
-      ckpt.enabled() ? TransEFingerprint(kg, options) : 0;
-
-  TransEModel model;
-  const double init = 6.0 / std::sqrt(options.dimension);
-  const RecoveryPolicy& recovery = options.recovery;
-  double lr_scale = 1.0;  // Backed off on each numeric recovery.
-  double clip = recovery.clip_norm;
-  int retries = 0;
-  int start_epoch = 0;
-
-  bool resumed = false;
-  if (ckpt.enabled()) {
-    StatusOr<std::optional<CheckpointData>> loaded =
-        embed::LoadLatestCheckpoint(ckpt, CheckpointKind::kTransE,
-                                    fingerprint);
-    if (!loaded.ok()) return loaded.status();
-    if (loaded->has_value()) {
-      std::string rng_state;
-      if (Status status =
-              DecodeTransEState(**loaded, model, start_epoch, lr_scale, clip,
-                                retries, rng_state);
-          !status.ok()) {
-        return status;
-      }
-      if (model.entities.rows() != kg.NumEntities() ||
-          model.entities.cols() != options.dimension ||
-          model.relations.rows() != kg.NumRelations() ||
-          model.relations.cols() != options.dimension) {
-        return Status::CorruptedData(
-            "TransE checkpoint model shape does not match this run's");
-      }
-      if (Status status = rng.LoadEngineState(rng_state); !status.ok()) {
-        return status;
-      }
-      resumed = true;
-      X2VEC_METRIC_COUNT("checkpoint.resumes", 1);
-    }
-  }
-  if (!resumed) {
-    model.entities = linalg::Matrix(kg.NumEntities(), options.dimension);
-    model.relations = linalg::Matrix(kg.NumRelations(), options.dimension);
-    for (double& v : model.entities.mutable_data()) {
-      v = UniformReal(rng, -init, init);
-    }
-    for (double& v : model.relations.mutable_data()) {
-      v = UniformReal(rng, -init, init);
-    }
-  }
-
-  auto normalize_entities = [&model]() {
-    for (int e = 0; e < model.entities.rows(); ++e) {
-      const std::span<double> row = model.entities.RowSpan(e);
-      double norm = 0.0;
-      for (const double v : row) norm += v * v;
-      norm = std::sqrt(norm);
-      if (norm > 1e-12) {
-        for (double& v : row) v /= norm;
-      }
-    }
-  };
-
   const int dim = options.dimension;
-  for (int epoch = start_epoch; epoch < options.epochs; ++epoch) {
-    normalize_entities();
-    double epoch_loss = 0.0;
-    // The translation step direction (h + t - r)/score has unit L2 norm, so
-    // capping the step scale at `clip` clips the per-update step norm. With
-    // the default threshold and a sane learning rate this is the plain
-    // learning rate, bit for bit.
-    const double step_scale =
-        std::min(options.learning_rate * lr_scale, clip);
-    for (const Triple& triple : kg.Triples()) {
-      if (!budget.Spend(1)) return budget.ExhaustedError(kOperation);
-      // Corrupt head or tail uniformly; resample until the corruption is
-      // actually false.
-      Triple corrupted = triple;
-      for (int attempt = 0; attempt < 50; ++attempt) {
-        corrupted = triple;
-        if (Coin(rng, 0.5)) {
-          corrupted.head =
-              static_cast<int>(UniformInt(rng, 0, kg.NumEntities() - 1));
-        } else {
-          corrupted.tail =
-              static_cast<int>(UniformInt(rng, 0, kg.NumEntities() - 1));
-        }
-        if (!kg.HasTriple(corrupted.head, corrupted.relation,
-                          corrupted.tail)) {
-          break;
-        }
-      }
-      const double positive = model.Score(triple.head, triple.relation,
-                                          triple.tail);
-      const double negative = model.Score(corrupted.head, corrupted.relation,
-                                          corrupted.tail);
-      // Track the positive energy before the violation test: a diverged
-      // model scores Inf/NaN everywhere and would otherwise skip every
-      // update (and so every loss term) while staying silently wedged.
-      epoch_loss += positive;
-      if (positive + options.margin <= negative) continue;  // No violation.
-
-      // Gradient of ||h + t - r|| w.r.t. each vector (L2 distance), applied
-      // to push the positive together and the negative apart.
-      // Row views may alias when head == tail (a reflexive triple); the
-      // per-dimension read-then-update order below matches the historical
-      // element-indexed loop either way.
-      auto apply = [&](const Triple& t, double sign, double score) {
-        if (score < 1e-9) return;
-        const std::span<double> head = model.entities.RowSpan(t.head);
-        const std::span<double> rel = model.relations.RowSpan(t.relation);
-        const std::span<double> tail = model.entities.RowSpan(t.tail);
-        for (int d = 0; d < dim; ++d) {
-          const double diff = (head[d] + rel[d] - tail[d]) / score;
-          const double step = sign * step_scale * diff;
-          head[d] -= step;
-          rel[d] -= step;
-          tail[d] += step;
-        }
-      };
-      apply(triple, +1.0, positive);
-      apply(corrupted, -1.0, negative);
-    }
-
-    // Per-epoch numeric health check with bounded self-healing.
-    const bool healthy =
-        std::isfinite(epoch_loss) &&
-        linalg::MatrixHealthy(model.entities, recovery.max_abs) &&
-        linalg::MatrixHealthy(model.relations, recovery.max_abs);
-    if (!healthy) {
-      if (++retries > recovery.max_retries) {
-        return Status::Internal(
-            "TransE training diverged (non-finite or runaway parameters) and "
-            "exhausted " +
-            std::to_string(recovery.max_retries) + " recovery retries");
-      }
-      lr_scale *= recovery.lr_backoff;
-      clip *= recovery.clip_backoff;
-      linalg::ReseedUnhealthyRows(model.entities, init, recovery.max_abs, rng);
-      linalg::ReseedUnhealthyRows(model.relations, init, recovery.max_abs,
-                                  rng);
-      --epoch;  // Retry the failed epoch with the gentler settings.
-      continue;
-    }
-
-    // Healthy epoch barrier: persist the resume state. Saving the raw
-    // (un-normalised) entities is correct because every epoch — resumed or
-    // not — renormalises on entry, and the final normalize below runs in
-    // both the resumed and uninterrupted runs.
-    if (ckpt.enabled() && (epoch + 1) % ckpt.every_n_epochs == 0) {
-      if (Status status = embed::SaveCheckpoint(
-              ckpt, epoch + 1,
-              EncodeTransEState(fingerprint, model, epoch + 1, lr_scale, clip,
-                                retries, rng.SaveEngineState()));
-          !status.ok()) {
-        return status;
-      }
-    }
-  }
-  normalize_entities();
+  TransEModel model;
+  const Status status = embed::RunEpochs(
+      {.kind = embed::CheckpointKind::kTransE,
+       .operation = kOperation,
+       .span = "transe.train",
+       .epoch_span = "transe.epoch",
+       .work_per_epoch = static_cast<int64_t>(kg.Triples().size()),
+       .epochs = options.epochs,
+       .recovery = options.recovery,
+       .checkpoint = options.checkpoint,
+       .params = {{&model.entities, kg.NumEntities(), dim},
+                  {&model.relations, kg.NumRelations(), dim}},
+       .init = 6.0 / std::sqrt(dim),
+       .rng = rng,
+       .fingerprint =
+           [&] {
+             return TrainerFingerprint(embed::CheckpointKind::kTransE,
+                                       options.dimension, options.epochs,
+                                       options.learning_rate, options.margin,
+                                       options.recovery, kg, rng);
+           },
+       .epoch =
+           [&](const embed::EpochState& state, Budget& quota) {
+             return TransEEpoch(kg, options, state, model, rng, quota);
+           }},
+      budget);
+  if (!status.ok()) return status;
+  NormalizeEntities(model.entities);
   return model;
 }
 

@@ -47,19 +47,16 @@ struct TransEModel {
 /// margin), OK otherwise. Zero epochs requests the untrained baseline.
 [[nodiscard]] Status ValidateTransEOptions(const TransEOptions& options);
 
-TransEModel TrainTransE(const KnowledgeGraph& kg, const TransEOptions& options,
-                        Rng& rng);
-
-/// Budgeted, self-healing variant. One work unit = one training triple in
-/// one epoch. After every epoch the embeddings and accumulated positive
-/// energy are checked for NaN/Inf and runaway magnitudes; on failure the
-/// trainer backs off the learning rate, tightens the step clip, reseeds the
-/// offending rows and retries the epoch, giving up with kInternal after
+/// Trains TransE. One work unit = one training triple in one epoch. The
+/// epochs run through the shared epoch loop of embed/epochs.h: after every
+/// epoch the embeddings and accumulated positive energy are checked for
+/// NaN/Inf and runaway magnitudes; on failure the loop backs off the
+/// learning rate, tightens the step clip, reseeds the offending rows and
+/// retries the epoch, giving up with kInternal after
 /// `options.recovery.max_retries` cumulative retries. Returns
 /// kResourceExhausted when the budget runs out and kInvalidArgument for bad
-/// options or a degenerate knowledge graph. With an unlimited budget and a
-/// healthy run the result is bit-identical to TrainTransE (which is a thin
-/// wrapper over this).
+/// options or a degenerate knowledge graph, never an abort. Pass an
+/// unlimited Budget for an unbounded run.
 [[nodiscard]] StatusOr<TransEModel> TrainTransEBudgeted(const KnowledgeGraph& kg,
                                           const TransEOptions& options,
                                           Rng& rng, Budget& budget);

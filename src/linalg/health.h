@@ -8,9 +8,11 @@
 
 namespace x2vec::linalg {
 
-/// Numeric-health primitives shared by the self-healing trainers (SGNS,
-/// PV-DBOW, TransE, RESCAL). See base/recovery.h for the policy that drives
-/// them.
+/// Numeric-health primitives of the self-healing trainers (SGNS, PV-DBOW,
+/// TransE, RESCAL). The one epoch loop (embed/epochs.h) checks and
+/// reseeds every trainer's parameters with MatrixHealthy and
+/// ReseedUnhealthyRows, following the policy of base/recovery.h; the SGNS
+/// pair step clips its centre gradient with ClipGradient.
 
 /// True iff any entry of row i is non-finite or exceeds max_abs in
 /// magnitude.

@@ -243,7 +243,11 @@ TEST(KernelBitIdentityTest, TransEModelAndScores) {
   options.dimension = 8;
   options.epochs = 10;
   Rng rng = MakeRng(9);
-  const kg::TransEModel model = kg::TrainTransE(graph, options, rng);
+  Budget unlimited;
+  const StatusOr<kg::TransEModel> trained =
+      kg::TrainTransEBudgeted(graph, options, rng, unlimited);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const kg::TransEModel& model = *trained;
   EXPECT_EQ(Digest(model.entities), 2074243407751469905ull);
   EXPECT_EQ(Digest(model.relations), 2852556191302250550ull);
   // The score loop itself is part of the swept surface.
@@ -264,7 +268,11 @@ TEST(KernelBitIdentityTest, RescalModelAndScores) {
   options.dimension = 4;
   options.epochs = 5;
   Rng rng = MakeRng(13);
-  const kg::RescalModel model = kg::TrainRescal(graph, options, rng);
+  Budget unlimited;
+  const StatusOr<kg::RescalModel> trained =
+      kg::TrainRescalBudgeted(graph, options, rng, unlimited);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const kg::RescalModel& model = *trained;
   EXPECT_EQ(Digest(model.entities), 6493029908213810661ull);
   std::vector<double> scores;
   for (const kg::Triple& triple : graph.Triples()) {

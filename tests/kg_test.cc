@@ -1,7 +1,9 @@
 #include <cmath>
 #include <vector>
 
+#include "base/budget.h"
 #include "base/rng.h"
+#include "base/status.h"
 #include "kg/datasets.h"
 #include "gtest/gtest.h"
 #include "kg/knowledge_graph.h"
@@ -49,7 +51,11 @@ TEST(TransETest, TranslationGeometryEmerges) {
   TransEOptions options;
   options.epochs = 400;
   options.dimension = 16;
-  const TransEModel model = TrainTransE(kg, options, rng);
+  Budget unlimited;
+  const StatusOr<TransEModel> trained =
+      TrainTransEBudgeted(kg, options, rng, unlimited);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const TransEModel& model = *trained;
 
   // The paper's introduction: x_Paris - x_France ~ x_Santiago - x_Chile.
   auto difference = [&](const char* a, const char* b) {
@@ -82,7 +88,11 @@ TEST(TransETest, LinkPredictionBeatsRandom) {
   const KnowledgeGraph kg = kg::CountriesKnowledgeGraph(15, rng);
   TransEOptions options;
   options.epochs = 300;
-  const TransEModel model = TrainTransE(kg, options, rng);
+  Budget unlimited;
+  const StatusOr<TransEModel> trained =
+      TrainTransEBudgeted(kg, options, rng, unlimited);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const TransEModel& model = *trained;
   std::vector<Triple> test;
   for (size_t i = 0; i < kg.Triples().size(); i += 3) {
     test.push_back(kg.Triples()[i]);
@@ -97,12 +107,17 @@ TEST(RescalTest, TrainingReducesReconstructionError) {
   const KnowledgeGraph kg = kg::CountriesKnowledgeGraph(8, rng);
   RescalOptions options;
   options.epochs = 0;
-  const RescalModel untrained = TrainRescal(kg, options, rng);
-  const double initial_error = untrained.ReconstructionError(kg);
+  Budget unlimited;
+  const StatusOr<RescalModel> untrained =
+      TrainRescalBudgeted(kg, options, rng, unlimited);
+  ASSERT_TRUE(untrained.ok()) << untrained.status().ToString();
+  const double initial_error = untrained->ReconstructionError(kg);
   options.epochs = 200;
   options.learning_rate = 0.01;
-  const RescalModel trained = TrainRescal(kg, options, rng);
-  EXPECT_LT(trained.ReconstructionError(kg), initial_error * 0.5);
+  const StatusOr<RescalModel> trained =
+      TrainRescalBudgeted(kg, options, rng, unlimited);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  EXPECT_LT(trained->ReconstructionError(kg), initial_error * 0.5);
 }
 
 TEST(RescalTest, BilinearScoresSeparateTruth) {
@@ -120,7 +135,11 @@ TEST(RescalTest, BilinearScoresSeparateTruth) {
   options.epochs = 500;
   options.dimension = 8;
   options.learning_rate = 0.02;
-  const RescalModel model = TrainRescal(kg, options, rng);
+  Budget unlimited;
+  const StatusOr<RescalModel> trained =
+      TrainRescalBudgeted(kg, options, rng, unlimited);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const RescalModel& model = *trained;
   const int takes = kg.RelationId("takes");
   double true_mean = 0.0;
   double false_mean = 0.0;

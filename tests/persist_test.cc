@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,6 +59,13 @@ uint64_t Fnv1aBytes(const void* data, size_t bytes) {
 
 uint64_t Digest(const Matrix& m) {
   return Fnv1aBytes(m.data().data(), m.data().size() * sizeof(double));
+}
+
+/// Digest of a file's bytes; 0 (never a pinned value) when unreadable.
+uint64_t FileDigest(const std::string& path) {
+  const StatusOr<std::string> bytes = DefaultFs().ReadFile(path);
+  EXPECT_TRUE(bytes.ok()) << path;
+  return bytes.ok() ? Fnv1aBytes(bytes->data(), bytes->size()) : 0;
 }
 
 // ---- Scratch directories ----------------------------------------------------
@@ -113,6 +121,12 @@ constexpr uint64_t kRescalEntities = 6493029908213810661ull;
 // chosen to exhaust mid-epoch, after at least one checkpoint barrier.
 constexpr int64_t kSgnsPairsPerEpoch = 2160;
 constexpr int64_t kPvDbowPairsPerEpoch = 600;
+
+// Byte digests of the epoch-1 checkpoint files of the golden SGNS runs:
+// the on-disk layout of checkpoint kinds 1 and 2, which files written by
+// earlier builds must keep resuming under.
+constexpr uint64_t kSgnsSequentialEpoch1File = 16940352043929195601ull;
+constexpr uint64_t kSgnsShardedEpoch1File = 15791905833580085654ull;
 
 // ---- base/fs: durable writes and bounded reads ------------------------------
 
@@ -312,6 +326,24 @@ TEST(CheckpointFormatTest, PayloadReaderReportsStickyOffset) {
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
   (void)reader.GetString();  // later getters stay on the first error
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
+
+  // A matrix header past INT_MAX rows or columns fails too, even with the
+  // other extent 0, where it claims no entries the payload lacks.
+  for (const auto& [rows, cols] :
+       {std::pair{1u << 31, 0u}, std::pair{0u, 1u << 31}}) {
+    embed::PayloadWriter header;
+    header.PutU32(rows);
+    header.PutU32(cols);
+    const std::string bytes = header.Take();
+    embed::PayloadReader matrix_reader(bytes);
+    (void)matrix_reader.GetMatrix();
+    EXPECT_EQ(matrix_reader.status().code(), StatusCode::kCorruptedData)
+        << rows << "x" << cols;
+    matrix_reader.ExpectEnd();  // stays on the first error
+    EXPECT_NE(matrix_reader.status().message().find("INT_MAX"),
+              std::string::npos)
+        << matrix_reader.status().ToString();
+  }
 }
 
 TEST(CheckpointTest, SaveKeepsOnlyTheNewestKeepLast) {
@@ -398,6 +430,9 @@ TEST(ResumeTest, SgnsSequentialResumeIsBitIdenticalToGolden) {
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
   }
+  EXPECT_EQ(FileDigest(options.checkpoint.dir + "/" +
+                       embed::CheckpointFileName(1)),
+            kSgnsSequentialEpoch1File);
 
   const metrics::Snapshot before = metrics::GlobalSnapshot();
   const embed::Corpus corpus = GoldenCorpus();
@@ -426,6 +461,10 @@ TEST(ResumeTest, SgnsShardedResumeIsBitIdenticalAtOneAndFourThreads) {
         TrainSgnsShardedOnCorpus(corpus, options, /*seed=*/7, finite);
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(FileDigest(options.checkpoint.dir + "/" +
+                         embed::CheckpointFileName(1)),
+              kSgnsShardedEpoch1File)
+        << threads << " threads";
 
     Budget unlimited;
     const StatusOr<embed::SgnsModel> model =
@@ -580,6 +619,9 @@ TEST(ResumeTest, TransEResumeIsBitIdenticalToGolden) {
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
   }
 
+  // A run that ignored its checkpoint would retrain from the same seed and
+  // reach the same golden, so the resume itself is asserted too.
+  const metrics::Snapshot before = metrics::GlobalSnapshot();
   Rng rng = MakeRng(9);
   Budget unlimited;
   const StatusOr<kg::TransEModel> model =
@@ -587,6 +629,9 @@ TEST(ResumeTest, TransEResumeIsBitIdenticalToGolden) {
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(Digest(model->entities), kTransEEntities);
   EXPECT_EQ(Digest(model->relations), kTransERelations);
+  const metrics::Snapshot delta =
+      metrics::Delta(before, metrics::GlobalSnapshot());
+  EXPECT_EQ(delta.counter("checkpoint.resumes"), 1);
 }
 
 TEST(ResumeTest, RescalResumeIsBitIdenticalToGolden) {
@@ -608,12 +653,16 @@ TEST(ResumeTest, RescalResumeIsBitIdenticalToGolden) {
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
   }
 
+  const metrics::Snapshot before = metrics::GlobalSnapshot();
   Rng rng = MakeRng(13);
   Budget unlimited;
   const StatusOr<kg::RescalModel> model =
       kg::TrainRescalBudgeted(graph, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(Digest(model->entities), kRescalEntities);
+  const metrics::Snapshot delta =
+      metrics::Delta(before, metrics::GlobalSnapshot());
+  EXPECT_EQ(delta.counter("checkpoint.resumes"), 1);
 }
 
 // ---- Final-artifact persistence ---------------------------------------------
@@ -626,6 +675,7 @@ TEST(ArtifactTest, SgnsModelAndMatrixRoundTrip) {
   model.output = Matrix::Random(5, 3, 1.0, /*seed=*/3);
   const std::string path = dir + "/model.x2v";
   ASSERT_TRUE(embed::SaveSgnsModel(DefaultFs(), path, model).ok());
+  EXPECT_EQ(FileDigest(path), 18414297877333131973ull);  // Kind 5 layout.
   const StatusOr<embed::SgnsModel> loaded =
       embed::LoadSgnsModel(DefaultFs(), path);
   ASSERT_TRUE(loaded.ok());
@@ -635,6 +685,7 @@ TEST(ArtifactTest, SgnsModelAndMatrixRoundTrip) {
   const Matrix embedding = Matrix::Random(7, 2, 1.0, /*seed=*/4);
   const std::string mpath = dir + "/embedding.x2v";
   ASSERT_TRUE(embed::SaveEmbeddingMatrix(DefaultFs(), mpath, embedding).ok());
+  EXPECT_EQ(FileDigest(mpath), 14528364926796489744ull);  // Kind 6 layout.
   const StatusOr<Matrix> mloaded = embed::LoadEmbeddingMatrix(DefaultFs(), mpath);
   ASSERT_TRUE(mloaded.ok());
   EXPECT_EQ(Digest(*mloaded), Digest(embedding));
@@ -649,6 +700,7 @@ TEST(ArtifactTest, KnowledgeGraphModelsRoundTrip) {
   transe.relations = Matrix::Random(2, 4, 1.0, /*seed=*/6);
   const std::string tpath = dir + "/transe.x2v";
   ASSERT_TRUE(kg::SaveTransEModel(DefaultFs(), tpath, transe).ok());
+  EXPECT_EQ(FileDigest(tpath), 17618565794956811808ull);  // Kind 7 layout.
   const StatusOr<kg::TransEModel> tloaded =
       kg::LoadTransEModel(DefaultFs(), tpath);
   ASSERT_TRUE(tloaded.ok());
@@ -661,6 +713,7 @@ TEST(ArtifactTest, KnowledgeGraphModelsRoundTrip) {
   rescal.relations.push_back(Matrix::Random(3, 3, 1.0, /*seed=*/9));
   const std::string rpath = dir + "/rescal.x2v";
   ASSERT_TRUE(kg::SaveRescalModel(DefaultFs(), rpath, rescal).ok());
+  EXPECT_EQ(FileDigest(rpath), 8024725119508341775ull);  // Kind 8 layout.
   const StatusOr<kg::RescalModel> rloaded =
       kg::LoadRescalModel(DefaultFs(), rpath);
   ASSERT_TRUE(rloaded.ok());
@@ -680,6 +733,24 @@ TEST(ArtifactTest, BitFlippedArtifactReadIsCorruptedData) {
   plan.bit_flip_read_at = 0;
   FaultInjectingFs fs(plan);
   const StatusOr<Matrix> loaded = embed::LoadEmbeddingMatrix(fs, path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptedData);
+}
+
+TEST(ArtifactTest, MatrixHeaderBeyondIntMaxIsCorruptedData) {
+  // Valid checksums around a 2^31 x 0 matrix header: the loader must
+  // return a status, not build a Matrix with a negative row count.
+  const std::string dir = ScratchDir("artifact_int_max");
+  ASSERT_TRUE(DefaultFs().CreateDirs(dir).ok());
+  embed::PayloadWriter header;
+  header.PutU32(1u << 31);
+  header.PutU32(0);
+  const std::string path = dir + "/embedding.x2v";
+  ASSERT_TRUE(embed::SaveArtifact(DefaultFs(), path,
+                                  CheckpointKind::kMatrixArtifact, "matrix",
+                                  header.Take())
+                  .ok());
+  const StatusOr<Matrix> loaded = embed::LoadEmbeddingMatrix(DefaultFs(), path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptedData);
 }

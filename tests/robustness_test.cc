@@ -23,9 +23,11 @@
 #include <gtest/gtest.h>
 
 #include "base/budget.h"
+#include "base/metrics.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "corpus_training.h"
+#include "embed/checkpoint.h"
 #include "embed/corpus.h"
 #include "embed/graph2vec.h"
 #include "embed/node_embeddings.h"
@@ -71,6 +73,16 @@ class FaultInjectingRng : public Rng {
 
 // ---------------------------------------------------------------------------
 // Shared fixtures.
+
+// FNV-1a over the raw bytes of each matrix in turn: for one matrix, the
+// golden-digest scheme of tests/kernels_test.cc.
+uint64_t Digest(const std::vector<const linalg::Matrix*>& matrices) {
+  embed::Fnv1a hasher;
+  for (const linalg::Matrix* m : matrices) {
+    hasher.Update(m->data().data(), m->data().size() * sizeof(double));
+  }
+  return hasher.digest();
+}
 
 embed::Corpus SmallCorpus() {
   return embed::Corpus::FromSentences({
@@ -397,13 +409,15 @@ TEST(BudgetEquivalenceTest, TransEBitIdenticalUnderGenerousBudget) {
   options.dimension = 8;
   options.epochs = 20;
   Rng plain_rng = MakeRng(12);
-  const kg::TransEModel plain = kg::TrainTransE(kg, options, plain_rng);
+  Budget unlimited;
+  const auto plain = kg::TrainTransEBudgeted(kg, options, plain_rng, unlimited);
+  ASSERT_TRUE(plain.ok());
   Rng budgeted_rng = MakeRng(12);
   Budget budget = Budget::WorkUnits(1'000'000'000);
   const auto budgeted = kg::TrainTransEBudgeted(kg, options, budgeted_rng, budget);
   ASSERT_TRUE(budgeted.ok());
-  EXPECT_EQ(budgeted->entities, plain.entities);
-  EXPECT_EQ(budgeted->relations, plain.relations);
+  EXPECT_EQ(budgeted->entities, plain->entities);
+  EXPECT_EQ(budgeted->relations, plain->relations);
 }
 
 TEST(BudgetEquivalenceTest, RescalBitIdenticalUnderGenerousBudget) {
@@ -412,33 +426,42 @@ TEST(BudgetEquivalenceTest, RescalBitIdenticalUnderGenerousBudget) {
   options.dimension = 4;
   options.epochs = 30;
   Rng plain_rng = MakeRng(13);
-  const kg::RescalModel plain = kg::TrainRescal(kg, options, plain_rng);
+  Budget unlimited;
+  const auto plain = kg::TrainRescalBudgeted(kg, options, plain_rng, unlimited);
+  ASSERT_TRUE(plain.ok());
   Rng budgeted_rng = MakeRng(13);
   Budget budget = Budget::WorkUnits(1'000'000'000);
   const auto budgeted = kg::TrainRescalBudgeted(kg, options, budgeted_rng, budget);
   ASSERT_TRUE(budgeted.ok());
-  EXPECT_EQ(budgeted->entities, plain.entities);
-  ASSERT_EQ(budgeted->relations.size(), plain.relations.size());
-  for (size_t r = 0; r < plain.relations.size(); ++r) {
-    EXPECT_EQ(budgeted->relations[r], plain.relations[r]);
+  EXPECT_EQ(budgeted->entities, plain->entities);
+  ASSERT_EQ(budgeted->relations.size(), plain->relations.size());
+  for (size_t r = 0; r < plain->relations.size(); ++r) {
+    EXPECT_EQ(budgeted->relations[r], plain->relations[r]);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Self-healing: poisoned options force deterministic divergence. With
 // aggressive learning-rate back-off recovery must heal the run; with
-// back-off disabled the trainer must give up with kInternal.
+// back-off disabled the trainer must give up with kInternal. The healed
+// models are pinned, so the order of backoff, reseed and retry is too, and
+// each run heals in exactly one retry, counted by the shared epoch loop.
 
 TEST(RecoveryTest, SgnsHealsForcedDivergence) {
   embed::SgnsOptions options = PoisonedSgnsOptions();
   options.recovery.lr_backoff = 1e-14;  // One retry lands at a sane rate.
   Rng rng = MakeRng(21);
+  const metrics::Snapshot before = metrics::GlobalSnapshot();
   Budget unlimited;
   const auto model = TrainSgnsOnCorpus(SmallCorpus(), options, rng, unlimited);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(metrics::Delta(before, metrics::GlobalSnapshot())
+                .counter("train.recovery_retries"),
+            1);
   EXPECT_TRUE(model->input.AllFinite());
   EXPECT_TRUE(model->output.AllFinite());
   EXPECT_LE(model->input.MaxAbs(), options.recovery.max_abs);
+  EXPECT_EQ(Digest({&model->input, &model->output}), 3407966811909118685ull);
 }
 
 TEST(RecoveryTest, SgnsGivesUpAfterMaxRetries) {
@@ -461,11 +484,16 @@ TEST(RecoveryTest, PvDbowHealsForcedDivergence) {
   const std::vector<std::vector<int>> documents = {
       {0, 1, 2, 0}, {1, 2, 3}, {3, 0, 2, 1}};
   Rng rng = MakeRng(23);
+  const metrics::Snapshot before = metrics::GlobalSnapshot();
   Budget unlimited;
   const auto model = TrainPvDbowOnDocuments(documents, 4, options, rng, unlimited);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(metrics::Delta(before, metrics::GlobalSnapshot())
+                .counter("train.recovery_retries"),
+            1);
   EXPECT_TRUE(model->input.AllFinite());
   EXPECT_TRUE(model->output.AllFinite());
+  EXPECT_EQ(Digest({&model->input, &model->output}), 1949955593915328938ull);
 }
 
 TEST(RecoveryTest, PvDbowGivesUpAfterMaxRetries) {
@@ -485,9 +513,13 @@ TEST(RecoveryTest, TransEHealsForcedDivergence) {
   kg::TransEOptions options = PoisonedTransEOptions();
   options.recovery.lr_backoff = 1e-12;
   Rng rng = MakeRng(25);
+  const metrics::Snapshot before = metrics::GlobalSnapshot();
   Budget unlimited;
   const auto model = kg::TrainTransEBudgeted(SmallKg(), options, rng, unlimited);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(metrics::Delta(before, metrics::GlobalSnapshot())
+                .counter("train.recovery_retries"),
+            1);
   EXPECT_TRUE(model->entities.AllFinite());
   EXPECT_TRUE(model->relations.AllFinite());
   // Entities are renormalised on exit, so they must be on the unit sphere.
@@ -498,6 +530,7 @@ TEST(RecoveryTest, TransEHealsForcedDivergence) {
     }
     EXPECT_NEAR(std::sqrt(norm), 1.0, 1e-9);
   }
+  EXPECT_EQ(Digest({&model->entities, &model->relations}), 10098389350943963532ull);
 }
 
 TEST(RecoveryTest, TransEGivesUpAfterMaxRetries) {
@@ -517,13 +550,20 @@ TEST(RecoveryTest, RescalHealsForcedDivergence) {
   kg::RescalOptions options = PoisonedRescalOptions();
   options.recovery.lr_backoff = 1e-9;
   Rng rng = MakeRng(27);
+  const metrics::Snapshot before = metrics::GlobalSnapshot();
   Budget unlimited;
   const auto model = kg::TrainRescalBudgeted(SmallKg(), options, rng, unlimited);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(metrics::Delta(before, metrics::GlobalSnapshot())
+                .counter("train.recovery_retries"),
+            1);
+  std::vector<const linalg::Matrix*> params = {&model->entities};
   EXPECT_TRUE(model->entities.AllFinite());
   for (const linalg::Matrix& relation : model->relations) {
     EXPECT_TRUE(relation.AllFinite());
+    params.push_back(&relation);
   }
+  EXPECT_EQ(Digest(params), 8753732170233246899ull);
 }
 
 TEST(RecoveryTest, RescalGivesUpAfterMaxRetries) {
