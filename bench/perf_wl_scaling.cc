@@ -2,12 +2,18 @@
 // the asynchronous partition-refinement implementation and the per-round
 // hash implementation on sparse random graphs of increasing size; the
 // reported time per (n + m) should grow only logarithmically for the fast
-// variant.
+// variant. The dataset case refines graph2vec_wl's 400 graphs jointly
+// (t = 3) and builds their WL subtree Gram matrix, at 1 and 4 threads.
+
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "base/parallel.h"
 #include "base/rng.h"
+#include "bench_meta.h"
 #include "graph/generators.h"
+#include "kernel/wl_kernel.h"
 #include "wl/color_refinement.h"
 
 namespace {
@@ -58,6 +64,52 @@ BENCHMARK(BM_JointRefinementPair)
     ->Range(256, 4096)
     ->Unit(benchmark::kMillisecond);
 
+// graph2vec_wl's shape: 400 G(30, p) graphs, p alternating 0.10 and 0.25.
+std::vector<Graph> Graph2VecDataset() {
+  x2vec::Rng rng = x2vec::MakeRng(62);
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 400; ++i) {
+    graphs.push_back(
+        x2vec::graph::ErdosRenyiGnp(30, i % 2 == 0 ? 0.10 : 0.25, rng));
+  }
+  return graphs;
+}
+
+void BM_RefineDataset(benchmark::State& state) {
+  const std::vector<Graph> graphs = Graph2VecDataset();
+  x2vec::wl::RefinementOptions options;
+  options.max_rounds = 3;
+  x2vec::SetThreadCount(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x2vec::wl::RefineDataset(graphs, options));
+  }
+  x2vec::SetThreadCount(0);
+}
+BENCHMARK(BM_RefineDataset)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+void BM_WlSubtreeKernelMatrix(benchmark::State& state) {
+  const std::vector<Graph> graphs = Graph2VecDataset();
+  x2vec::SetThreadCount(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x2vec::kernel::WlSubtreeKernelMatrix(graphs, 3));
+  }
+  x2vec::SetThreadCount(0);
+}
+BENCHMARK(BM_WlSubtreeKernelMatrix)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN() plus the bench_meta entries in the benchmark context.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  for (const auto& [key, value] : x2vec::bench::MetaEntries()) {
+    benchmark::AddCustomContext(key, value);
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

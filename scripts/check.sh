@@ -8,31 +8,35 @@
 #      on its own so a regression there is called out by name)
 #   5. ctest -L kernels (span-kernel unit tests + bit-identity goldens,
 #      re-run on its own so a numeric drift is called out by name)
-#   6. ctest -L parity (backend-parity suite: the vectorized kernel
+#   6. ctest -L wl (Weisfeiler-Leman suite: the dataset refinement pass
+#      against the map-based union reference, plus the WL kernels and
+#      their pinned Gram digests, re-run on its own so a colour-id drift
+#      is called out by name)
+#   7. ctest -L parity (backend-parity suite: the vectorized kernel
 #      backend vs the generic golden reference, re-run on its own so a
 #      tolerance breach is called out by name)
-#   7. ctest -L persist (durable I/O + checkpoint/resume crash-safety
+#   8. ctest -L persist (durable I/O + checkpoint/resume crash-safety
 #      suite, re-run on its own so a persistence regression is called out
 #      by name)
-#   8. ctest -L serve (embedding-serving suite: index backends, query
+#   9. ctest -L serve (embedding-serving suite: index backends, query
 #      engine, admission control, batch-replay determinism) followed by a
 #      tab_serving smoke replay, which must report every batch
 #      bit-identical and write run_report.json
-#   9. ctest -L stream (out-of-core CSR backend + streaming walk-corpus
+#  10. ctest -L stream (out-of-core CSR backend + streaming walk-corpus
 #      pipeline suite, re-run on its own so a streaming regression is
 #      called out by name) followed by a perf_stream --smoke run, which
 #      must stream a DeepWalk training pass over a generated 10M-edge CSR
 #      graph without materialising the walk corpus
-#  10. python3 perfbench/smoke_test.py (plain gate only): builds the
+#  11. python3 perfbench/smoke_test.py (plain gate only): builds the
 #      benchmark from src/ in its own non-sanitized .bench_build/ and runs
 #      every workload at toy size, so a src/ change that breaks the
 #      benchmark's build or its correctness checks fails here
-#  11. x2vec_lint over src/ tests/ bench/ tools/ examples/ — per-file
+#  12. x2vec_lint over src/ tests/ bench/ tools/ examples/ — per-file
 #      rules plus the whole-program passes (include cycles, layering
 #      against tools/lint/layers.txt, metric registry); also exports the
 #      module dependency DAG to $BUILD_DIR/deps.json and fails if the
 #      checked-in docs/metrics.md is stale
-#  12. clang-tidy over src/ — skipped with a notice when not installed
+#  13. clang-tidy over src/ — skipped with a notice when not installed
 #
 # Usage:
 #   scripts/check.sh [--sanitize=asan|tsan|ubsan] [--build-dir=DIR] [-j N]
@@ -97,6 +101,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L metrics
 
 step "ctest -L kernels (span kernels + bit-identity goldens)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L kernels
+
+step "ctest -L wl (dataset refinement vs union reference + WL kernels)"
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L wl
 
 step "ctest -L parity (kernel backends vs generic golden reference)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L parity

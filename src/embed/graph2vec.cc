@@ -1,6 +1,6 @@
 #include "embed/graph2vec.h"
 
-#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "wl/color_refinement.h"
@@ -13,21 +13,15 @@ struct WlDocuments {
   int vocab_size = 0;
 };
 
-// Jointly refines the dataset and turns each graph into its bag of
-// (round, colour) words — the shared front half of every graph2vec path.
+// Jointly refines the dataset (shared colour ids) and turns each graph
+// into its bag of (round, colour) words — the shared front half of every
+// graph2vec path.
 WlDocuments BuildWlDocuments(const std::vector<graph::Graph>& graphs,
                              int wl_rounds) {
-  // Joint refinement for shared colour ids.
-  graph::Graph joint = graphs[0];
-  std::vector<int> offsets = {0};
-  for (size_t i = 1; i < graphs.size(); ++i) {
-    offsets.push_back(joint.NumVertices());
-    joint = graph::DisjointUnion(joint, graphs[i]);
-  }
   wl::RefinementOptions wl_options;
   wl_options.max_rounds = wl_rounds;
   const wl::RefinementResult refinement =
-      wl::ColorRefinement(joint, wl_options);
+      wl::RefineDataset(graphs, wl_options);
 
   // Word id = (round, colour) flattened with a per-round offset.
   const int rounds = static_cast<int>(refinement.round_colors.size());
@@ -39,13 +33,17 @@ WlDocuments BuildWlDocuments(const std::vector<graph::Graph>& graphs,
   }
 
   out.documents.resize(graphs.size());
+  int first = 0;  // Graph g's vertices follow those of graphs 0..g-1.
   for (size_t g = 0; g < graphs.size(); ++g) {
-    for (int v = 0; v < graphs[g].NumVertices(); ++v) {
+    const int n = graphs[g].NumVertices();
+    out.documents[g].reserve(static_cast<size_t>(n) * rounds);
+    for (int v = first; v < first + n; ++v) {
       for (int r = 0; r < rounds; ++r) {
-        out.documents[g].push_back(
-            round_offset[r] + refinement.round_colors[r][offsets[g] + v]);
+        out.documents[g].push_back(round_offset[r] +
+                                   refinement.round_colors[r][v]);
       }
     }
+    first += n;
   }
   return out;
 }
@@ -59,6 +57,13 @@ StatusOr<linalg::Matrix> Graph2Vec(const std::vector<graph::Graph>& graphs,
   if (graphs.empty()) {
     return Status::InvalidArgument(
         "graph2vec needs at least one input graph");
+  }
+  for (size_t g = 1; g < graphs.size(); ++g) {
+    if (graphs[g].directed() != graphs[0].directed()) {
+      return Status::InvalidArgument(
+          "graph2vec needs graphs of one directedness; graph " +
+          std::to_string(g) + " differs from graph 0");
+    }
   }
   if (budget.Exhausted()) {
     return budget.ExhaustedError("graph2vec embedding");

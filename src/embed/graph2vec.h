@@ -24,7 +24,8 @@ struct Graph2VecOptions {
 };
 
 /// Transductive whole-graph embedding: one row per input graph. Graphs are
-/// refined jointly so colour-words are shared across the dataset; the
+/// refined jointly (wl::RefineDataset: the same colour ids as on their
+/// disjoint union) so colour-words are shared across the dataset; the
 /// embedding exists only for graphs present at training time (the
 /// "transductive" caveat Section 2.5 raises). Both variants build the same
 /// WL documents and feed them to PV-DBOW through a CorpusSource: the
@@ -32,9 +33,9 @@ struct Graph2VecOptions {
 /// from `rng`), the Parallel one with the sharded trainer
 /// (TrainPvDbowShardedStreaming), bit-identical at any thread count for a
 /// fixed seed. Budget semantics are the trainer's (one work unit per
-/// positive document-word pair). kInvalidArgument for an empty dataset or
-/// bad options; otherwise kResourceExhausted / kInternal as the trainer
-/// returns them.
+/// positive document-word pair). kInvalidArgument for an empty dataset, a
+/// dataset mixing directed and undirected graphs, or bad options;
+/// otherwise kResourceExhausted / kInternal as the trainer returns them.
 [[nodiscard]] StatusOr<linalg::Matrix> Graph2VecEmbeddingBudgeted(
     const std::vector<graph::Graph>& graphs, const Graph2VecOptions& options,
     Rng& rng, Budget& budget);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "base/metrics.h"
 #include "base/parallel.h"
@@ -14,45 +15,34 @@ namespace {
 
 using graph::Graph;
 
-// Joint refinement over a whole dataset: colours are computed on the
-// disjoint union so ids line up across graphs. Returns per-round colours
-// restricted to each graph plus the per-round colour counts.
+// The dataset's joint colouring (wl::RefineDataset): graph g's colours in
+// round r are refinement.round_colors[r][first[g], first[g + 1]).
 struct JointColors {
-  // colors[g][round][v].
-  std::vector<std::vector<std::vector<int>>> colors;
-  std::vector<int> colors_per_round;
+  wl::RefinementResult refinement;
+  std::vector<int> first = {0};
+
+  std::span<const int> Colors(size_t g, size_t round) const {
+    return std::span<const int>(refinement.round_colors[round])
+        .subspan(first[g], first[g + 1] - first[g]);
+  }
+  // Colour ids of every round lie below this stride.
+  int64_t ColorStride() const {
+    int64_t stride = 1;
+    for (int count : refinement.colors_per_round) {
+      stride = std::max<int64_t>(stride, count + 1);
+    }
+    return stride;
+  }
 };
 
-JointColors RefineDataset(const std::vector<Graph>& graphs, int rounds) {
-  X2VEC_CHECK(!graphs.empty());
-  Graph joint = graphs[0];
-  std::vector<int> offsets = {0};
-  for (size_t i = 1; i < graphs.size(); ++i) {
-    offsets.push_back(joint.NumVertices());
-    joint = graph::DisjointUnion(joint, graphs[i]);
-  }
+JointColors RefineJointly(const std::vector<Graph>& graphs, int rounds) {
   wl::RefinementOptions options;
   options.max_rounds = rounds;
-  const wl::RefinementResult refinement = wl::ColorRefinement(joint, options);
-
   JointColors out;
-  out.colors_per_round = refinement.colors_per_round;
-  out.colors.resize(graphs.size());
-  // Restricting the joint colouring to each graph is independent per graph.
-  const Status status = ParallelFor(
-      static_cast<int64_t>(graphs.size()), 0, [&](int64_t lo, int64_t hi) {
-        for (int64_t g = lo; g < hi; ++g) {
-          out.colors[g].resize(refinement.round_colors.size());
-          for (size_t r = 0; r < refinement.round_colors.size(); ++r) {
-            const std::vector<int>& round = refinement.round_colors[r];
-            out.colors[g][r].assign(
-                round.begin() + offsets[g],
-                round.begin() + offsets[g] + graphs[g].NumVertices());
-          }
-        }
-        return Status::Ok();
-      });
-  X2VEC_CHECK(status.ok()) << status.ToString();
+  out.refinement = wl::RefineDataset(graphs, options);
+  for (const Graph& g : graphs) {
+    out.first.push_back(out.first.back() + g.NumVertices());
+  }
   return out;
 }
 
@@ -106,22 +96,21 @@ double SparseVector::Dot(const SparseVector& other) const {
 
 WlFeatureSet WlSubtreeFeatures(const std::vector<Graph>& graphs, int rounds) {
   X2VEC_CHECK_GE(rounds, 0);
-  const JointColors joint = RefineDataset(graphs, rounds);
   WlFeatureSet out;
   out.rounds = rounds;
-  // Feature id = round * kRoundStride + colour; colour counts never exceed
+  if (graphs.empty()) return out;
+  const JointColors joint = RefineJointly(graphs, rounds);
+  // Feature id = round * stride + colour; colour counts never exceed
   // total vertices so a fixed stride is safe.
-  int64_t stride = 1;
-  for (int count : joint.colors_per_round) {
-    stride = std::max<int64_t>(stride, count + 1);
-  }
-  const int usable_rounds = static_cast<int>(joint.colors_per_round.size());
+  const int64_t stride = joint.ColorStride();
+  const int usable_rounds =
+      static_cast<int>(joint.refinement.colors_per_round.size());
   // Per-graph colour histograms are independent across the dataset.
   out.features =
       ParallelMap(static_cast<int64_t>(graphs.size()), [&](int64_t g) {
         std::map<int64_t, double> counts;
         for (int r = 0; r < std::min(rounds + 1, usable_rounds); ++r) {
-          for (int color : joint.colors[g][r]) {
+          for (int color : joint.Colors(g, r)) {
             counts[static_cast<int64_t>(r) * stride + color] += 1.0;
           }
         }
@@ -138,12 +127,10 @@ linalg::Matrix WlSubtreeKernelMatrix(const std::vector<Graph>& graphs,
 
 linalg::Matrix DiscountedWlKernelMatrix(const std::vector<Graph>& graphs,
                                         int max_rounds) {
-  const JointColors joint = RefineDataset(graphs, max_rounds);
-  const int usable_rounds = static_cast<int>(joint.colors_per_round.size());
-  int64_t stride = 1;
-  for (int count : joint.colors_per_round) {
-    stride = std::max<int64_t>(stride, count + 1);
-  }
+  const JointColors joint = RefineJointly(graphs, max_rounds);
+  const int usable_rounds =
+      static_cast<int>(joint.refinement.colors_per_round.size());
+  const int64_t stride = joint.ColorStride();
   // Per-round sqrt(2^-r) weights (split across the two Gram factors),
   // precomputed once so every graph applies identical values.
   const int counted_rounds = std::min(max_rounds + 1, usable_rounds);
@@ -157,7 +144,7 @@ linalg::Matrix DiscountedWlKernelMatrix(const std::vector<Graph>& graphs,
       ParallelMap(static_cast<int64_t>(graphs.size()), [&](int64_t g) {
         std::map<int64_t, double> counts;
         for (int r = 0; r < counted_rounds; ++r) {
-          for (int color : joint.colors[g][r]) {
+          for (int color : joint.Colors(g, r)) {
             counts[static_cast<int64_t>(r) * stride + color] +=
                 round_weight[r];
           }
@@ -169,12 +156,9 @@ linalg::Matrix DiscountedWlKernelMatrix(const std::vector<Graph>& graphs,
 
 linalg::Matrix WlShortestPathKernelMatrix(const std::vector<Graph>& graphs,
                                           int rounds) {
-  const JointColors joint = RefineDataset(graphs, rounds);
-  const int last = static_cast<int>(joint.colors[0].size()) - 1;
-  int64_t colors = 1;
-  for (int count : joint.colors_per_round) {
-    colors = std::max<int64_t>(colors, count + 1);
-  }
+  const JointColors joint = RefineJointly(graphs, rounds);
+  const size_t last = joint.refinement.round_colors.size() - 1;
+  const int64_t colors = joint.ColorStride();
   // Distance stride shared across the dataset so feature ids align.
   int64_t dist_stride = 2;
   for (const Graph& g : graphs) {
@@ -185,7 +169,7 @@ linalg::Matrix WlShortestPathKernelMatrix(const std::vector<Graph>& graphs,
       ParallelMap(static_cast<int64_t>(graphs.size()), [&](int64_t g) {
         const std::vector<std::vector<int>> dist =
             graph::AllPairsShortestPaths(graphs[g]);
-        const std::vector<int>& color = joint.colors[g][last];
+        const std::span<const int> color = joint.Colors(g, last);
         std::map<int64_t, double> counts;
         const int n = graphs[g].NumVertices();
         for (int u = 0; u < n; ++u) {

@@ -19,9 +19,12 @@ struct SparseVector {
 };
 
 /// Explicit Weisfeiler-Leman subtree features of a *dataset* of graphs
-/// (Section 3.5): all graphs are refined jointly so colour ids are shared,
-/// and graph G's feature vector stacks the counts wl(c, G) for every colour
-/// c of every round 0..t. Feature ids encode (round, colour).
+/// (Section 3.5): all graphs are refined jointly (wl::RefineDataset: the
+/// same colour ids as on their disjoint union, which is never built), and
+/// graph G's feature vector stacks the counts wl(c, G) for every colour c
+/// of every round 0..t. Feature ids encode (round, colour). The graphs
+/// must share directedness. An empty dataset gives no features and
+/// dimension 0, and the Gram matrices below are then 0x0.
 struct WlFeatureSet {
   std::vector<SparseVector> features;  ///< One per input graph.
   int rounds = 0;

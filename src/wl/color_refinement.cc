@@ -1,12 +1,15 @@
 #include "wl/color_refinement.h"
 
 #include <algorithm>
+#include <compare>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <numeric>
 #include <utility>
 
 #include "base/metrics.h"
+#include "base/parallel.h"
 #include "base/trace.h"
 
 namespace x2vec::wl {
@@ -15,83 +18,127 @@ namespace {
 using graph::Graph;
 using graph::Neighbor;
 
-// Per-vertex refinement signature: old colour plus the sorted multisets of
-// (edge label, neighbour colour) pairs, split by direction for digraphs.
-struct Signature {
-  int old_color = 0;
-  std::vector<std::pair<int, int>> out_neighbors;
-  std::vector<std::pair<int, int>> in_neighbors;
-
-  auto operator<=>(const Signature&) const = default;
-};
-
-// Canonical initial colouring: ids in increasing order of vertex label.
-std::vector<int> InitialColors(const Graph& g,
-                               const RefinementOptions& options) {
-  std::vector<int> colors(g.NumVertices(), 0);
-  if (!options.use_vertex_labels) return colors;
-  std::map<int, int> label_to_color;
-  for (int v = 0; v < g.NumVertices(); ++v) {
-    label_to_color.emplace(g.VertexLabel(v), 0);
-  }
-  int next = 0;
-  for (auto& [label, color] : label_to_color) color = next++;
-  for (int v = 0; v < g.NumVertices(); ++v) {
-    colors[v] = label_to_color.at(g.VertexLabel(v));
-  }
-  return colors;
-}
+// Datasets with fewer adjacency entries than this build their signatures
+// on the calling thread: a pool dispatch costs more than such a round.
+constexpr int64_t kInlineAdjacency = int64_t{1} << 12;
 
 int CountColors(const std::vector<int>& colors) {
   return colors.empty() ? 0 : *std::max_element(colors.begin(), colors.end()) + 1;
 }
 
-}  // namespace
+// Canonical initial colouring: ids in increasing order of vertex label,
+// over the labels of the whole dataset.
+std::vector<int> InitialColors(std::span<const Graph* const> graphs, int n,
+                               const RefinementOptions& options) {
+  std::vector<int> colors(n, 0);
+  if (!options.use_vertex_labels) return colors;
+  std::map<int, int> label_to_color;
+  for (const Graph* g : graphs) {
+    for (int label : g->VertexLabels()) label_to_color.emplace(label, 0);
+  }
+  int next = 0;
+  for (auto& [label, color] : label_to_color) color = next++;
+  int x = 0;
+  for (const Graph* g : graphs) {
+    for (int label : g->VertexLabels()) colors[x++] = label_to_color.at(label);
+  }
+  return colors;
+}
 
-RefinementResult ColorRefinement(const Graph& g,
-                                 const RefinementOptions& options) {
+// The one refinement pass behind ColorRefinement, RefineDataset and
+// RefineTogether. Dataset vertex x (graph i's vertices follow those of
+// graphs 0..i-1) has the signature (old colour, sorted out-pairs, sorted
+// in-pairs), the in-pairs for digraphs only, compared member by member and
+// each pair list lexicographically with a proper prefix first. Its pairs
+// live in pairs[begin[x], begin[x + 1]), the out-pairs ending at
+// split[x]. Each round rebuilds every signature, in parallel over
+// graphs, then ranks all of them with one sort: the new ids are dense
+// ranks in signature order, exactly the ids of the same round on the
+// disjoint union.
+RefinementResult RefineGraphs(std::span<const Graph* const> graphs,
+                              const RefinementOptions& options) {
   trace::Span span("wl.color_refinement");
-  const int n = g.NumVertices();
-  RefinementResult result;
-  result.round_colors.push_back(InitialColors(g, options));
-  result.colors_per_round.push_back(CountColors(result.round_colors[0]));
+  const bool directed = !graphs.empty() && graphs.front()->directed();
+  std::vector<int> first_vertex = {0};
+  for (const Graph* g : graphs) {
+    X2VEC_CHECK_EQ(g->directed(), directed)
+        << "jointly refined graphs must share directedness";
+    first_vertex.push_back(first_vertex.back() + g->NumVertices());
+  }
+  const int n = first_vertex.back();
+  std::vector<int64_t> begin(n + 1, 0);
+  std::vector<int64_t> split(n);
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = *graphs[i];
+    for (int v = 0; v < g.NumVertices(); ++v) {
+      const int x = first_vertex[i] + v;
+      split[x] = begin[x] + g.Degree(v);
+      begin[x + 1] = split[x] + (directed ? g.InDegree(v) : 0);
+    }
+  }
+  std::vector<std::pair<int, int>> pairs(static_cast<size_t>(begin[n]));
+  const int64_t grain = static_cast<int64_t>(pairs.size()) < kInlineAdjacency
+                            ? static_cast<int64_t>(graphs.size())
+                            : 0;
 
+  const auto fill_pairs = [&](const std::vector<Neighbor>& neighbors,
+                              const int* color, std::pair<int, int>* first) {
+    std::pair<int, int>* out = first;
+    for (const Neighbor& nb : neighbors) {
+      *out++ = {options.use_edge_labels ? nb.label : 0, color[nb.to]};
+    }
+    std::sort(first, out);
+  };
+  const auto compare = [&](const std::vector<int>& colors, int a, int b) {
+    const std::pair<int, int>* p = pairs.data();
+    if (const auto c = colors[a] <=> colors[b]; c != 0) return c;
+    if (const auto c = std::lexicographical_compare_three_way(
+            p + begin[a], p + split[a], p + begin[b], p + split[b]);
+        c != 0) {
+      return c;
+    }
+    return std::lexicographical_compare_three_way(
+        p + split[a], p + begin[a + 1], p + split[b], p + begin[b + 1]);
+  };
+
+  RefinementResult result;
+  result.round_colors.push_back(InitialColors(graphs, n, options));
+  result.colors_per_round.push_back(CountColors(result.round_colors[0]));
+  std::vector<int> order(n);
   const int max_rounds = options.max_rounds < 0 ? n : options.max_rounds;
   for (int round = 0; round < max_rounds; ++round) {
     X2VEC_METRIC_COUNT("wl.refinement_rounds", 1);
     span.AddWork(n);
     const std::vector<int>& current = result.round_colors.back();
-    std::vector<Signature> signatures(n);
-    for (int v = 0; v < n; ++v) {
-      Signature& sig = signatures[v];
-      sig.old_color = current[v];
-      sig.out_neighbors.reserve(g.Neighbors(v).size());
-      for (const Neighbor& nb : g.Neighbors(v)) {
-        sig.out_neighbors.emplace_back(
-            options.use_edge_labels ? nb.label : 0, current[nb.to]);
-      }
-      std::sort(sig.out_neighbors.begin(), sig.out_neighbors.end());
-      if (g.directed()) {
-        sig.in_neighbors.reserve(g.InNeighbors(v).size());
-        for (const Neighbor& nb : g.InNeighbors(v)) {
-          sig.in_neighbors.emplace_back(
-              options.use_edge_labels ? nb.label : 0, current[nb.to]);
-        }
-        std::sort(sig.in_neighbors.begin(), sig.in_neighbors.end());
-      }
-    }
-    // Canonical new ids: lexicographic order of signatures.
-    std::map<Signature, int> signature_to_color;
-    for (const Signature& sig : signatures) {
-      signature_to_color.emplace(sig, 0);
-    }
-    int next = 0;
-    for (auto& [sig, color] : signature_to_color) color = next++;
+    const Status built = ParallelFor(
+        static_cast<int64_t>(graphs.size()), grain,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t i = lo; i < hi; ++i) {
+            const Graph& g = *graphs[i];
+            const int* color = current.data() + first_vertex[i];
+            for (int v = 0; v < g.NumVertices(); ++v) {
+              const int x = first_vertex[i] + v;
+              fill_pairs(g.Neighbors(v), color, pairs.data() + begin[x]);
+              if (directed) {
+                fill_pairs(g.InNeighbors(v), color, pairs.data() + split[x]);
+              }
+            }
+          }
+          return Status::Ok();
+        });
+    X2VEC_CHECK(built.ok()) << built.ToString();
+
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return compare(current, a, b) < 0;
+    });
     std::vector<int> refined(n);
-    for (int v = 0; v < n; ++v) {
-      refined[v] = signature_to_color.at(signatures[v]);
+    int new_count = 0;
+    for (int k = 0; k < n; ++k) {
+      if (k > 0 && compare(current, order[k - 1], order[k]) != 0) ++new_count;
+      refined[order[k]] = new_count;
     }
-    const int new_count = CountColors(refined);
+    if (n > 0) ++new_count;
     const bool stable = new_count == result.colors_per_round.back();
     result.round_colors.push_back(std::move(refined));
     result.colors_per_round.push_back(new_count);
@@ -105,12 +152,27 @@ RefinementResult ColorRefinement(const Graph& g,
   return result;
 }
 
+}  // namespace
+
+RefinementResult ColorRefinement(const Graph& g,
+                                 const RefinementOptions& options) {
+  const Graph* const one[] = {&g};
+  return RefineGraphs(one, options);
+}
+
+RefinementResult RefineDataset(std::span<const Graph> graphs,
+                               const RefinementOptions& options) {
+  std::vector<const Graph*> pointers;
+  pointers.reserve(graphs.size());
+  for (const Graph& g : graphs) pointers.push_back(&g);
+  return RefineGraphs(pointers, options);
+}
+
 JointRefinementResult RefineTogether(const Graph& g, const Graph& h,
                                      const RefinementOptions& options) {
-  X2VEC_CHECK_EQ(g.directed(), h.directed());
-  const Graph joint = graph::DisjointUnion(g, h);
+  const Graph* const both[] = {&g, &h};
   JointRefinementResult result;
-  result.combined = ColorRefinement(joint, options);
+  result.combined = RefineGraphs(both, options);
 
   const int ng = g.NumVertices();
   const int nh = h.NumVertices();

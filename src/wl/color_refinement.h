@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -38,15 +39,31 @@ struct RefinementResult {
   int NumStableColors() const { return colors_per_round.back(); }
 };
 
-/// Runs 1-WL on a single graph. Handles undirected and directed graphs
-/// (directed refinement uses separate in/out neighbourhood signatures).
+/// Runs 1-WL on a single graph: the one-graph case of RefineDataset.
+/// Handles undirected and directed graphs (directed refinement uses
+/// separate in/out neighbourhood signatures).
 RefinementResult ColorRefinement(const graph::Graph& g,
                                  const RefinementOptions& options = {});
 
-/// Result of running 1-WL jointly on two graphs (shared colour namespace,
-/// i.e., on their disjoint union).
+/// Runs 1-WL jointly on a dataset of graphs, giving the same ids, rounds
+/// and layout as ColorRefinement on their disjoint union without building
+/// it: graph i's vertices sit after those of graphs 0..i-1 in every round,
+/// round 0 ranks the distinct vertex labels of the whole dataset, each
+/// later round ranks all signatures of the dataset together, and the run
+/// stops once the dataset-wide colour count stops growing (max_rounds < 0
+/// allows as many rounds as the dataset has vertices). Signatures are
+/// built in parallel over graphs and ranked by one global sort, so the
+/// result is bit-identical at any thread count. All graphs must share
+/// directedness (CHECK). An empty dataset behaves like a 0-vertex graph.
+RefinementResult RefineDataset(std::span<const graph::Graph> graphs,
+                               const RefinementOptions& options = {});
+
+/// Result of running 1-WL jointly on two graphs in one colour namespace:
+/// the same ids as on their disjoint union.
 struct JointRefinementResult {
-  RefinementResult combined;  ///< Colours on the disjoint union of g and h.
+  /// Colours of g's vertices followed by h's, the same ids as on the
+  /// disjoint union of g and h.
+  RefinementResult combined;
   /// True if some round has different colour histograms on g and h — the
   /// "1-WL distinguishes G and H" relation.
   bool distinguishes = false;
@@ -57,7 +74,9 @@ struct JointRefinementResult {
   std::vector<int> colors_h;
 };
 
-/// Runs 1-WL on g and h together and compares colour histograms per round.
+/// Runs 1-WL on g and h together (the two-graph case of RefineDataset)
+/// and compares colour histograms per round. g and h must share
+/// directedness (CHECK).
 JointRefinementResult RefineTogether(const graph::Graph& g,
                                      const graph::Graph& h,
                                      const RefinementOptions& options = {});

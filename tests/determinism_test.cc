@@ -32,6 +32,7 @@
 #include "kernel/wl_kernel.h"
 #include "linalg/matrix.h"
 #include "ml/neighbors.h"
+#include "wl/color_refinement.h"
 
 namespace x2vec {
 namespace {
@@ -134,6 +135,28 @@ TEST(WlFeatureDeterminismTest, SubtreeFeatureVectors) {
         }
         return a.dimension == b.dimension;
       });
+}
+
+TEST(WlFeatureDeterminismTest, DatasetRefinementAtOneToEightThreads) {
+  // graph2vec_wl's shape at half size: enough adjacency entries that
+  // RefineDataset builds its signatures on the pool.
+  Rng rng = MakeRng(4242);
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 200; ++i) {
+    graphs.push_back(graph::ErdosRenyiGnp(30, i % 2 == 0 ? 0.10 : 0.25, rng));
+  }
+  wl::RefinementOptions options;
+  options.max_rounds = 3;
+  SetThreadCount(1);
+  const wl::RefinementResult reference = wl::RefineDataset(graphs, options);
+  for (int threads : {1, 2, 4, 8}) {
+    SetThreadCount(threads);
+    const wl::RefinementResult result = wl::RefineDataset(graphs, options);
+    EXPECT_EQ(result.round_colors, reference.round_colors) << threads;
+    EXPECT_EQ(result.colors_per_round, reference.colors_per_round) << threads;
+    EXPECT_EQ(result.stable_round, reference.stable_round) << threads;
+  }
+  SetThreadCount(0);
 }
 
 TEST(WalkDeterminismTest, ParallelCorpusBitIdentical) {

@@ -1,3 +1,5 @@
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -92,6 +94,65 @@ TEST(WlKernelTest, DiscountedKernelPsd) {
 TEST(WlKernelTest, ShortestPathVariantPsd) {
   const std::vector<Graph> graphs = TestDataset(6, 75);
   EXPECT_TRUE(IsPositiveSemidefinite(WlShortestPathKernelMatrix(graphs, 2)));
+}
+
+uint64_t Digest(const linalg::Matrix& m) {
+  // FNV-1a over the raw bytes of every entry, as in kernels_test.
+  uint64_t h = 1469598103934665603ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(m.data().data());
+  for (size_t i = 0; i < m.data().size() * sizeof(double); ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Vertex labels, edge labels (negative ones too), a 1-vertex graph and an
+// edgeless graph: every input a joint WL colouring has to line up across.
+std::vector<Graph> LabelledDataset() {
+  Rng rng = MakeRng(74);
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 5; ++i) {
+    const Graph shape = graph::ErdosRenyiGnp(5 + i, 0.45, rng);
+    Graph g(shape.NumVertices());
+    for (int v = 0; v < g.NumVertices(); ++v) {
+      g.SetVertexLabel(v, (v + i) % 3);
+    }
+    for (const graph::Edge& e : shape.Edges()) {
+      g.AddEdge(e.u, e.v, 1.0, (e.u + e.v) % 3 - 1);
+    }
+    graphs.push_back(std::move(g));
+  }
+  Graph single(1);
+  single.SetVertexLabel(0, 2);
+  graphs.push_back(std::move(single));
+  Graph edgeless(4);
+  edgeless.SetVertexLabel(1, 1);
+  graphs.push_back(std::move(edgeless));
+  graphs.push_back(Graph::Cycle(6));
+  return graphs;
+}
+
+TEST(WlKernelTest, LabelledDatasetGramsArePinned) {
+  // Captured before the dataset refinement stopped building the disjoint
+  // union; the joint colour ids, and so every entry, must not move.
+  const std::vector<Graph> graphs = LabelledDataset();
+  EXPECT_EQ(Digest(WlSubtreeKernelMatrix(graphs, 3)), 8060041855713182602ull);
+  EXPECT_EQ(Digest(DiscountedWlKernelMatrix(graphs, 3)), 4700007788846284159ull);
+  EXPECT_EQ(Digest(WlShortestPathKernelMatrix(graphs, 2)), 13634039831283152666ull);
+}
+
+TEST(WlKernelTest, EmptyDatasetGivesEmptyResults) {
+  const std::vector<Graph> none;
+  const WlFeatureSet features = WlSubtreeFeatures(none, 2);
+  EXPECT_TRUE(features.features.empty());
+  EXPECT_EQ(features.dimension, 0);
+  for (const linalg::Matrix& k :
+       {WlSubtreeKernelMatrix(none, 2), DiscountedWlKernelMatrix(none, 2),
+        WlShortestPathKernelMatrix(none, 2)}) {
+    EXPECT_EQ(k.rows(), 0);
+    EXPECT_EQ(k.cols(), 0);
+  }
 }
 
 TEST(ShortestPathKernelTest, HandComputed) {

@@ -234,6 +234,24 @@ TEST(KernelBitIdentityTest, Graph2VecSequentialAtOneAndManyThreads) {
   SetThreadCount(0);
 }
 
+TEST(KernelBitIdentityTest, Graph2VecParallelAtOneAndManyThreads) {
+  const std::vector<Graph> graphs = GoldenGraphs();
+  embed::Graph2VecOptions options;
+  options.wl_rounds = 2;
+  options.sgns.dimension = 8;
+  options.sgns.epochs = 3;
+  for (int threads : {1, 4}) {
+    SetThreadCount(threads);
+    Budget budget = Budget::WorkUnits(1'000'000'000);
+    const StatusOr<Matrix> embedding = embed::Graph2VecEmbeddingParallel(
+        graphs, options, /*seed=*/29, budget);
+    ASSERT_TRUE(embedding.ok());
+    EXPECT_EQ(Digest(*embedding), 8474447060080171401ull) << threads << " threads";
+    EXPECT_EQ(budget.work_spent(), 432) << threads << " threads";
+  }
+  SetThreadCount(0);
+}
+
 // ---- Knowledge-graph models -------------------------------------------------
 
 TEST(KernelBitIdentityTest, TransEModelAndScores) {

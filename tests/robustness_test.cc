@@ -632,6 +632,24 @@ TEST(OptionValidationTest, TrainersRejectDegenerateInputs) {
       {}, embed::Graph2VecOptions{}, rng, unlimited);
   ASSERT_FALSE(no_graphs.ok());
   EXPECT_EQ(no_graphs.status().code(), StatusCode::kInvalidArgument);
+
+  // A dataset mixing directed and undirected graphs has no joint WL
+  // colouring; both graph2vec schedules reject it before doing any work,
+  // so even a zero budget (which refuses all work) yields kInvalidArgument.
+  graph::Graph arrow(3, /*directed=*/true);
+  arrow.AddEdge(0, 1);
+  arrow.AddEdge(1, 2);
+  const std::vector<graph::Graph> mixed = {graph::Graph::Path(4), arrow};
+  Budget none = Budget::WorkUnits(0);
+  const auto mixed_sequential = embed::Graph2VecEmbeddingBudgeted(
+      mixed, embed::Graph2VecOptions{}, rng, none);
+  const auto mixed_sharded = embed::Graph2VecEmbeddingParallel(
+      mixed, embed::Graph2VecOptions{}, 32, none);
+  for (const auto* result : {&mixed_sequential, &mixed_sharded}) {
+    ASSERT_FALSE(result->ok());
+    EXPECT_EQ(result->status().code(), StatusCode::kInvalidArgument)
+        << result->status().ToString();
+  }
 }
 
 TEST(OptionValidationTest, WalkEmbeddersRejectBadWalkOptionsOnBothSchedules) {

@@ -1,6 +1,9 @@
+#include <algorithm>
+#include <compare>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -112,6 +115,162 @@ TEST(ColorRefinementTest, DirectedOrientationMatters) {
   b.AddEdge(0, 1);
   b.AddEdge(0, 2);
   EXPECT_FALSE(WlIndistinguishable(a, b));
+}
+
+// ---- RefineDataset against the union reference -----------------------------
+
+// The map-based refinement round that RefineDataset replaced, kept as an
+// independent reference and run on the chained DisjointUnion: ids are the
+// ranks of the per-vertex signatures in one std::map per round.
+struct ReferenceSignature {
+  int old_color = 0;
+  std::vector<std::pair<int, int>> out_neighbors;
+  std::vector<std::pair<int, int>> in_neighbors;
+
+  auto operator<=>(const ReferenceSignature&) const = default;
+};
+
+int ReferenceCount(const std::vector<int>& colors) {
+  return colors.empty() ? 0 : *std::max_element(colors.begin(), colors.end()) + 1;
+}
+
+RefinementResult ReferenceRefinement(const Graph& g,
+                                     const RefinementOptions& options) {
+  const int n = g.NumVertices();
+  std::vector<int> initial(n, 0);
+  if (options.use_vertex_labels) {
+    std::map<int, int> label_to_color;
+    for (int v = 0; v < n; ++v) label_to_color.emplace(g.VertexLabel(v), 0);
+    int next = 0;
+    for (auto& [label, color] : label_to_color) color = next++;
+    for (int v = 0; v < n; ++v) initial[v] = label_to_color.at(g.VertexLabel(v));
+  }
+  RefinementResult result;
+  result.round_colors.push_back(initial);
+  result.colors_per_round.push_back(ReferenceCount(initial));
+  const int max_rounds = options.max_rounds < 0 ? n : options.max_rounds;
+  for (int round = 0; round < max_rounds; ++round) {
+    const std::vector<int>& current = result.round_colors.back();
+    const auto pairs = [&](const std::vector<graph::Neighbor>& neighbors) {
+      std::vector<std::pair<int, int>> out;
+      for (const graph::Neighbor& nb : neighbors) {
+        out.emplace_back(options.use_edge_labels ? nb.label : 0, current[nb.to]);
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    std::vector<ReferenceSignature> signatures(n);
+    for (int v = 0; v < n; ++v) {
+      signatures[v].old_color = current[v];
+      signatures[v].out_neighbors = pairs(g.Neighbors(v));
+      if (g.directed()) signatures[v].in_neighbors = pairs(g.InNeighbors(v));
+    }
+    std::map<ReferenceSignature, int> signature_to_color;
+    for (const ReferenceSignature& sig : signatures) {
+      signature_to_color.emplace(sig, 0);
+    }
+    int next = 0;
+    for (auto& [sig, color] : signature_to_color) color = next++;
+    std::vector<int> refined(n);
+    for (int v = 0; v < n; ++v) refined[v] = signature_to_color.at(signatures[v]);
+    const int count = ReferenceCount(refined);
+    const bool stable = count == result.colors_per_round.back();
+    result.round_colors.push_back(std::move(refined));
+    result.colors_per_round.push_back(count);
+    if (stable) {
+      result.stable_round = round + 1;
+      return result;
+    }
+  }
+  result.stable_round = static_cast<int>(result.round_colors.size()) - 1;
+  return result;
+}
+
+Graph ChainedUnion(const std::vector<Graph>& graphs, bool directed) {
+  Graph joint(0, directed);
+  for (const Graph& g : graphs) joint = DisjointUnion(joint, g);
+  return joint;
+}
+
+// Graphs on 0..max_n vertices with labelled vertices and edges (negative
+// labels too); for small max_n, 0- and 1-vertex graphs come up often.
+Graph RandomLabelledGraph(Rng& rng, bool directed, int max_n) {
+  const int n = static_cast<int>(UniformInt(rng, 0, max_n));
+  Graph g(n, directed);
+  const bool labelled = Coin(rng, 0.5);
+  for (int v = 0; v < n; ++v) {
+    if (labelled) g.SetVertexLabel(v, static_cast<int>(UniformInt(rng, -2, 2)));
+  }
+  const double p = UniformReal(rng, 0.1, 0.6);
+  for (int u = 0; u < n; ++u) {
+    for (int v = directed ? 0 : u + 1; v < n; ++v) {
+      if (u == v || !Coin(rng, p)) continue;
+      g.AddEdge(u, v, 1.0, static_cast<int>(UniformInt(rng, -1, 2)));
+    }
+  }
+  return g;
+}
+
+void ExpectSameRefinement(const RefinementResult& actual,
+                          const RefinementResult& expected,
+                          const std::string& context) {
+  EXPECT_EQ(actual.round_colors, expected.round_colors) << context;
+  EXPECT_EQ(actual.colors_per_round, expected.colors_per_round) << context;
+  EXPECT_EQ(actual.stable_round, expected.stable_round) << context;
+}
+
+TEST(RefineDatasetTest, MatchesMapRefinementOnTheChainedUnion) {
+  Rng rng = MakeRng(4711);
+  for (int trial = 0; trial < 64; ++trial) {
+    const bool directed = trial % 2 == 1;
+    // The last trials are large enough to build signatures on the pool.
+    const bool large = trial >= 60;
+    std::vector<Graph> graphs(large ? 120 : UniformInt(rng, 1, 7));
+    for (Graph& g : graphs) {
+      g = RandomLabelledGraph(rng, directed, large ? 30 : 8);
+    }
+    const Graph joint = ChainedUnion(graphs, directed);
+    for (const int max_rounds : {-1, 0, 1, 3}) {
+      RefinementOptions options;
+      options.max_rounds = max_rounds;
+      options.use_vertex_labels = trial % 3 != 0;
+      options.use_edge_labels = trial % 5 != 0;
+      const RefinementResult expected = ReferenceRefinement(joint, options);
+      const std::string context = "trial " + std::to_string(trial) +
+                                  ", max_rounds " + std::to_string(max_rounds);
+      ExpectSameRefinement(RefineDataset(graphs, options), expected, context);
+      ExpectSameRefinement(ColorRefinement(joint, options), expected, context);
+      if (graphs.size() == 2) {
+        ExpectSameRefinement(
+            RefineTogether(graphs[0], graphs[1], options).combined, expected,
+            context);
+      }
+    }
+  }
+}
+
+TEST(RefineDatasetTest, DegenerateDatasetsMatchTheUnion) {
+  const std::vector<std::vector<Graph>> datasets = {
+      {}, {Graph(0)}, {Graph(0), Graph(0, false)}, {Graph(1)},
+      {Graph(0), Graph(1), Graph(0)}, {Graph(0, true), Graph(2, true)}};
+  for (size_t d = 0; d < datasets.size(); ++d) {
+    const bool directed = !datasets[d].empty() && datasets[d][0].directed();
+    for (const int max_rounds : {-1, 0, 1, 3}) {
+      RefinementOptions options;
+      options.max_rounds = max_rounds;
+      ExpectSameRefinement(
+          RefineDataset(datasets[d], options),
+          ReferenceRefinement(ChainedUnion(datasets[d], directed), options),
+          "dataset " + std::to_string(d) + ", max_rounds " +
+              std::to_string(max_rounds));
+    }
+  }
+}
+
+TEST(RefineDatasetTest, MixedDirectednessIsFatal) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<Graph> mixed = {Graph::Path(3), Graph(3, /*directed=*/true)};
+  EXPECT_DEATH(RefineDataset(mixed), "share directedness");
 }
 
 TEST(StableColoringFastTest, MatchesHashRefinementPartition) {
