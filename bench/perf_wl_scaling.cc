@@ -1,9 +1,12 @@
 // Section 3.1's complexity claim: 1-WL runs in O((n + m) log n). Benchmarks
-// the asynchronous partition-refinement implementation and the per-round
-// hash implementation on sparse random graphs of increasing size; the
-// reported time per (n + m) should grow only logarithmically for the fast
-// variant. The dataset case refines graph2vec_wl's 400 graphs jointly
-// (t = 3) and builds their WL subtree Gram matrix, at 1 and 4 threads.
+// the asynchronous partition-refinement implementation and the sort-ranked
+// round pass (ColorRefinement, the one-graph case of RefineDataset) on
+// sparse random graphs of increasing size; the reported time per (n + m)
+// should grow only logarithmically for the fast variant. The dataset case
+// refines graph2vec_wl's 400 graphs jointly (t = 3) and builds their WL
+// subtree Gram matrix, at 1 and 4 threads. The folklore k-WL cases run the
+// tuple pass: the 2-WL kernel on 100 G(20, p) graphs (t = 3) at 1 and 4
+// threads, and KwlCompare on the CFI pair over K4 at k = 3.
 
 #include <vector>
 
@@ -14,7 +17,9 @@
 #include "bench_meta.h"
 #include "graph/generators.h"
 #include "kernel/wl_kernel.h"
+#include "wl/cfi.h"
 #include "wl/color_refinement.h"
+#include "wl/kwl.h"
 
 namespace {
 
@@ -99,6 +104,31 @@ BENCHMARK(BM_WlSubtreeKernelMatrix)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+void BM_TwoWlKernelMatrix(benchmark::State& state) {
+  x2vec::Rng rng = x2vec::MakeRng(63);
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 100; ++i) {
+    graphs.push_back(
+        x2vec::graph::ErdosRenyiGnp(20, i % 2 == 0 ? 0.15 : 0.30, rng));
+  }
+  x2vec::SetThreadCount(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x2vec::kernel::TwoWlKernelMatrix(graphs, 3));
+  }
+  x2vec::SetThreadCount(0);
+}
+BENCHMARK(BM_TwoWlKernelMatrix)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+void BM_KwlCompareCfiK4(benchmark::State& state) {
+  const x2vec::wl::CfiPair pair =
+      x2vec::wl::BuildCfiPair(Graph::Complete(4));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        x2vec::wl::KwlCompare(pair.untwisted, pair.twisted, 3));
+  }
+}
+BENCHMARK(BM_KwlCompareCfiK4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -10,7 +10,6 @@
 #include "gnn/layers.h"
 #include "hom/embeddings.h"
 #include "kernel/graph_kernels.h"
-#include "kernel/kwl_kernel.h"
 #include "kernel/node_kernels.h"
 #include "kernel/wl_kernel.h"
 #include "ml/pca.h"

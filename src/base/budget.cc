@@ -41,13 +41,17 @@ bool Budget::SpendSlow(int64_t units) {
   }
   if (deadline_.has_value() && work_spent_ >= next_clock_check_) {
     next_clock_check_ = work_spent_ + kClockCheckStride;
-    if (std::chrono::steady_clock::now() >= *deadline_) {
-      exhausted_ = true;
-      deadline_tripped_ = true;
-      return false;
-    }
+    return !DeadlinePassed();
   }
   return true;
+}
+
+bool Budget::DeadlinePassed() {
+  if (!exhausted_ && deadline_.has_value() &&
+      std::chrono::steady_clock::now() >= *deadline_) {
+    exhausted_ = deadline_tripped_ = true;
+  }
+  return exhausted_;
 }
 
 Status Budget::ExhaustedError(std::string_view operation) const {

@@ -58,6 +58,10 @@ class Budget {
   /// work quota or an expired deadline reports exhausted before any work.
   [[nodiscard]] bool Exhausted() { return limited() && !SpendSlow(0); }
 
+  /// Reads the wall clock at once, unlike Spend()'s strided reads: true iff
+  /// the budget is exhausted or its deadline has passed.
+  [[nodiscard]] bool DeadlinePassed();
+
   /// Work units recorded so far.
   [[nodiscard]] int64_t work_spent() const { return work_spent_; }
 

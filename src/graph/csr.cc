@@ -41,8 +41,8 @@ constexpr uint32_t kFlagVertexLabels = 1u << 3;
 constexpr int64_t kMaxVertices = int64_t{1} << 34;
 constexpr int64_t kMaxEntries = int64_t{1} << 38;
 
-// Same FNV-1a as the checkpoint container (embed/checkpoint.h), restated
-// here because graph sits below embed in the module layering.
+// FNV-1a from the standard offset basis, unlike the checkpoint container's
+// (embed::Fnv1a starts from 1469598103934665603); both formats keep theirs.
 uint64_t Fnv1a64(const char* data, int64_t size) {
   uint64_t hash = 14695981039346656037ull;
   for (int64_t i = 0; i < size; ++i) {

@@ -3,23 +3,37 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 
+#include "base/budget.h"
 #include "base/metrics.h"
 #include "base/parallel.h"
 #include "base/trace.h"
 #include "graph/algorithms.h"
 #include "wl/color_refinement.h"
+#include "wl/kwl.h"
 
 namespace x2vec::kernel {
 namespace {
 
 using graph::Graph;
 
-// The dataset's joint colouring (wl::RefineDataset): graph g's colours in
-// round r are refinement.round_colors[r][first[g], first[g + 1]).
+// A dataset's joint colouring (of vertices by wl::RefineDataset, of vertex
+// pairs by wl::KwlRefineDataset): graph g's colours in round r are
+// refinement.round_colors[r][first[g], first[g + 1]).
 struct JointColors {
   wl::RefinementResult refinement;
   std::vector<int> first = {0};
+
+  // Graph g owns n^k items: its vertices (k = 1) or vertex pairs (k = 2).
+  JointColors(wl::RefinementResult joint, const std::vector<Graph>& graphs,
+              int k)
+      : refinement(std::move(joint)) {
+    for (const Graph& g : graphs) {
+      first.push_back(first.back() + (k == 1 ? 1 : g.NumVertices()) *
+                                         g.NumVertices());
+    }
+  }
 
   std::span<const int> Colors(size_t g, size_t round) const {
     return std::span<const int>(refinement.round_colors[round])
@@ -38,18 +52,31 @@ struct JointColors {
 JointColors RefineJointly(const std::vector<Graph>& graphs, int rounds) {
   wl::RefinementOptions options;
   options.max_rounds = rounds;
-  JointColors out;
-  out.refinement = wl::RefineDataset(graphs, options);
-  for (const Graph& g : graphs) {
-    out.first.push_back(out.first.back() + g.NumVertices());
-  }
-  return out;
+  return JointColors(wl::RefineDataset(graphs, options), graphs, 1);
 }
 
 SparseVector FromCounts(const std::map<int64_t, double>& counts) {
   SparseVector v;
   v.entries.assign(counts.begin(), counts.end());
   return v;
+}
+
+// Per-graph sparse histograms of the joint colours in rounds
+// 0..round_weight.size() - 1: feature id round * ColorStride() + colour,
+// each occurrence adding its round's weight. Independent across graphs.
+std::vector<SparseVector> ColorCounts(const JointColors& joint,
+                                      const std::vector<double>& round_weight) {
+  const int64_t stride = joint.ColorStride();
+  return ParallelMap(
+      static_cast<int64_t>(joint.first.size()) - 1, [&](int64_t g) {
+        std::map<int64_t, double> counts;
+        for (size_t r = 0; r < round_weight.size(); ++r) {
+          for (int color : joint.Colors(g, r)) {
+            counts[static_cast<int64_t>(r) * stride + color] += round_weight[r];
+          }
+        }
+        return FromCounts(counts);
+      });
 }
 
 // Symmetric Gram fill over sparse features, parallel over the upper
@@ -100,23 +127,11 @@ WlFeatureSet WlSubtreeFeatures(const std::vector<Graph>& graphs, int rounds) {
   out.rounds = rounds;
   if (graphs.empty()) return out;
   const JointColors joint = RefineJointly(graphs, rounds);
-  // Feature id = round * stride + colour; colour counts never exceed
-  // total vertices so a fixed stride is safe.
-  const int64_t stride = joint.ColorStride();
   const int usable_rounds =
       static_cast<int>(joint.refinement.colors_per_round.size());
-  // Per-graph colour histograms are independent across the dataset.
-  out.features =
-      ParallelMap(static_cast<int64_t>(graphs.size()), [&](int64_t g) {
-        std::map<int64_t, double> counts;
-        for (int r = 0; r < std::min(rounds + 1, usable_rounds); ++r) {
-          for (int color : joint.Colors(g, r)) {
-            counts[static_cast<int64_t>(r) * stride + color] += 1.0;
-          }
-        }
-        return FromCounts(counts);
-      });
-  out.dimension = stride * usable_rounds;
+  out.features = ColorCounts(
+      joint, std::vector<double>(std::min(rounds + 1, usable_rounds), 1.0));
+  out.dimension = joint.ColorStride() * usable_rounds;
   return out;
 }
 
@@ -130,28 +145,31 @@ linalg::Matrix DiscountedWlKernelMatrix(const std::vector<Graph>& graphs,
   const JointColors joint = RefineJointly(graphs, max_rounds);
   const int usable_rounds =
       static_cast<int>(joint.refinement.colors_per_round.size());
-  const int64_t stride = joint.ColorStride();
   // Per-round sqrt(2^-r) weights (split across the two Gram factors),
   // precomputed once so every graph applies identical values.
-  const int counted_rounds = std::min(max_rounds + 1, usable_rounds);
-  std::vector<double> round_weight(counted_rounds);
+  std::vector<double> round_weight(std::min(max_rounds + 1, usable_rounds));
   double weight = 1.0;
-  for (int r = 0; r < counted_rounds; ++r) {
-    round_weight[r] = std::sqrt(weight);
+  for (double& w : round_weight) {
+    w = std::sqrt(weight);
     weight /= 2.0;
   }
-  const std::vector<SparseVector> features =
-      ParallelMap(static_cast<int64_t>(graphs.size()), [&](int64_t g) {
-        std::map<int64_t, double> counts;
-        for (int r = 0; r < counted_rounds; ++r) {
-          for (int color : joint.Colors(g, r)) {
-            counts[static_cast<int64_t>(r) * stride + color] +=
-                round_weight[r];
-          }
-        }
-        return FromCounts(counts);
-      });
-  return GramFromSparse(features);
+  return GramFromSparse(ColorCounts(joint, round_weight));
+}
+
+StatusOr<linalg::Matrix> TwoWlKernelMatrix(const std::vector<Graph>& graphs,
+                                           int rounds) {
+  X2VEC_CHECK_GE(rounds, 0);
+  Budget unlimited;
+  StatusOr<wl::RefinementResult> pairs =
+      wl::KwlRefineDataset(graphs, 2, rounds, unlimited);
+  if (!pairs.ok()) return pairs.status();
+  const JointColors joint(std::move(pairs).value(), graphs, 2);
+  // A last round that split no class repeats the partition before it.
+  const std::vector<int>& counts = joint.refinement.colors_per_round;
+  size_t counted = counts.size();
+  if (counted > 1 && counts[counted - 1] == counts[counted - 2]) --counted;
+  return GramFromSparse(
+      ColorCounts(joint, std::vector<double>(counted, 1.0)));
 }
 
 linalg::Matrix WlShortestPathKernelMatrix(const std::vector<Graph>& graphs,

@@ -11,52 +11,73 @@
 #include "base/metrics.h"
 #include "base/parallel.h"
 #include "base/trace.h"
+#include "wl/rounds.h"
 
 namespace x2vec::wl {
 namespace {
 
 using graph::Graph;
 using graph::Neighbor;
+using internal::LabelledPairs;
 
-// Datasets with fewer adjacency entries than this build their signatures
-// on the calling thread: a pool dispatch costs more than such a round.
-constexpr int64_t kInlineAdjacency = int64_t{1} << 12;
+// The pass's two signature builders, LabelledPairs (wl/rounds.h) and
+// WeightSums. A builder writes vertex v's signature entries into the
+// slots reserved for v (its out-degree plus, on digraphs, its in-degree)
+// and returns where the first of the signature's two sorted lists ends and
+// how many slots are used. Signatures compare as (old colour, first list,
+// second list), each list lexicographically by the builder's Order with a
+// proper prefix first.
 
-int CountColors(const std::vector<int>& colors) {
-  return colors.empty() ? 0 : *std::max_element(colors.begin(), colors.end()) + 1;
-}
+// Weighted 1-WL (eq. 3.1): one (colour d, weight sum) entry for every
+// class d that v's out-edges reach with a non-zero sum, by colour. Edge
+// labels are ignored. Each sum adds its weights in adjacency order, so
+// non-dyadic weights get the bits of a sequential sum.
+struct WeightSums {
+  using Entry = std::pair<int, double>;
 
-// Canonical initial colouring: ids in increasing order of vertex label,
-// over the labels of the whole dataset.
-std::vector<int> InitialColors(std::span<const Graph* const> graphs, int n,
-                               const RefinementOptions& options) {
-  std::vector<int> colors(n, 0);
-  if (!options.use_vertex_labels) return colors;
-  std::map<int, int> label_to_color;
-  for (const Graph* g : graphs) {
-    for (int label : g->VertexLabels()) label_to_color.emplace(label, 0);
+  std::pair<int64_t, int64_t> operator()(const Graph& g, int v,
+                                         const int* color, Entry* out) const {
+    const std::vector<Neighbor>& neighbors = g.Neighbors(v);
+    const int64_t degree = static_cast<int64_t>(neighbors.size());
+    // Sorting (colour, adjacency position) lists each class's edges in
+    // adjacency order; a position is exact in a double.
+    for (int64_t i = 0; i < degree; ++i) {
+      out[i] = {color[neighbors[i].to], static_cast<double>(i)};
+    }
+    std::sort(out, out + degree);
+    int64_t size = 0;
+    for (int64_t i = 0; i < degree;) {
+      const int d = out[i].first;
+      double sum = 0.0;
+      for (; i < degree && out[i].first == d; ++i) {
+        sum += neighbors[static_cast<size_t>(out[i].second)].weight;
+      }
+      if (sum != 0.0) out[size++] = {d, sum};
+    }
+    return {size, size};
   }
-  int next = 0;
-  for (auto& [label, color] : label_to_color) color = next++;
-  int x = 0;
-  for (const Graph* g : graphs) {
-    for (int label : g->VertexLabels()) colors[x++] = label_to_color.at(label);
-  }
-  return colors;
-}
+  // Equals < on the non-zero sums kept, and stays a total order on NaN.
+  struct Order {
+    std::strong_ordering operator()(const Entry& a, const Entry& b) const {
+      if (const auto c = a.first <=> b.first; c != 0) return c;
+      return std::strong_order(a.second, b.second);
+    }
+  };
+};
 
-// The one refinement pass behind ColorRefinement, RefineDataset and
-// RefineTogether. Dataset vertex x (graph i's vertices follow those of
-// graphs 0..i-1) has the signature (old colour, sorted out-pairs, sorted
-// in-pairs), the in-pairs for digraphs only, compared member by member and
-// each pair list lexicographically with a proper prefix first. Its pairs
-// live in pairs[begin[x], begin[x + 1]), the out-pairs ending at
-// split[x]. Each round rebuilds every signature, in parallel over
-// graphs, then ranks all of them with one sort: the new ids are dense
-// ranks in signature order, exactly the ids of the same round on the
-// disjoint union.
+// The 1-WL pass behind ColorRefinement, RefineDataset, RefineTogether and
+// weighted 1-WL. Dataset vertex x (graph i's vertices follow those of
+// graphs 0..i-1) keeps its signature in entries[begin[x], end[x]), the
+// first list ending at mid[x]. Round 0 ranks the vertex labels. Each
+// later round rebuilds every signature, in parallel over graphs, and
+// ranks all of them with one sort: the new ids are dense ranks in
+// signature order, exactly the ids of the same round on the disjoint
+// union.
+template <typename Signatures>
 RefinementResult RefineGraphs(std::span<const Graph* const> graphs,
-                              const RefinementOptions& options) {
+                              const RefinementOptions& options,
+                              const Signatures& signatures) {
+  using Entry = typename Signatures::Entry;
   trace::Span span("wl.color_refinement");
   const bool directed = !graphs.empty() && graphs.front()->directed();
   std::vector<int> first_vertex = {0};
@@ -67,50 +88,33 @@ RefinementResult RefineGraphs(std::span<const Graph* const> graphs,
   }
   const int n = first_vertex.back();
   std::vector<int64_t> begin(n + 1, 0);
-  std::vector<int64_t> split(n);
+  std::vector<int> labels(n, 0);
   for (size_t i = 0; i < graphs.size(); ++i) {
     const Graph& g = *graphs[i];
     for (int v = 0; v < g.NumVertices(); ++v) {
       const int x = first_vertex[i] + v;
-      split[x] = begin[x] + g.Degree(v);
-      begin[x + 1] = split[x] + (directed ? g.InDegree(v) : 0);
+      begin[x + 1] = begin[x] + g.Degree(v) + (directed ? g.InDegree(v) : 0);
+      if (options.use_vertex_labels) labels[x] = g.VertexLabel(v);
     }
   }
-  std::vector<std::pair<int, int>> pairs(static_cast<size_t>(begin[n]));
-  const int64_t grain = static_cast<int64_t>(pairs.size()) < kInlineAdjacency
+  std::vector<int64_t> mid(n);
+  std::vector<int64_t> end(n);
+  std::vector<Entry> entries(static_cast<size_t>(begin[n]));
+  const int64_t grain = begin[n] < internal::kInlineEntries
                             ? static_cast<int64_t>(graphs.size())
                             : 0;
 
-  const auto fill_pairs = [&](const std::vector<Neighbor>& neighbors,
-                              const int* color, std::pair<int, int>* first) {
-    std::pair<int, int>* out = first;
-    for (const Neighbor& nb : neighbors) {
-      *out++ = {options.use_edge_labels ? nb.label : 0, color[nb.to]};
-    }
-    std::sort(first, out);
-  };
-  const auto compare = [&](const std::vector<int>& colors, int a, int b) {
-    const std::pair<int, int>* p = pairs.data();
-    if (const auto c = colors[a] <=> colors[b]; c != 0) return c;
-    if (const auto c = std::lexicographical_compare_three_way(
-            p + begin[a], p + split[a], p + begin[b], p + split[b]);
-        c != 0) {
-      return c;
-    }
-    return std::lexicographical_compare_three_way(
-        p + split[a], p + begin[a + 1], p + split[b], p + begin[b + 1]);
-  };
-
   RefinementResult result;
-  result.round_colors.push_back(InitialColors(graphs, n, options));
-  result.colors_per_round.push_back(CountColors(result.round_colors[0]));
-  std::vector<int> order(n);
-  const int max_rounds = options.max_rounds < 0 ? n : options.max_rounds;
-  for (int round = 0; round < max_rounds; ++round) {
+  result.round_colors.emplace_back(n);
+  std::vector<int> order;
+  result.colors_per_round.push_back(internal::RankSignatures(
+      result.round_colors[0], order,
+      [&](int a, int b) { return labels[a] <=> labels[b]; }));
+
+  const auto build = [&](const std::vector<int>& current) {
     X2VEC_METRIC_COUNT("wl.refinement_rounds", 1);
     span.AddWork(n);
-    const std::vector<int>& current = result.round_colors.back();
-    const Status built = ParallelFor(
+    return ParallelFor(
         static_cast<int64_t>(graphs.size()), grain,
         [&](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) {
@@ -118,38 +122,45 @@ RefinementResult RefineGraphs(std::span<const Graph* const> graphs,
             const int* color = current.data() + first_vertex[i];
             for (int v = 0; v < g.NumVertices(); ++v) {
               const int x = first_vertex[i] + v;
-              fill_pairs(g.Neighbors(v), color, pairs.data() + begin[x]);
-              if (directed) {
-                fill_pairs(g.InNeighbors(v), color, pairs.data() + split[x]);
-              }
+              const auto [first, size] =
+                  signatures(g, v, color, entries.data() + begin[x]);
+              mid[x] = begin[x] + first;
+              end[x] = begin[x] + size;
             }
           }
           return Status::Ok();
         });
-    X2VEC_CHECK(built.ok()) << built.ToString();
-
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return compare(current, a, b) < 0;
-    });
-    std::vector<int> refined(n);
-    int new_count = 0;
-    for (int k = 0; k < n; ++k) {
-      if (k > 0 && compare(current, order[k - 1], order[k]) != 0) ++new_count;
-      refined[order[k]] = new_count;
+  };
+  const typename Signatures::Order order_entries;
+  const auto compare = [&](const std::vector<int>& colors, int a, int b) {
+    const Entry* p = entries.data();
+    if (const auto c = colors[a] <=> colors[b]; c != 0) return c;
+    if (const auto c = std::lexicographical_compare_three_way(
+            p + begin[a], p + mid[a], p + begin[b], p + mid[b],
+            order_entries);
+        c != 0) {
+      return c;
     }
-    if (n > 0) ++new_count;
-    const bool stable = new_count == result.colors_per_round.back();
-    result.round_colors.push_back(std::move(refined));
-    result.colors_per_round.push_back(new_count);
-    if (stable) {
-      // The partition stopped splitting; the last round only renamed ids.
-      result.stable_round = round + 1;
-      return result;
+    return std::lexicographical_compare_three_way(
+        p + mid[a], p + end[a], p + mid[b], p + end[b], order_entries);
+  };
+  const Status built = internal::RunRounds(
+      options.max_rounds < 0 ? n : options.max_rounds, result, build, compare,
+      [](const RefinementResult&) { return false; });
+  X2VEC_CHECK(built.ok()) << built.ToString();
+  return result;
+}
+
+// First round whose colour histograms differ between the vertices before
+// `split` and those after it (-1 if none).
+int FirstDistinguishingRound(const RefinementResult& result, int split) {
+  for (size_t round = 0; round < result.round_colors.size(); ++round) {
+    if (internal::HistogramsDiffer(result.round_colors[round],
+                                   result.colors_per_round[round], split)) {
+      return static_cast<int>(round);
     }
   }
-  result.stable_round = static_cast<int>(result.round_colors.size()) - 1;
-  return result;
+  return -1;
 }
 
 }  // namespace
@@ -157,7 +168,7 @@ RefinementResult RefineGraphs(std::span<const Graph* const> graphs,
 RefinementResult ColorRefinement(const Graph& g,
                                  const RefinementOptions& options) {
   const Graph* const one[] = {&g};
-  return RefineGraphs(one, options);
+  return RefineGraphs(one, options, LabelledPairs{options.use_edge_labels});
 }
 
 RefinementResult RefineDataset(std::span<const Graph> graphs,
@@ -165,40 +176,40 @@ RefinementResult RefineDataset(std::span<const Graph> graphs,
   std::vector<const Graph*> pointers;
   pointers.reserve(graphs.size());
   for (const Graph& g : graphs) pointers.push_back(&g);
-  return RefineGraphs(pointers, options);
+  return RefineGraphs(pointers, options,
+                      LabelledPairs{options.use_edge_labels});
 }
 
 JointRefinementResult RefineTogether(const Graph& g, const Graph& h,
                                      const RefinementOptions& options) {
   const Graph* const both[] = {&g, &h};
   JointRefinementResult result;
-  result.combined = RefineGraphs(both, options);
-
-  const int ng = g.NumVertices();
-  const int nh = h.NumVertices();
-  for (size_t round = 0; round < result.combined.round_colors.size();
-       ++round) {
-    const std::vector<int>& colors = result.combined.round_colors[round];
-    const int num_colors = result.combined.colors_per_round[round];
-    std::vector<int> hist_g(num_colors, 0);
-    std::vector<int> hist_h(num_colors, 0);
-    for (int v = 0; v < ng; ++v) ++hist_g[colors[v]];
-    for (int v = 0; v < nh; ++v) ++hist_h[colors[ng + v]];
-    if (hist_g != hist_h) {
-      result.distinguishes = true;
-      result.distinguishing_round = static_cast<int>(round);
-      break;
-    }
-  }
+  result.combined =
+      RefineGraphs(both, options, LabelledPairs{options.use_edge_labels});
+  result.distinguishing_round =
+      FirstDistinguishingRound(result.combined, g.NumVertices());
+  result.distinguishes = result.distinguishing_round >= 0;
   const std::vector<int>& stable = result.combined.StableColors();
-  result.colors_g.assign(stable.begin(), stable.begin() + ng);
-  result.colors_h.assign(stable.begin() + ng, stable.end());
+  result.colors_g.assign(stable.begin(), stable.begin() + g.NumVertices());
+  result.colors_h.assign(stable.begin() + g.NumVertices(), stable.end());
   return result;
 }
 
 bool WlIndistinguishable(const Graph& g, const Graph& h,
                          const RefinementOptions& options) {
   return !RefineTogether(g, h, options).distinguishes;
+}
+
+RefinementResult WeightedColorRefinement(const Graph& g) {
+  const Graph* const one[] = {&g};
+  return RefineGraphs(one, RefinementOptions{}, WeightSums{});
+}
+
+bool WeightedWlDistinguishes(const Graph& g, const Graph& h) {
+  const Graph* const both[] = {&g, &h};
+  return FirstDistinguishingRound(
+             RefineGraphs(both, RefinementOptions{}, WeightSums{}),
+             g.NumVertices()) >= 0;
 }
 
 std::vector<int> StableColoringFast(const Graph& g) {

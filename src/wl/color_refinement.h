@@ -85,6 +85,21 @@ JointRefinementResult RefineTogether(const graph::Graph& g,
 bool WlIndistinguishable(const graph::Graph& g, const graph::Graph& h,
                          const RefinementOptions& options = {});
 
+/// Weighted 1-WL (Section 3.2, eq. 3.1): the same pass with the signature
+/// (old colour, a pair (class, exact weight sum) for every class the
+/// vertex's out-edges reach with a non-zero sum), each sum added in
+/// adjacency order. Edge labels are ignored; on digraphs only
+/// out-neighbours count. Round 0 ranks the vertex labels; the run goes to
+/// the stable colouring. Exact sums suit integer or dyadic weights (all
+/// the paper's uses).
+RefinementResult WeightedColorRefinement(const graph::Graph& g);
+
+/// Weighted 1-WL jointly on g and h (the two-graph case, as in
+/// RefineTogether); true iff some round's colour histograms differ (the
+/// "weighted 1-WL distinguishes" relation of Theorem 4.13). g and h must
+/// share directedness (CHECK).
+bool WeightedWlDistinguishes(const graph::Graph& g, const graph::Graph& h);
+
 /// Stable 1-WL partition via asynchronous partition refinement with the
 /// smaller-half worklist strategy — the O((n+m) log n) algorithm referenced
 /// in Section 3.1 [Cardon–Crochemore]. Returns colours normalised to

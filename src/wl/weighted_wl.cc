@@ -1,105 +1,8 @@
 #include "wl/weighted_wl.h"
 
-#include <algorithm>
-#include <map>
-#include <utility>
-
 namespace x2vec::wl {
-namespace {
 
 using graph::Graph;
-using graph::Neighbor;
-
-// Signature of a vertex under weighted refinement: old colour plus, for
-// every current colour d with non-zero incident weight, the exact sum of
-// edge weights from the vertex into class d (eq. 3.1).
-using WeightedSignature = std::pair<int, std::vector<std::pair<int, double>>>;
-
-WeightedSignature MakeSignature(const Graph& g, int v,
-                                const std::vector<int>& colors) {
-  std::map<int, double> sums;
-  for (const Neighbor& nb : g.Neighbors(v)) {
-    sums[colors[nb.to]] += nb.weight;
-  }
-  WeightedSignature sig;
-  sig.first = colors[v];
-  for (const auto& [color, sum] : sums) {
-    if (sum != 0.0) sig.second.emplace_back(color, sum);
-  }
-  return sig;
-}
-
-std::vector<int> InitialFromLabels(const Graph& g) {
-  std::map<int, int> label_to_color;
-  for (int v = 0; v < g.NumVertices(); ++v) {
-    label_to_color.emplace(g.VertexLabel(v), 0);
-  }
-  int next = 0;
-  for (auto& [label, color] : label_to_color) color = next++;
-  std::vector<int> colors(g.NumVertices());
-  for (int v = 0; v < g.NumVertices(); ++v) {
-    colors[v] = label_to_color.at(g.VertexLabel(v));
-  }
-  return colors;
-}
-
-WeightedRefinementResult Refine(const Graph& g,
-                                std::vector<int> initial_colors) {
-  const int n = g.NumVertices();
-  WeightedRefinementResult result;
-  int initial_count = 0;
-  for (int c : initial_colors) initial_count = std::max(initial_count, c + 1);
-  result.round_colors.push_back(std::move(initial_colors));
-  result.colors_per_round.push_back(initial_count);
-
-  for (int round = 0; round < n; ++round) {
-    const std::vector<int>& current = result.round_colors.back();
-    std::map<WeightedSignature, int> signature_to_color;
-    std::vector<WeightedSignature> signatures;
-    signatures.reserve(n);
-    for (int v = 0; v < n; ++v) {
-      signatures.push_back(MakeSignature(g, v, current));
-      signature_to_color.emplace(signatures.back(), 0);
-    }
-    int next = 0;
-    for (auto& [sig, color] : signature_to_color) color = next++;
-    std::vector<int> refined(n);
-    for (int v = 0; v < n; ++v) {
-      refined[v] = signature_to_color.at(signatures[v]);
-    }
-    const bool stable = next == result.colors_per_round.back();
-    result.round_colors.push_back(std::move(refined));
-    result.colors_per_round.push_back(next);
-    if (stable) {
-      result.stable_round = round + 1;
-      return result;
-    }
-  }
-  result.stable_round = static_cast<int>(result.round_colors.size()) - 1;
-  return result;
-}
-
-}  // namespace
-
-WeightedRefinementResult WeightedColorRefinement(const Graph& g) {
-  return Refine(g, InitialFromLabels(g));
-}
-
-bool WeightedWlDistinguishes(const Graph& g, const Graph& h) {
-  const Graph joint = graph::DisjointUnion(g, h);
-  const WeightedRefinementResult result = WeightedColorRefinement(joint);
-  const int ng = g.NumVertices();
-  for (size_t round = 0; round < result.round_colors.size(); ++round) {
-    const std::vector<int>& colors = result.round_colors[round];
-    const int num_colors = result.colors_per_round[round];
-    std::vector<int> hist_g(num_colors, 0);
-    std::vector<int> hist_h(num_colors, 0);
-    for (int v = 0; v < ng; ++v) ++hist_g[colors[v]];
-    for (size_t v = ng; v < colors.size(); ++v) ++hist_h[colors[v]];
-    if (hist_g != hist_h) return true;
-  }
-  return false;
-}
 
 MatrixWlResult MatrixWl(const linalg::Matrix& a) {
   const int m = a.rows();
@@ -114,29 +17,25 @@ MatrixWlResult MatrixWl(const linalg::Matrix& a) {
       if (a(i, j) != 0.0) bipartite.AddEdge(i, m + j, a(i, j));
     }
   }
-  const WeightedRefinementResult refinement =
-      WeightedColorRefinement(bipartite);
+  const RefinementResult refinement = WeightedColorRefinement(bipartite);
   const std::vector<int>& stable = refinement.StableColors();
 
   MatrixWlResult result;
   result.rounds = refinement.stable_round;
-  // Renumber row colours and column colours independently from 0.
-  std::map<int, int> row_map;
-  std::map<int, int> col_map;
-  result.row_colors.resize(m);
-  result.col_colors.resize(n);
-  for (int i = 0; i < m; ++i) {
-    auto [it, inserted] =
-        row_map.emplace(stable[i], static_cast<int>(row_map.size()));
-    result.row_colors[i] = it->second;
-  }
-  for (int j = 0; j < n; ++j) {
-    auto [it, inserted] =
-        col_map.emplace(stable[m + j], static_cast<int>(col_map.size()));
-    result.col_colors[j] = it->second;
-  }
-  result.num_row_colors = static_cast<int>(row_map.size());
-  result.num_col_colors = static_cast<int>(col_map.size());
+  // Renumber row colours and column colours independently from 0, in
+  // order of first appearance.
+  const auto renumber = [&](int first, int count, std::vector<int>& out) {
+    std::vector<int> id(refinement.NumStableColors(), -1);
+    int next = 0;
+    for (int i = 0; i < count; ++i) {
+      int& c = id[stable[first + i]];
+      if (c < 0) c = next++;
+      out.push_back(c);
+    }
+    return next;
+  };
+  result.num_row_colors = renumber(0, m, result.row_colors);
+  result.num_col_colors = renumber(m, n, result.col_colors);
   return result;
 }
 

@@ -2,37 +2,16 @@
 
 #include <vector>
 
-#include "graph/graph.h"
 #include "linalg/matrix.h"
+#include "wl/color_refinement.h"
 
 namespace x2vec::wl {
 
-/// Trace of a weighted 1-WL run (Section 3.2, eq. 3.1): vertices of the
-/// same colour split when their per-colour *weight sums* into some colour
-/// class differ. Signatures compare weight sums exactly, so the algorithm
-/// is intended for integer or dyadic edge weights (all the paper's uses).
-struct WeightedRefinementResult {
-  std::vector<std::vector<int>> round_colors;
-  std::vector<int> colors_per_round;
-  int stable_round = 0;
-
-  const std::vector<int>& StableColors() const { return round_colors.back(); }
-  int NumStableColors() const { return colors_per_round.back(); }
-};
-
-/// Runs weighted 1-WL on a weighted graph. Initial colours come from
-/// vertex labels.
-WeightedRefinementResult WeightedColorRefinement(const graph::Graph& g);
-
-/// Weighted 1-WL jointly on two weighted graphs; true iff some round's
-/// colour histograms differ (the "weighted 1-WL distinguishes" relation of
-/// Theorem 4.13).
-bool WeightedWlDistinguishes(const graph::Graph& g, const graph::Graph& h);
-
 /// Stable row/column partition of a real matrix under matrix-WL
-/// (Section 3.2, Figure 4): the matrix is viewed as a weighted bipartite
-/// graph on rows and columns with edge weight A_ij and an initial colouring
-/// separating rows from columns.
+/// (Section 3.2, Figure 4): weighted 1-WL (WeightedColorRefinement, in
+/// wl/color_refinement.h) on the weighted bipartite graph on rows and
+/// columns with edge weight A_ij and an initial colouring separating rows
+/// from columns.
 struct MatrixWlResult {
   std::vector<int> row_colors;  ///< Colours 0..k-1 over rows.
   std::vector<int> col_colors;  ///< Colours (disjoint ids) over columns.

@@ -1,10 +1,9 @@
 #include "wl/wl_hash.h"
 
-#include <algorithm>
-#include <map>
 #include <sstream>
+#include <vector>
 
-#include "wl/color_refinement.h"
+#include "wl/rounds.h"
 
 namespace x2vec::wl {
 namespace {
@@ -13,44 +12,48 @@ uint64_t HashCombine(uint64_t h, uint64_t v) {
   return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
 
-// Serialises, for each round, the canonical colour "dictionary": per
-// colour id, its defining signature (previous id + neighbour id
-// multiset), plus the colour histogram. Because ColorRefinement assigns
-// ids canonically (lexicographic signature order), two graphs produce the
-// same serialisation iff their refinements agree round for round — i.e.
-// iff 1-WL does not distinguish them.
+// Serialises, for each round, the colour histogram and the canonical
+// colour "dictionary": per colour id, what ColorRefinement ranked to give
+// it — the vertex label in round 0, later the previous id and the pass's
+// own LabelledPairs signature, the sorted (edge label, previous id)
+// out-pairs plus, on digraphs, in-pairs. Because ids are ranks of exactly
+// these signatures, two graphs produce the same serialisation iff their
+// refinements agree round for round — i.e. iff 1-WL does not distinguish
+// them.
 std::string Serialize(const graph::Graph& g, int rounds) {
   RefinementOptions options;
   options.max_rounds = rounds;
   const RefinementResult result = ColorRefinement(g, options);
   std::ostringstream os;
-  os << "n=" << g.NumVertices() << ";";
+  os << "n=" << g.NumVertices() << (g.directed() ? ";directed;" : ";");
+  std::vector<internal::LabelledPairs::Entry> pairs;
   for (size_t round = 0; round < result.round_colors.size(); ++round) {
     const std::vector<int>& colors = result.round_colors[round];
     os << "r" << round << "[";
-    // Histogram.
     for (int count : ColorHistogram(colors)) os << count << ",";
-    os << "]";
-    if (round == 0) continue;
-    // Dictionary: per colour id of this round, the signature in terms of
-    // the previous round's ids.
-    const std::vector<int>& previous = result.round_colors[round - 1];
-    std::map<int, std::pair<int, std::vector<int>>> dictionary;
+    os << "]{";
+    std::vector<std::string> dictionary(result.colors_per_round[round]);
     for (int v = 0; v < g.NumVertices(); ++v) {
-      if (dictionary.count(colors[v])) continue;
-      std::vector<int> neighborhood;
-      for (const graph::Neighbor& nb : g.Neighbors(v)) {
-        neighborhood.push_back(previous[nb.to]);
+      std::string& signature = dictionary[colors[v]];
+      if (!signature.empty()) continue;
+      if (round == 0) {
+        signature = std::to_string(g.VertexLabel(v));
+        continue;
       }
-      std::sort(neighborhood.begin(), neighborhood.end());
-      dictionary.emplace(colors[v],
-                         std::make_pair(previous[v], std::move(neighborhood)));
+      const std::vector<int>& previous = result.round_colors[round - 1];
+      pairs.resize(g.Degree(v) + (g.directed() ? g.InDegree(v) : 0));
+      const auto [out_pairs, size] = internal::LabelledPairs{}(
+          g, v, previous.data(), pairs.data());
+      signature = std::to_string(previous[v]) + "(";
+      for (int64_t i = 0; i < size; ++i) {
+        if (i == out_pairs) signature += ")(";  // The in-pairs' list.
+        signature += std::to_string(pairs[i].first) + ":" +
+                     std::to_string(pairs[i].second) + ",";
+      }
+      signature += ")";
     }
-    os << "{";
-    for (const auto& [id, signature] : dictionary) {
-      os << id << ":" << signature.first << "(";
-      for (int c : signature.second) os << c << ",";
-      os << ")";
+    for (size_t id = 0; id < dictionary.size(); ++id) {
+      os << id << ":" << dictionary[id];
     }
     os << "}";
   }

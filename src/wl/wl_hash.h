@@ -15,10 +15,12 @@ namespace x2vec::wl {
 /// mentioned at the top of Section 3.
 uint64_t WlHash(const graph::Graph& g, int rounds = -1);
 
-/// Human-readable certificate string (exact, no hashing): per round, the
-/// sorted multiset of colour class sizes, plus canonical colour names of
-/// the final round. Two graphs get equal certificates iff 1-WL does not
-/// distinguish them (within the round budget).
+/// Human-readable certificate string (exact, no hashing) of
+/// ColorRefinement with its default options: per round, the colour
+/// histogram and what each colour id was ranked from (round 0: a vertex
+/// label; later: the previous colour and the (edge label, colour) pairs,
+/// in and out on digraphs). Two graphs get equal certificates iff 1-WL
+/// does not distinguish them (within the round budget).
 std::string WlCertificate(const graph::Graph& g, int rounds = -1);
 
 }  // namespace x2vec::wl

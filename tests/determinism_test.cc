@@ -27,12 +27,12 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "kernel/graph_kernels.h"
-#include "kernel/kwl_kernel.h"
 #include "kernel/node_kernels.h"
 #include "kernel/wl_kernel.h"
 #include "linalg/matrix.h"
 #include "ml/neighbors.h"
 #include "wl/color_refinement.h"
+#include "wl/kwl.h"
 
 namespace x2vec {
 namespace {
@@ -100,7 +100,8 @@ TEST(GramDeterminismTest, WlShortestPathKernel) {
 
 TEST(GramDeterminismTest, TwoWlKernel) {
   const std::vector<Graph> graphs = SmallDataset();
-  ExpectMatrixInvariant([&] { return kernel::TwoWlKernelMatrix(graphs, 2); });
+  ExpectMatrixInvariant(
+      [&] { return kernel::TwoWlKernelMatrix(graphs, 2).value(); });
 }
 
 TEST(GramDeterminismTest, ShortestPathKernel) {
@@ -155,6 +156,37 @@ TEST(WlFeatureDeterminismTest, DatasetRefinementAtOneToEightThreads) {
     EXPECT_EQ(result.round_colors, reference.round_colors) << threads;
     EXPECT_EQ(result.colors_per_round, reference.colors_per_round) << threads;
     EXPECT_EQ(result.stable_round, reference.stable_round) << threads;
+  }
+  SetThreadCount(0);
+}
+
+TEST(WlFeatureDeterminismTest, TupleRefinementAtOneToEightThreads) {
+  // Enough row entries that KwlRefineDataset builds its rows on the pool;
+  // under a deadline it builds each round in slices of 1024 tuples.
+  Rng rng = MakeRng(4343);
+  for (const int k : {2, 3}) {
+    std::vector<Graph> graphs;
+    for (int i = 0; i < (k == 2 ? 40 : 10); ++i) {
+      graphs.push_back(graph::ErdosRenyiGnp(k == 2 ? 12 : 8,
+                                            i % 2 == 0 ? 0.2 : 0.4, rng));
+    }
+    SetThreadCount(1);
+    Budget unlimited;
+    const StatusOr<wl::RefinementResult> reference =
+        wl::KwlRefineDataset(graphs, k, 3, unlimited);
+    ASSERT_TRUE(reference.ok());
+    for (int threads : {1, 2, 4, 8}) {
+      SetThreadCount(threads);
+      for (Budget budget : {Budget(), Budget::Deadline(3600.0)}) {
+        const StatusOr<wl::RefinementResult> result =
+            wl::KwlRefineDataset(graphs, k, 3, budget);
+        ASSERT_TRUE(result.ok());
+        EXPECT_EQ(result->round_colors, reference->round_colors) << threads;
+        EXPECT_EQ(result->colors_per_round, reference->colors_per_round)
+            << threads;
+        EXPECT_EQ(result->stable_round, reference->stable_round) << threads;
+      }
+    }
   }
   SetThreadCount(0);
 }

@@ -10,7 +10,6 @@
 #include "hom/densities.h"
 #include "linalg/eigen.h"
 #include "wl/color_refinement.h"
-#include "wl/wl_hash.h"
 
 namespace x2vec {
 namespace {
@@ -80,41 +79,6 @@ TEST(DensityTest, ErdosRenyiLimit) {
   const Graph triangle = Graph::Cycle(3);
   const double limit = hom::ErdosRenyiLimitDensity(triangle, p);
   EXPECT_NEAR(hom::HomDensity(triangle, g), limit, 0.01);
-}
-
-TEST(WlHashTest, InvariantUnderPermutation) {
-  Rng rng = MakeRng(115);
-  for (int trial = 0; trial < 15; ++trial) {
-    const Graph g = graph::ErdosRenyiGnp(9, 0.4, rng);
-    const Graph p = graph::Permuted(g, RandomPermutation(9, rng));
-    EXPECT_EQ(wl::WlHash(g), wl::WlHash(p));
-    EXPECT_EQ(wl::WlCertificate(g), wl::WlCertificate(p));
-  }
-}
-
-TEST(WlHashTest, CertificateEqualityMatchesIndistinguishability) {
-  Rng rng = MakeRng(116);
-  int checked = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    const Graph g = graph::ErdosRenyiGnp(7, 0.45, rng);
-    const Graph h = trial % 4 == 0
-                        ? graph::Permuted(g, RandomPermutation(7, rng))
-                        : graph::ErdosRenyiGnp(7, 0.45, rng);
-    const bool certificates_equal =
-        wl::WlCertificate(g) == wl::WlCertificate(h);
-    EXPECT_EQ(certificates_equal, wl::WlIndistinguishable(g, h))
-        << "trial " << trial;
-    ++checked;
-  }
-  EXPECT_EQ(checked, 40);
-}
-
-TEST(WlHashTest, ClassicBlindSpotCollides) {
-  const Graph c6 = Graph::Cycle(6);
-  const Graph triangles =
-      graph::DisjointUnion(Graph::Cycle(3), Graph::Cycle(3));
-  EXPECT_EQ(wl::WlHash(c6), wl::WlHash(triangles));
-  EXPECT_NE(wl::WlHash(c6), wl::WlHash(Graph::Path(6)));
 }
 
 TEST(TwoGnnTest, PermutationInvariant) {

@@ -11,9 +11,6 @@
 #include "gtest/gtest.h"
 #include "hom/brute_force.h"
 #include "hom/subgraph_counts.h"
-#include "kernel/graph_kernels.h"
-#include "kernel/kwl_kernel.h"
-#include "kernel/wl_kernel.h"
 #include "wl/color_refinement.h"
 
 namespace x2vec {
@@ -114,31 +111,6 @@ TEST(GraphSageTest, StructurallyIdenticalNodesCoincide) {
                 1e-12);
   }
   EXPECT_GT(linalg::Distance2(embedding.Row(0), embedding.Row(1)), 1e-6);
-}
-
-TEST(TwoWlKernelTest, SeparatesWhatOneWlCannot) {
-  const std::vector<Graph> graphs = {
-      Graph::Cycle(6),
-      graph::DisjointUnion(Graph::Cycle(3), Graph::Cycle(3))};
-  // 1-WL subtree kernel: identical rows (cosine 1).
-  const linalg::Matrix one_wl =
-      kernel::NormalizeKernel(kernel::WlSubtreeKernelMatrix(graphs, 4));
-  EXPECT_NEAR(one_wl(0, 1), 1.0, 1e-12);
-  // 2-WL kernel: strictly below 1.
-  const linalg::Matrix two_wl =
-      kernel::NormalizeKernel(kernel::TwoWlKernelMatrix(graphs, 3));
-  EXPECT_LT(two_wl(0, 1), 1.0 - 1e-6);
-}
-
-TEST(TwoWlKernelTest, PsdAndPermutationInvariant) {
-  Rng rng = MakeRng(127);
-  Graph g = graph::ErdosRenyiGnp(7, 0.4, rng);
-  Graph p = graph::Permuted(g, RandomPermutation(7, rng));
-  const std::vector<Graph> graphs = {g, p, Graph::Cycle(7)};
-  const linalg::Matrix k = kernel::TwoWlKernelMatrix(graphs, 2);
-  EXPECT_TRUE(kernel::IsPositiveSemidefinite(k));
-  EXPECT_DOUBLE_EQ(k(0, 0), k(1, 1));
-  EXPECT_DOUBLE_EQ(k(0, 0), k(0, 1));  // Isomorphic: identical features.
 }
 
 }  // namespace

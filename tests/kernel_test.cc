@@ -2,7 +2,10 @@
 #include <utility>
 #include <vector>
 
+#include "api/suite.h"
+#include "base/budget.h"
 #include "base/rng.h"
+#include "base/status.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
@@ -149,10 +152,80 @@ TEST(WlKernelTest, EmptyDatasetGivesEmptyResults) {
   EXPECT_EQ(features.dimension, 0);
   for (const linalg::Matrix& k :
        {WlSubtreeKernelMatrix(none, 2), DiscountedWlKernelMatrix(none, 2),
-        WlShortestPathKernelMatrix(none, 2)}) {
+        WlShortestPathKernelMatrix(none, 2),
+        TwoWlKernelMatrix(none, 2).value()}) {
     EXPECT_EQ(k.rows(), 0);
     EXPECT_EQ(k.cols(), 0);
   }
+}
+
+TEST(TwoWlKernelTest, SeparatesWhatOneWlCannot) {
+  const std::vector<Graph> graphs = {
+      Graph::Cycle(6), DisjointUnion(Graph::Cycle(3), Graph::Cycle(3))};
+  // 1-WL subtree kernel: identical rows (cosine 1).
+  const linalg::Matrix one_wl =
+      NormalizeKernel(WlSubtreeKernelMatrix(graphs, 4));
+  EXPECT_NEAR(one_wl(0, 1), 1.0, 1e-12);
+  // 2-WL kernel: strictly below 1.
+  const linalg::Matrix two_wl =
+      NormalizeKernel(TwoWlKernelMatrix(graphs, 3).value());
+  EXPECT_LT(two_wl(0, 1), 1.0 - 1e-6);
+}
+
+TEST(TwoWlKernelTest, PsdAndPermutationInvariant) {
+  Rng rng = MakeRng(127);
+  Graph g = graph::ErdosRenyiGnp(7, 0.4, rng);
+  Graph p = graph::Permuted(g, RandomPermutation(7, rng));
+  const std::vector<Graph> graphs = {g, p, Graph::Cycle(7)};
+  const linalg::Matrix k = TwoWlKernelMatrix(graphs, 2).value();
+  EXPECT_TRUE(IsPositiveSemidefinite(k));
+  EXPECT_DOUBLE_EQ(k(0, 0), k(1, 1));
+  EXPECT_DOUBLE_EQ(k(0, 0), k(0, 1));  // Isomorphic: identical features.
+}
+
+TEST(TwoWlKernelTest, LabelledDatasetGramIsPinned) {
+  // Captured from the kernel's own folklore engine before it moved onto
+  // the shared k-WL pass: only the joint partitions matter, and the
+  // integer counts make every sum exact.
+  EXPECT_EQ(Digest(TwoWlKernelMatrix(LabelledDataset(), 3).value()),
+            12222943699210141462ull);
+}
+
+TEST(TwoWlKernelTest, DigraphsSeeBothEdgeDirections) {
+  // A 2-cycle and a directed path have the same number of ordered pairs
+  // u -> v, but only the 2-cycle has pairs with arcs both ways: round 0
+  // already separates them.
+  Graph two_cycle(3, /*directed=*/true);
+  two_cycle.AddEdge(0, 1);
+  two_cycle.AddEdge(1, 0);
+  Graph path(3, /*directed=*/true);
+  path.AddEdge(0, 1);
+  path.AddEdge(1, 2);
+  const linalg::Matrix k =
+      NormalizeKernel(TwoWlKernelMatrix({two_cycle, path}, 0).value());
+  EXPECT_LT(k(0, 1), 1.0 - 1e-6);
+}
+
+TEST(TwoWlKernelTest, DatasetPastThePassLimitIsATypedError) {
+  // 4 * 812^3 + 4 * 130^3 row entries a round, just past 2^31 - 1, from
+  // isolated vertices: kInvalidArgument before anything tuple-sized is
+  // allocated, also through the method suite.
+  const std::vector<Graph> graphs = {Graph(812), Graph(130)};
+  const StatusOr<linalg::Matrix> gram = TwoWlKernelMatrix(graphs, 3);
+  ASSERT_FALSE(gram.ok());
+  EXPECT_EQ(gram.status().code(), StatusCode::kInvalidArgument);
+  int suite_methods = 0;
+  for (const core::GraphKernelMethod& method : api::DefaultMethodSuite()) {
+    if (method.name != "wl2-folklore-t3") continue;
+    Rng rng = MakeRng(1);
+    Budget unlimited;
+    const StatusOr<linalg::Matrix> suite_gram =
+        method.gram_budgeted(graphs, rng, unlimited);
+    ASSERT_FALSE(suite_gram.ok());
+    EXPECT_EQ(suite_gram.status().code(), StatusCode::kInvalidArgument);
+    ++suite_methods;
+  }
+  EXPECT_EQ(suite_methods, 1);
 }
 
 TEST(ShortestPathKernelTest, HandComputed) {

@@ -26,6 +26,7 @@
 #include "base/metrics.h"
 #include "base/rng.h"
 #include "base/status.h"
+#include "base/trace.h"
 #include "corpus_training.h"
 #include "embed/checkpoint.h"
 #include "embed/corpus.h"
@@ -193,6 +194,24 @@ TEST(BudgetTest, ShortDeadlineTripsDuringWork) {
   EXPECT_TRUE(budget.Exhausted());
 }
 
+TEST(BudgetTest, DeadlinePassedReadsTheClockAtOnce) {
+  // One unit read the clock; the next stride-based read is 1024 units
+  // away, so only DeadlinePassed() sees the deadline go by.
+  Budget budget = Budget::Deadline(0.02);
+  EXPECT_TRUE(budget.Spend(1));
+  Budget later = Budget::Deadline(0.02);  // Expires after `budget`.
+  while (later.Spend(1)) {
+  }
+  EXPECT_FALSE(budget.Exhausted());
+  EXPECT_TRUE(budget.DeadlinePassed());
+  EXPECT_NE(budget.ExhaustedError("unit test").message().find("deadline"),
+            std::string::npos);
+  // A spent quota is not a passed deadline.
+  Budget quota = Budget::DeadlineAndWorkUnits(3600.0, 5);
+  EXPECT_TRUE(quota.Spend(5));
+  EXPECT_FALSE(quota.DeadlinePassed());
+}
+
 TEST(BudgetTest, WorkQuotaTripsBeforeGenerousDeadline) {
   Budget budget = Budget::DeadlineAndWorkUnits(3600.0, 2);
   EXPECT_TRUE(budget.Spend(2));
@@ -268,6 +287,28 @@ TEST(ZeroBudgetTest, KWeisfeilerLeman) {
   const graph::Graph h = graph::Graph::Path(6);
   Budget budget = Budget::WorkUnits(0);
   ExpectExhausted(wl::KwlCompareBudgeted(g, h, 2, budget));
+
+  // Caller input ends in a typed status, never an abort. k < 1:
+  for (const int k : {0, -1}) {
+    Budget unlimited;
+    const auto result = wl::KwlCompareBudgeted(g, h, k, unlimited);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Tuple counts past the pass's 2^31 - 1 entries a round (3000^3) and
+  // past int64 (3000^6), built from isolated vertices:
+  const graph::Graph isolated(3000);
+  for (const int k : {3, 6}) {
+    Budget unlimited;
+    const auto result = wl::KwlCompareBudgeted(isolated, isolated, k, unlimited);
+    ASSERT_FALSE(result.ok()) << k;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << k;
+  }
+  // A budget too small for round 0 stops the run before its tuples are
+  // allocated: the 2 * 100^3 tuples' rows would take 1.2e9 ints (4.8 GB).
+  const graph::Graph hundred(100);
+  Budget tiny = Budget::WorkUnits(10);
+  ExpectExhausted(wl::KwlCompareBudgeted(hundred, hundred, 3, tiny));
 }
 
 TEST(ZeroBudgetTest, TreewidthAndElimination) {
@@ -343,6 +384,24 @@ TEST(PartialBudgetTest, DeadlineBoundsBruteForceHomCounting) {
   ExpectExhausted(hom::CountHomomorphismsBruteForceBudgeted(f, g, budget));
 }
 
+TEST(PartialBudgetTest, DeadlineStopsKwlInsideARound) {
+  // A random 36-vertex graph against itself at k = 3: round 1 builds and
+  // ranks the rows of 2 * 36^3 tuples (20M ints), most of a second of
+  // work. The pass reads the deadline between slices of a round, so a
+  // 50 ms deadline ends the run well inside round 1.
+  Rng rng = MakeRng(5);
+  const graph::Graph g = graph::ErdosRenyiGnp(36, 0.5, rng);
+  const std::vector<graph::Graph> both = {g, g};
+  const trace::StopWatch unbudgeted;
+  Budget unlimited;
+  ASSERT_TRUE(wl::KwlRefineDataset(both, 3, /*max_rounds=*/1, unlimited).ok());
+  const double rounds_0_and_1 = unbudgeted.Seconds();
+  const trace::StopWatch budgeted;
+  Budget budget = Budget::Deadline(0.05);
+  ExpectExhausted(wl::KwlCompareBudgeted(g, g, 3, budget));
+  EXPECT_LT(budgeted.Seconds(), rounds_0_and_1 / 2);
+}
+
 TEST(PartialBudgetTest, TinyQuotaStopsExactTreewidth) {
   const graph::Graph g = graph::Graph::Grid(3, 3);
   Budget budget = Budget::WorkUnits(2);
@@ -369,6 +428,19 @@ TEST(BudgetEquivalenceTest, BruteForceMatchesPlain) {
   ASSERT_TRUE(counted.ok());
   EXPECT_EQ(*counted, hom::CountHomomorphismsBruteForce(f, g));
   EXPECT_GT(budget.work_spent(), 0);
+}
+
+TEST(BudgetAccountingTest, KwlChargesEveryTupleOfBothGraphsPerRound) {
+  // C6 vs C6 at k = 2: rounds 0, 1 and 2 (stable), 2 * 6^2 tuples each.
+  const graph::Graph c6 = graph::Graph::Cycle(6);
+  Budget budget = Budget::WorkUnits(1'000'000);
+  ASSERT_TRUE(wl::KwlCompareBudgeted(c6, c6, 2, budget).ok());
+  EXPECT_EQ(budget.work_spent(), 3 * 72);
+  // A quota of exactly that admits the run; one unit less does not.
+  Budget exact = Budget::WorkUnits(3 * 72);
+  EXPECT_TRUE(wl::KwlCompareBudgeted(c6, c6, 2, exact).ok());
+  Budget short_by_one = Budget::WorkUnits(3 * 72 - 1);
+  ExpectExhausted(wl::KwlCompareBudgeted(c6, c6, 2, short_by_one));
 }
 
 TEST(BudgetEquivalenceTest, KwlMatchesPlain) {

@@ -1,12 +1,15 @@
 #include <algorithm>
 #include <compare>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "base/budget.h"
 #include "base/rng.h"
+#include "base/status.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/isomorphism.h"
@@ -17,6 +20,7 @@
 #include "wl/kwl.h"
 #include "wl/unfolding_tree.h"
 #include "wl/weighted_wl.h"
+#include "wl/wl_hash.h"
 
 namespace x2vec::wl {
 namespace {
@@ -309,6 +313,63 @@ TEST(ColorUtilsTest, ClassesAndHistogram) {
   EXPECT_EQ(ColorHistogram(colors), (std::vector<int>{2, 2, 1}));
 }
 
+TEST(WlHashTest, InvariantUnderPermutation) {
+  Rng rng = MakeRng(115);
+  for (int trial = 0; trial < 15; ++trial) {
+    const Graph g = graph::ErdosRenyiGnp(9, 0.4, rng);
+    const Graph p = graph::Permuted(g, RandomPermutation(9, rng));
+    EXPECT_EQ(WlHash(g), WlHash(p));
+    EXPECT_EQ(WlCertificate(g), WlCertificate(p));
+  }
+}
+
+TEST(WlHashTest, CertificateEqualityMatchesIndistinguishability) {
+  Rng rng = MakeRng(116);
+  int checked = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const Graph g = graph::ErdosRenyiGnp(7, 0.45, rng);
+    const Graph h = trial % 4 == 0
+                        ? graph::Permuted(g, RandomPermutation(7, rng))
+                        : graph::ErdosRenyiGnp(7, 0.45, rng);
+    const bool certificates_equal = WlCertificate(g) == WlCertificate(h);
+    EXPECT_EQ(certificates_equal, WlIndistinguishable(g, h))
+        << "trial " << trial;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 40);
+  // Pairs 1-WL tells apart by what it ranks besides out-neighbour colours:
+  // a vertex label, an edge label, in-neighbours.
+  Graph five(1);
+  five.SetVertexLabel(0, 5);
+  Graph seven(1);
+  seven.SetVertexLabel(0, 7);
+  Graph edge_label_1(2);
+  edge_label_1.AddEdge(0, 1, 1.0, /*label=*/1);
+  Graph edge_label_2(2);
+  edge_label_2.AddEdge(0, 1, 1.0, /*label=*/2);
+  Graph into_one_sink(4, /*directed=*/true);
+  into_one_sink.AddEdge(0, 2);
+  into_one_sink.AddEdge(1, 2);
+  Graph into_two_sinks(4, /*directed=*/true);
+  into_two_sinks.AddEdge(0, 2);
+  into_two_sinks.AddEdge(1, 3);
+  for (const auto& [g, h] : std::vector<std::pair<Graph, Graph>>{
+           {five, seven},
+           {edge_label_1, edge_label_2},
+           {into_one_sink, into_two_sinks}}) {
+    EXPECT_FALSE(WlIndistinguishable(g, h)) << g.ToString();
+    EXPECT_NE(WlCertificate(g), WlCertificate(h)) << g.ToString();
+    EXPECT_NE(WlHash(g), WlHash(h)) << g.ToString();
+  }
+}
+
+TEST(WlHashTest, ClassicBlindSpotCollides) {
+  const Graph c6 = Graph::Cycle(6);
+  const Graph triangles = DisjointUnion(Graph::Cycle(3), Graph::Cycle(3));
+  EXPECT_EQ(WlHash(c6), WlHash(triangles));
+  EXPECT_NE(WlHash(c6), WlHash(Graph::Path(6)));
+}
+
 TEST(WeightedWlTest, WeightsSplitWhereCountsDoNot) {
   // Two weighted 4-cycles with equal degree structure but different weight
   // sums around each vertex.
@@ -339,10 +400,134 @@ TEST(WeightedWlTest, RefinementOnWeightedStar) {
   h.AddEdge(0, 1, 5.0);
   h.AddEdge(0, 2, 1.0);
   h.AddEdge(0, 3, 1.0);
-  const WeightedRefinementResult r = WeightedColorRefinement(h);
+  const RefinementResult r = WeightedColorRefinement(h);
   EXPECT_EQ(r.NumStableColors(), 3);  // Centre, heavy leaf, light leaves.
-  const WeightedRefinementResult plain = WeightedColorRefinement(g);
+  const RefinementResult plain = WeightedColorRefinement(g);
   EXPECT_EQ(plain.NumStableColors(), 2);
+}
+
+// FNV-1a over a refinement trace: every round's colours, the per-round
+// counts and the stable round.
+uint64_t RefinementDigest(const RefinementResult& r) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= static_cast<uint64_t>(value >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const std::vector<int>& round : r.round_colors) {
+    mix(static_cast<int64_t>(round.size()));
+    for (int c : round) mix(c);
+  }
+  for (int count : r.colors_per_round) mix(count);
+  mix(r.stable_round);
+  return h;
+}
+
+// The centres' sums 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in their
+// last bit, so only a sum in adjacency order gives the pinned ids.
+Graph NonDyadicStars() {
+  Graph g(8);
+  g.AddEdge(0, 1, 0.1);
+  g.AddEdge(0, 2, 0.2);
+  g.AddEdge(0, 3, 0.3);
+  g.AddEdge(4, 5, 0.3);
+  g.AddEdge(4, 6, 0.2);
+  g.AddEdge(4, 7, 0.1);
+  return g;
+}
+
+// Vertex 0's weights +1 and -1 into one class sum to zero, which is
+// dropped: it looks like the isolated vertex 3.
+Graph CancellingWeights() {
+  Graph g(6);
+  g.AddEdge(0, 1, 1.0);
+  g.AddEdge(0, 2, -1.0);
+  g.AddEdge(4, 5, 1.0);
+  return g;
+}
+
+// Out-neighbours only; vertex labels seed round 0, edge labels are
+// ignored.
+Graph DirectedWeighted() {
+  Graph g(5, /*directed=*/true);
+  g.SetVertexLabel(4, 2);
+  g.AddEdge(0, 1, 2.0);
+  g.AddEdge(1, 2, 0.5, /*label=*/3);
+  g.AddEdge(2, 0, 1.5);
+  g.AddEdge(3, 1, 2.0);
+  g.AddEdge(4, 3, 0.5);
+  g.AddEdge(2, 4, 1.5, /*label=*/1);
+  return g;
+}
+
+TEST(WeightedWlTest, RoundColorsArePinned) {
+  // Captured from the std::map engine the dataset pass replaced.
+  const RefinementResult stars = WeightedColorRefinement(NonDyadicStars());
+  EXPECT_EQ(RefinementDigest(stars), 17615029713128575043ull);
+  EXPECT_NE(stars.round_colors[1][0], stars.round_colors[1][4]);
+  const RefinementResult cancelling =
+      WeightedColorRefinement(CancellingWeights());
+  EXPECT_EQ(RefinementDigest(cancelling), 16835682370046024225ull);
+  EXPECT_EQ(cancelling.round_colors[1][0], cancelling.round_colors[1][3]);
+  EXPECT_EQ(RefinementDigest(WeightedColorRefinement(DirectedWeighted())),
+            16254024904661667239ull);
+}
+
+Graph RandomWeighted(int n, double p, Rng& rng) {
+  Graph g(n);
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      if (Coin(rng, p)) {
+        g.AddEdge(u, v, static_cast<double>(UniformInt(rng, 1, 3)));
+      }
+    }
+  }
+  return g;
+}
+
+TEST(WeightedWlTest, TheoremAndFigurePairsArePinned) {
+  // The four named pairs of bench/thm413_weighted.
+  Rng rng = MakeRng(413);
+  const Graph base = RandomWeighted(6, 0.5, rng);
+  EXPECT_FALSE(WeightedWlDistinguishes(
+      base, graph::Permuted(base, RandomPermutation(6, rng))));
+  Graph wc6(6);
+  for (int i = 0; i < 6; ++i) wc6.AddEdge(i, (i + 1) % 6, 1.0);
+  Graph wtri(6);
+  Graph wtri_heavy(6);
+  for (int block = 0; block < 2; ++block) {
+    const int o = 3 * block;
+    for (int i = 0; i < 3; ++i) {
+      wtri.AddEdge(o + i, o + (i + 1) % 3, 1.0);
+      wtri_heavy.AddEdge(o + i, o + (i + 1) % 3, o + i == 0 ? 2.0 : 1.0);
+    }
+  }
+  EXPECT_FALSE(WeightedWlDistinguishes(wc6, wtri));
+  EXPECT_TRUE(WeightedWlDistinguishes(wc6, wtri_heavy));
+  Graph c8w(8);
+  for (int i = 0; i < 8; ++i) c8w.AddEdge(i, (i + 1) % 8, 2.0);
+  Graph c44w(8);
+  for (int block = 0; block < 2; ++block) {
+    const int o = 4 * block;
+    for (int i = 0; i < 4; ++i) c44w.AddEdge(o + i, o + (i + 1) % 4, 2.0);
+  }
+  EXPECT_FALSE(WeightedWlDistinguishes(c8w, c44w));
+
+  // Figure 4's matrix (bench/fig4_matrix_wl).
+  const MatrixWlResult r = MatrixWl(linalg::Matrix{
+      {2, 2, 0, 0, 1, 1},
+      {2, 2, 0, 0, 1, 1},
+      {0, 0, 3, 3, 1, 1},
+      {0, 0, 3, 3, 1, 1},
+      {5, 5, 5, 5, 0, 0},
+  });
+  EXPECT_EQ(r.row_colors, (std::vector<int>{0, 0, 1, 1, 2}));
+  EXPECT_EQ(r.col_colors, (std::vector<int>{0, 0, 1, 1, 2, 2}));
+  EXPECT_EQ(r.num_row_colors, 3);
+  EXPECT_EQ(r.num_col_colors, 3);
+  EXPECT_EQ(r.rounds, 2);
 }
 
 TEST(MatrixWlTest, CirculantMatrixCollapsesToOneClass) {
@@ -398,6 +583,199 @@ TEST(KwlTest, InvariantUnderPermutation) {
 
 TEST(KwlTest, DifferentOrdersAreDistinguished) {
   EXPECT_TRUE(KwlDistinguishes(Graph::Path(3), Graph::Path(4), 2));
+}
+
+TEST(KwlTest, ResultsArePinned) {
+  // Captured from the std::map engine the tuple pass replaced.
+  struct Pinned {
+    int pair;
+    int k;
+    KwlResult expected;
+  };
+  Rng rng = MakeRng(48);
+  const Graph g8 = graph::ErdosRenyiGnp(8, 0.4, rng);
+  const CfiPair cfi_c3 = BuildCfiPair(Graph::Cycle(3));
+  const CfiPair cfi_k4 = BuildCfiPair(Graph::Complete(4));
+  const std::vector<std::pair<Graph, Graph>> pairs = {
+      {Graph::Cycle(6), DisjointUnion(Graph::Cycle(3), Graph::Cycle(3))},
+      {Graph::Path(4), Graph::Star(3)},
+      {cfi_c3.untwisted, cfi_c3.twisted},
+      {cfi_k4.untwisted, cfi_k4.twisted},
+      {g8, graph::Permuted(g8, RandomPermutation(8, rng))},
+      {Graph::Path(3), Graph::Path(4)},
+  };
+  const std::vector<Pinned> pinned = {
+      {0, 1, {false, -1, 1, 1}},  {0, 2, {true, 1, 0, 5}},
+      {0, 3, {true, 0, 0, 15}},   {1, 1, {true, 1, 0, 3}},
+      {1, 2, {true, 1, 0, 12}},   {1, 3, {true, 0, 0, 14}},
+      {2, 1, {false, -1, 1, 3}},  {2, 2, {true, 1, 0, 30}},
+      {2, 3, {true, 0, 0, 132}},  {3, 1, {false, -1, 1, 4}},
+      {3, 2, {false, -1, 2, 40}}, {3, 3, {true, 1, 0, 736}},
+      {4, 1, {false, -1, 3, 8}},  {4, 2, {false, -1, 3, 64}},
+      {4, 3, {false, -1, 3, 512}}, {5, 1, {true, 0, 0, 0}},
+      {5, 2, {true, 0, 0, 0}},    {5, 3, {true, 0, 0, 0}},
+  };
+  for (const Pinned& p : pinned) {
+    const KwlResult r = KwlCompare(pairs[p.pair].first, pairs[p.pair].second,
+                                   p.k);
+    const std::string context =
+        "pair " + std::to_string(p.pair) + ", k " + std::to_string(p.k);
+    EXPECT_EQ(r.distinguishes, p.expected.distinguishes) << context;
+    EXPECT_EQ(r.distinguishing_round, p.expected.distinguishing_round)
+        << context;
+    EXPECT_EQ(r.rounds_to_stable, p.expected.rounds_to_stable) << context;
+    EXPECT_EQ(r.num_colors, p.expected.num_colors) << context;
+  }
+}
+
+// ---- KwlRefineDataset against the map reference ----------------------------
+
+// The std::map folklore round that the tuple pass replaced (it ran inside
+// KwlCompare on one pair of graphs), kept as an independent reference and
+// run on whole datasets: round 0 ranks atomic-type vectors, every later
+// round (old colour, sorted rows) signatures, each through one std::map.
+std::vector<int> ReferenceTuple(int64_t index, int n, int k) {
+  std::vector<int> tuple(k);
+  for (int i = k - 1; i >= 0; --i) {
+    tuple[i] = static_cast<int>(index % n);
+    index /= n;
+  }
+  return tuple;
+}
+
+std::vector<int> ReferenceAtomicType(const Graph& g,
+                                     const std::vector<int>& tuple) {
+  const int k = static_cast<int>(tuple.size());
+  std::vector<int> type;
+  for (int i = 0; i < k; ++i) type.push_back(g.VertexLabel(tuple[i]));
+  for (int i = 0; i < k; ++i) {
+    for (int j = 0; j < k; ++j) {
+      if (i == j) continue;
+      type.push_back(tuple[i] == tuple[j]             ? 2
+                     : g.HasEdge(tuple[i], tuple[j]) ? 1
+                                                     : 0);
+    }
+  }
+  return type;
+}
+
+std::vector<std::vector<int>> ReferenceRows(const Graph& g, const int* colors,
+                                            int64_t index, int k) {
+  const int n = g.NumVertices();
+  const std::vector<int> tuple = ReferenceTuple(index, n, k);
+  std::vector<int64_t> stride(k, 1);
+  for (int i = k - 2; i >= 0; --i) stride[i] = stride[i + 1] * n;
+  std::vector<std::vector<int>> rows;
+  for (int w = 0; w < n; ++w) {
+    std::vector<int> row(2 * k);
+    for (int i = 0; i < k; ++i) {
+      row[i] = colors[index + (w - tuple[i]) * stride[i]];
+      row[k + i] = w == tuple[i] ? 2 : g.HasEdge(w, tuple[i]) ? 1 : 0;
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+RefinementResult ReferenceKwl(const std::vector<Graph>& graphs, int k,
+                              int max_rounds) {
+  std::vector<int64_t> first = {0};
+  for (const Graph& g : graphs) {
+    int64_t tuples = 1;
+    for (int i = 0; i < k; ++i) tuples *= g.NumVertices();
+    first.push_back(first.back() + tuples);
+  }
+  const int64_t total = first.back();
+  std::map<std::vector<int>, int> type_to_color;
+  std::vector<std::vector<int>> types(total);
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    for (int64_t t = first[i]; t < first[i + 1]; ++t) {
+      types[t] = ReferenceAtomicType(
+          graphs[i], ReferenceTuple(t - first[i], graphs[i].NumVertices(), k));
+      type_to_color.emplace(types[t], 0);
+    }
+  }
+  int next = 0;
+  for (auto& [type, color] : type_to_color) color = next++;
+  RefinementResult result;
+  result.round_colors.emplace_back(total);
+  for (int64_t t = 0; t < total; ++t) {
+    result.round_colors[0][t] = type_to_color.at(types[t]);
+  }
+  result.colors_per_round.push_back(next);
+
+  using Signature = std::pair<int, std::vector<std::vector<int>>>;
+  const int rounds = max_rounds < 0 ? static_cast<int>(total) : max_rounds;
+  for (int round = 0; round < rounds; ++round) {
+    const std::vector<int>& current = result.round_colors.back();
+    std::map<Signature, int> signature_to_color;
+    std::vector<Signature> signatures(total);
+    for (size_t i = 0; i < graphs.size(); ++i) {
+      for (int64_t t = first[i]; t < first[i + 1]; ++t) {
+        signatures[t] = {current[t], ReferenceRows(graphs[i],
+                                                   current.data() + first[i],
+                                                   t - first[i], k)};
+        signature_to_color.emplace(signatures[t], 0);
+      }
+    }
+    next = 0;
+    for (auto& [signature, color] : signature_to_color) color = next++;
+    std::vector<int> refined(total);
+    for (int64_t t = 0; t < total; ++t) {
+      refined[t] = signature_to_color.at(signatures[t]);
+    }
+    const bool stable = next == result.colors_per_round.back();
+    result.round_colors.push_back(std::move(refined));
+    result.colors_per_round.push_back(next);
+    if (stable) break;
+  }
+  result.stable_round = static_cast<int>(result.round_colors.size()) - 1;
+  return result;
+}
+
+TEST(KwlDatasetTest, MatchesMapRefinement) {
+  Rng rng = MakeRng(4713);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int k = 1 + trial % 3;
+    // Every fourth dataset is directed; the last ones are large enough to
+    // build their rows on the pool.
+    const bool directed = trial % 4 == 3;
+    const bool large = trial >= 36;
+    constexpr int kSmallN[] = {7, 6, 4};
+    constexpr int kLargeN[] = {60, 14, 8};
+    const int max_n = (large ? kLargeN : kSmallN)[k - 1];
+    std::vector<Graph> graphs(large ? 12 : UniformInt(rng, 1, 4));
+    for (Graph& g : graphs) g = RandomLabelledGraph(rng, directed, max_n);
+    for (const int max_rounds : {-1, 0, 1, 3}) {
+      Budget unlimited;
+      const StatusOr<RefinementResult> actual =
+          KwlRefineDataset(graphs, k, max_rounds, unlimited);
+      const std::string context = "trial " + std::to_string(trial) +
+                                  ", max_rounds " + std::to_string(max_rounds);
+      ASSERT_TRUE(actual.ok()) << context << ": " << actual.status().ToString();
+      ExpectSameRefinement(*actual, ReferenceKwl(graphs, k, max_rounds),
+                           context);
+    }
+  }
+}
+
+TEST(KwlDatasetTest, DegenerateDatasetsMatchTheReference) {
+  const std::vector<std::vector<Graph>> datasets = {
+      {}, {Graph(0)}, {Graph(1)}, {Graph(0), Graph(2), Graph(0)}};
+  for (size_t d = 0; d < datasets.size(); ++d) {
+    for (int k = 1; k <= 3; ++k) {
+      for (const int max_rounds : {-1, 0, 2}) {
+        Budget unlimited;
+        const StatusOr<RefinementResult> actual =
+            KwlRefineDataset(datasets[d], k, max_rounds, unlimited);
+        ASSERT_TRUE(actual.ok());
+        ExpectSameRefinement(*actual, ReferenceKwl(datasets[d], k, max_rounds),
+                             "dataset " + std::to_string(d) + ", k " +
+                                 std::to_string(k));
+      }
+    }
+  }
 }
 
 TEST(CfiTest, TrianglePairSeparatedAtDimensionTwo) {
