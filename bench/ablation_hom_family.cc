@@ -63,8 +63,10 @@ int main() {
     std::printf("%-10s", variant.name);
     double total = 0.0;
     for (const data::GraphDataset& dataset : datasets) {
+      Budget unlimited;
       const linalg::Matrix gram = kernel::NormalizeKernel(
-          kernel::HomVectorKernelMatrix(dataset.graphs, variant.family));
+          *kernel::HomVectorKernelMatrix(dataset.graphs, variant.family,
+                                         unlimited));
       ml::SvmOptions options;
       options.c = 10.0;
       Rng svm_rng = MakeRng(99);

@@ -26,8 +26,9 @@ int main() {
     std::printf("%-6d", t);
     double total = 0.0;
     for (const data::GraphDataset& dataset : datasets) {
+      Budget unlimited;
       const linalg::Matrix gram = kernel::NormalizeKernel(
-          kernel::WlSubtreeKernelMatrix(dataset.graphs, t));
+          *kernel::WlSubtreeKernelMatrix(dataset.graphs, t, unlimited));
       ml::SvmOptions options;
       options.c = 10.0;
       Rng svm_rng = MakeRng(99);

@@ -35,8 +35,10 @@ std::vector<Graph> Dataset(int count, int size) {
 void BM_WlSubtreeGramThreads(benchmark::State& state) {
   const auto graphs = Dataset(60, 30);
   x2vec::SetThreadCount(static_cast<int>(state.range(0)));
+  x2vec::Budget unlimited;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(x2vec::kernel::WlSubtreeKernelMatrix(graphs, 5));
+    benchmark::DoNotOptimize(
+        x2vec::kernel::WlSubtreeKernelMatrix(graphs, 5, unlimited));
   }
   x2vec::SetThreadCount(0);
 }

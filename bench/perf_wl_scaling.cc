@@ -95,8 +95,10 @@ BENCHMARK(BM_RefineDataset)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 void BM_WlSubtreeKernelMatrix(benchmark::State& state) {
   const std::vector<Graph> graphs = Graph2VecDataset();
   x2vec::SetThreadCount(static_cast<int>(state.range(0)));
+  x2vec::Budget unlimited;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(x2vec::kernel::WlSubtreeKernelMatrix(graphs, 3));
+    benchmark::DoNotOptimize(
+        x2vec::kernel::WlSubtreeKernelMatrix(graphs, 3, unlimited));
   }
   x2vec::SetThreadCount(0);
 }
@@ -113,8 +115,10 @@ void BM_TwoWlKernelMatrix(benchmark::State& state) {
         x2vec::graph::ErdosRenyiGnp(20, i % 2 == 0 ? 0.15 : 0.30, rng));
   }
   x2vec::SetThreadCount(static_cast<int>(state.range(0)));
+  x2vec::Budget unlimited;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(x2vec::kernel::TwoWlKernelMatrix(graphs, 3));
+    benchmark::DoNotOptimize(
+        x2vec::kernel::TwoWlKernelMatrix(graphs, 3, unlimited));
   }
   x2vec::SetThreadCount(0);
 }

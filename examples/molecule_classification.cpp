@@ -36,8 +36,9 @@ int main() {
 
   // Drill into what the WL kernel sees: the subtree features of the first
   // molecule of each class.
+  Budget unlimited;
   const kernel::WlFeatureSet features =
-      kernel::WlSubtreeFeatures(dataset.graphs, 2);
+      *kernel::WlSubtreeFeatures(dataset.graphs, 2, unlimited);
   std::printf("\nWL subtree features (t=2): dim=%lld, ",
               static_cast<long long>(features.dimension));
   std::printf("nnz(class0 example)=%zu, nnz(class1 example)=%zu\n",

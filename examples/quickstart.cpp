@@ -58,7 +58,7 @@ int main() {
   // --- 6. A WL-kernel SVM in four lines (Sections 2.4 / 3.5). ----------
   const data::GraphDataset dataset = data::ChemLikeDataset(10, 14, rng);
   const linalg::Matrix gram = kernel::NormalizeKernel(
-      kernel::WlSubtreeKernelMatrix(dataset.graphs, 5));
+      *kernel::WlSubtreeKernelMatrix(dataset.graphs, 5, unlimited));
   ml::SvmOptions svm_options;
   svm_options.c = 10.0;
   const double accuracy = ml::CrossValidatedSvmAccuracy(

@@ -10,8 +10,9 @@
 #      re-run on its own so a numeric drift is called out by name)
 #   6. ctest -L wl (Weisfeiler-Leman suite: the 1-WL dataset pass and the
 #      folklore k-WL tuple pass against their map-based references, plus
-#      the WL kernels and their pinned Gram digests, re-run on its own so a
-#      colour-id drift is called out by name)
+#      every graph kernel's pinned Gram digests and the random-walk kernel
+#      against its product-graph reference, re-run on its own so a
+#      colour-id or Gram drift is called out by name)
 #   7. ctest -L parity (backend-parity suite: the vectorized kernel
 #      backend vs the generic golden reference, re-run on its own so a
 #      tolerance breach is called out by name)
@@ -102,7 +103,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L metrics
 step "ctest -L kernels (span kernels + bit-identity goldens)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L kernels
 
-step "ctest -L wl (WL passes vs map references + WL kernels)"
+step "ctest -L wl (WL passes vs map references + graph-kernel Grams)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L wl
 
 step "ctest -L parity (kernel backends vs generic golden reference)"

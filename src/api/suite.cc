@@ -22,24 +22,8 @@ using core::NodeEmbeddingMethod;
 using graph::Graph;
 using linalg::Matrix;
 
-Matrix GramFromRows(const Matrix& rows) {
-  return rows * rows.Transposed();
-}
-
-// Wraps a polynomial-time kernel computation with coarse budget
-// accounting: one work unit per input graph, charged up front. The
+// Node methods: one work unit per vertex, charged up front. The
 // trainer-backed methods below charge much finer units instead.
-template <typename Compute>
-StatusOr<Matrix> ChargedPerGraph(const std::vector<Graph>& graphs,
-                                 Budget& budget, std::string_view operation,
-                                 Compute&& compute) {
-  if (!budget.Spend(static_cast<int64_t>(graphs.size()))) {
-    return budget.ExhaustedError(operation);
-  }
-  return compute();
-}
-
-// Node-method analogue: one work unit per vertex, charged up front.
 template <typename Compute>
 StatusOr<Matrix> ChargedPerVertex(const Graph& g, Budget& budget,
                                   std::string_view operation,
@@ -53,55 +37,35 @@ StatusOr<Matrix> ChargedPerVertex(const Graph& g, Budget& budget,
 }  // namespace
 
 std::vector<GraphKernelMethod> DefaultMethodSuite() {
+  // Every method passes its budget straight through: the kernels, the
+  // graph2vec trainer and the GIN readout charge their own work (DESIGN.md,
+  // Budgets).
   std::vector<GraphKernelMethod> suite;
-
-  suite.push_back({"wl-subtree-t5",
-                   [](const std::vector<Graph>& graphs, Rng&,
-                      Budget& budget) -> StatusOr<Matrix> {
-                     return ChargedPerGraph(graphs, budget, "wl-subtree-t5",
-                                            [&] {
-                       return kernel::WlSubtreeKernelMatrix(graphs, 5);
-                     });
+  suite.push_back({"wl-subtree-t5", [](const std::vector<Graph>& graphs, Rng&,
+                                       Budget& budget) {
+                     return kernel::WlSubtreeKernelMatrix(graphs, 5, budget);
                    }});
-  suite.push_back({"wl2-folklore-t3",
-                   [](const std::vector<Graph>& graphs, Rng&,
-                      Budget& budget) -> StatusOr<Matrix> {
-                     return ChargedPerGraph(graphs, budget, "wl2-folklore-t3",
-                                            [&] {
-                       return kernel::TwoWlKernelMatrix(graphs, 3);
-                     });
+  suite.push_back({"wl2-folklore-t3", [](const std::vector<Graph>& graphs,
+                                         Rng&, Budget& budget) {
+                     return kernel::TwoWlKernelMatrix(graphs, 3, budget);
                    }});
-  suite.push_back({"hom-20",
-                   [](const std::vector<Graph>& graphs, Rng&,
-                      Budget& budget) -> StatusOr<Matrix> {
-                     return ChargedPerGraph(graphs, budget, "hom-20", [&] {
-                       return kernel::HomVectorKernelMatrix(
-                           graphs, hom::DefaultPatternFamily(20));
-                     });
+  suite.push_back({"hom-20", [](const std::vector<Graph>& graphs, Rng&,
+                                Budget& budget) {
+                     return kernel::HomVectorKernelMatrix(
+                         graphs, hom::DefaultPatternFamily(20), budget);
                    }});
-  suite.push_back({"graphlet-3",
-                   [](const std::vector<Graph>& graphs, Rng&,
-                      Budget& budget) -> StatusOr<Matrix> {
-                     return ChargedPerGraph(graphs, budget, "graphlet-3",
-                                            [&] {
-                       return kernel::GraphletKernelMatrix(graphs);
-                     });
+  suite.push_back({"graphlet-3", [](const std::vector<Graph>& graphs, Rng&,
+                                    Budget& budget) {
+                     return kernel::GraphletKernelMatrix(graphs, budget);
                    }});
-  suite.push_back({"shortest-path",
-                   [](const std::vector<Graph>& graphs, Rng&,
-                      Budget& budget) -> StatusOr<Matrix> {
-                     return ChargedPerGraph(graphs, budget, "shortest-path",
-                                            [&] {
-                       return kernel::ShortestPathKernelMatrix(graphs);
-                     });
+  suite.push_back({"shortest-path", [](const std::vector<Graph>& graphs, Rng&,
+                                       Budget& budget) {
+                     return kernel::ShortestPathKernelMatrix(graphs, budget);
                    }});
-  suite.push_back({"random-walk",
-                   [](const std::vector<Graph>& graphs, Rng&,
-                      Budget& budget) -> StatusOr<Matrix> {
-                     return ChargedPerGraph(graphs, budget, "random-walk",
-                                            [&] {
-                       return kernel::RandomWalkKernelMatrix(graphs, 0.1, 6);
-                     });
+  suite.push_back({"random-walk", [](const std::vector<Graph>& graphs, Rng&,
+                                     Budget& budget) {
+                     return kernel::RandomWalkKernelMatrix(graphs, 0.1, 6,
+                                                           budget);
                    }});
   suite.push_back({"graph2vec",
                    [](const std::vector<Graph>& graphs, Rng& rng,
@@ -113,26 +77,27 @@ std::vector<GraphKernelMethod> DefaultMethodSuite() {
                      StatusOr<Matrix> rows = embed::Graph2VecEmbeddingBudgeted(
                          graphs, options, rng, budget);
                      if (!rows.ok()) return rows.status();
-                     return GramFromRows(*rows);
+                     return kernel::LinearKernelMatrix(*rows, budget);
                    }});
   suite.push_back({"gin-random",
                    [](const std::vector<Graph>& graphs, Rng& rng,
                       Budget& budget) -> StatusOr<Matrix> {
-                     return ChargedPerGraph(graphs, budget, "gin-random",
-                                            [&] {
-                       const gnn::GinStack stack =
-                           gnn::GinStack::Random(3, 16, 1.0, rng());
-                       Matrix rows(static_cast<int>(graphs.size()), 16);
-                       for (size_t i = 0; i < graphs.size(); ++i) {
-                         rows.SetRow(static_cast<int>(i),
-                                     stack.EmbedGraph(graphs[i]));
-                       }
-                       // Log-compress: sum readouts grow with graph size.
-                       for (double& v : rows.mutable_data()) {
-                         v = std::log1p(std::max(0.0, v));
-                       }
-                       return GramFromRows(rows);
-                     });
+                     // One unit per graph, charged before its readout.
+                     if (!budget.Spend(graphs.size())) {
+                       return budget.ExhaustedError("gin-random");
+                     }
+                     const gnn::GinStack stack =
+                         gnn::GinStack::Random(3, 16, 1.0, rng());
+                     Matrix rows(static_cast<int>(graphs.size()), 16);
+                     for (size_t i = 0; i < graphs.size(); ++i) {
+                       rows.SetRow(static_cast<int>(i),
+                                   stack.EmbedGraph(graphs[i]));
+                     }
+                     // Log-compress: sum readouts grow with graph size.
+                     for (double& v : rows.mutable_data()) {
+                       v = std::log1p(std::max(0.0, v));
+                     }
+                     return kernel::LinearKernelMatrix(rows, budget);
                    }});
   return suite;
 }

@@ -47,11 +47,13 @@ bool Budget::SpendSlow(int64_t units) {
 }
 
 bool Budget::DeadlinePassed() {
-  if (!exhausted_ && deadline_.has_value() &&
-      std::chrono::steady_clock::now() >= *deadline_) {
-    exhausted_ = deadline_tripped_ = true;
-  }
+  if (!exhausted_ && DeadlineReached()) exhausted_ = deadline_tripped_ = true;
   return exhausted_;
+}
+
+bool Budget::DeadlineReached() const {
+  return deadline_.has_value() &&
+         std::chrono::steady_clock::now() >= *deadline_;
 }
 
 Status Budget::ExhaustedError(std::string_view operation) const {

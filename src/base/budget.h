@@ -62,6 +62,11 @@ class Budget {
   /// the budget is exhausted or its deadline has passed.
   [[nodiscard]] bool DeadlinePassed();
 
+  /// True iff a deadline is set and has passed. Reads only the deadline,
+  /// which never changes, so pool workers may call it while the owning
+  /// thread waits on them; unlike DeadlinePassed() it latches nothing.
+  [[nodiscard]] bool DeadlineReached() const;
+
   /// Work units recorded so far.
   [[nodiscard]] int64_t work_spent() const { return work_spent_; }
 

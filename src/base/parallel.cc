@@ -7,11 +7,6 @@
 namespace x2vec {
 namespace {
 
-/// Target chunk count for the automatic grain. A pure function of n keeps
-/// chunk boundaries — and therefore per-chunk RNG streams and reduction
-/// orders — independent of the thread count (the determinism contract).
-constexpr int64_t kAutoGrainChunks = 64;
-
 /// > 0 while this thread is running ParallelFor chunks (at any depth).
 thread_local int parallel_region_depth = 0;
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
@@ -98,6 +99,11 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+/// Target chunk count for the automatic grain. A pure function of n keeps
+/// chunk boundaries — and therefore per-chunk RNG streams and reduction
+/// orders — independent of the thread count (the determinism contract).
+inline constexpr int64_t kAutoGrainChunks = 64;
+
 /// Runs `body(begin, end)` over [0, n) split into chunks of `grain`
 /// indices (`grain` <= 0 selects an automatic grain that depends only on
 /// n). The calling thread participates; up to ThreadCount() - 1 shared
@@ -112,6 +118,28 @@ class ThreadPool {
 /// bit-identical guarantee (success paths do).
 [[nodiscard]] Status ParallelFor(int64_t n, int64_t grain,
                    const std::function<Status(int64_t, int64_t)>& body);
+
+/// ParallelFor for passes that charge their work up front but must stop
+/// at a deadline: each chunk first reads it (Budget::DeadlineReached, safe
+/// from any thread) and, once it has passed, cancels the loop, which then
+/// returns budget.ExhaustedError(operation). A pass thus overruns a
+/// deadline by about one chunk a thread. `grain` <= 0 selects the
+/// automatic grain capped at Budget::kClockCheckStride indices, so the
+/// deadline is read at least as often as Budget::Spend() would read it.
+[[nodiscard]] inline Status ParallelForUntilDeadline(
+    int64_t n, int64_t grain, Budget& budget, std::string_view operation,
+    const std::function<Status(int64_t, int64_t)>& body) {
+  if (grain <= 0) {
+    grain = std::clamp<int64_t>((n + kAutoGrainChunks - 1) / kAutoGrainChunks,
+                                1, Budget::kClockCheckStride);
+  }
+  const Status status = ParallelFor(n, grain, [&](int64_t lo, int64_t hi) {
+    return budget.DeadlineReached() ? Status::ResourceExhausted("deadline")
+                                    : body(lo, hi);
+  });
+  if (budget.DeadlinePassed()) return budget.ExhaustedError(operation);
+  return status;
+}
 
 /// Maps i -> fn(i) over [0, n) in parallel and returns the results in
 /// index order. The element type must be default-constructible; fn must

@@ -23,9 +23,11 @@ namespace x2vec::core {
 struct GraphKernelMethod {
   std::string name;
   /// Budget-aware entry point: returns kResourceExhausted when the budget
-  /// runs out (at least one work unit per input graph is charged; the
-  /// trainer-backed methods charge much finer). Other error codes surface
-  /// trainer validation / divergence failures.
+  /// runs out. Kernels charge one work unit per graph for a per-graph
+  /// feature pass and one per Gram entry, each before the work it pays
+  /// for, and read a deadline while they fill (DESIGN.md, Budgets); the
+  /// trainer-backed methods charge much finer. Other error codes surface
+  /// input validation (kInvalidArgument) and trainer divergence failures.
   std::function<StatusOr<linalg::Matrix>(const std::vector<graph::Graph>&,
                                          Rng&, Budget&)>
       gram_budgeted;

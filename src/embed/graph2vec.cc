@@ -1,6 +1,5 @@
 #include "embed/graph2vec.h"
 
-#include <string>
 #include <utility>
 
 #include "wl/color_refinement.h"
@@ -58,12 +57,9 @@ StatusOr<linalg::Matrix> Graph2Vec(const std::vector<graph::Graph>& graphs,
     return Status::InvalidArgument(
         "graph2vec needs at least one input graph");
   }
-  for (size_t g = 1; g < graphs.size(); ++g) {
-    if (graphs[g].directed() != graphs[0].directed()) {
-      return Status::InvalidArgument(
-          "graph2vec needs graphs of one directedness; graph " +
-          std::to_string(g) + " differs from graph 0");
-    }
+  if (Status valid = wl::CheckDirectedness(graphs, "graph2vec");
+      !valid.ok()) {
+    return valid;
   }
   if (budget.Exhausted()) {
     return budget.ExhaustedError("graph2vec embedding");

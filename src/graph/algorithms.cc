@@ -95,41 +95,4 @@ int Girth(const Graph& g) {
   return best;
 }
 
-Graph DirectProduct(const Graph& g, const Graph& h) {
-  X2VEC_CHECK(!g.directed() && !h.directed());
-  std::vector<std::pair<int, int>> pairs;
-  std::vector<int> id(g.NumVertices() * h.NumVertices(), -1);
-  auto key = [&h](int u, int v) { return u * h.NumVertices() + v; };
-  for (int u = 0; u < g.NumVertices(); ++u) {
-    for (int v = 0; v < h.NumVertices(); ++v) {
-      if (g.VertexLabel(u) == h.VertexLabel(v)) {
-        id[key(u, v)] = static_cast<int>(pairs.size());
-        pairs.emplace_back(u, v);
-      }
-    }
-  }
-  Graph product(static_cast<int>(pairs.size()));
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    product.SetVertexLabel(static_cast<int>(p),
-                           g.VertexLabel(pairs[p].first));
-  }
-  for (const Edge& eg : g.Edges()) {
-    for (const Edge& eh : h.Edges()) {
-      // Two orientations of the pair edge.
-      const std::pair<int, int> combos[2][2] = {
-          {{eg.u, eh.u}, {eg.v, eh.v}},
-          {{eg.u, eh.v}, {eg.v, eh.u}},
-      };
-      for (const auto& combo : combos) {
-        const int a = id[key(combo[0].first, combo[0].second)];
-        const int b = id[key(combo[1].first, combo[1].second)];
-        if (a != -1 && b != -1 && a != b && !product.HasEdge(a, b)) {
-          product.AddEdge(a, b);
-        }
-      }
-    }
-  }
-  return product;
-}
-
 }  // namespace x2vec::graph

@@ -27,9 +27,4 @@ int64_t CountTriangles(const Graph& g);
 /// Girth (length of shortest cycle); returns -1 for forests.
 int Girth(const Graph& g);
 
-/// Tensor/categorical product adjacency used by the random-walk kernel:
-/// vertices are pairs (u, v); (u,v) ~ (u',v') iff u~u' in g and v~v' in h.
-/// Vertex-labelled variant keeps only pairs with matching labels.
-Graph DirectProduct(const Graph& g, const Graph& h);
-
 }  // namespace x2vec::graph

@@ -3,144 +3,137 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <span>
-#include <tuple>
+#include <string>
+#include <string_view>
 
 #include "base/metrics.h"
-#include "base/parallel.h"
-#include "graph/algorithms.h"
+#include "base/validation.h"
+#include "kernel/gram.h"
+#include "kernel/wl_kernel.h"
 #include "linalg/eigen.h"
+#include "linalg/kernels.h"
 #include "linalg/kernels_backend.h"
+#include "wl/color_refinement.h"
 
 namespace x2vec::kernel {
 namespace {
 
 using graph::Graph;
 
-// Symmetric Gram fill, parallel over the upper triangle. Each entry is an
-// independent dot product, so the result is bit-identical at any thread
-// count.
-linalg::Matrix GramFromDense(const std::vector<std::vector<double>>& features) {
-  const int n = static_cast<int>(features.size());
-  linalg::Matrix k(n, n);
-  // Gauge written here, at the serial entry, never inside the ParallelFor.
-  X2VEC_METRIC_GAUGE("kernels.backend",
-                     static_cast<double>(linalg::ActiveKernelBackend()));
-  const int64_t pairs = static_cast<int64_t>(n) * (n + 1) / 2;
-  const Status status = ParallelFor(pairs, 0, [&](int64_t lo, int64_t hi) {
-    for (int64_t t = lo; t < hi; ++t) {
-      const auto [i, j] = UpperTriangleIndex(t, n);
-      const double dot = linalg::Dot(features[i], features[j]);
-      k(i, j) = dot;
-      k(j, i) = dot;
+// The linear kernel of the rows features(graph), vectors of `dim`, over
+// undirected graphs and, for the hom kernels, undirected `patterns`. With
+// `standardise`, each coordinate is first centred and scaled to unit
+// variance over the dataset.
+template <typename Features>
+StatusOr<linalg::Matrix> FeatureGram(const std::vector<Graph>& graphs,
+                                     const std::vector<hom::Pattern>& patterns,
+                                     int dim, bool standardise, Budget& budget,
+                                     std::string_view operation,
+                                     const Features& features) {
+  Status valid =
+      wl::CheckDirectedness(graphs, operation, /*allow_directed=*/false);
+  for (size_t p = 0; valid.ok() && p < patterns.size(); ++p) {
+    if (patterns[p].graph.directed()) {
+      valid = Status::InvalidArgument(std::string(operation) + ": pattern " +
+                                      std::to_string(p) + " is directed");
     }
-    return Status::Ok();
-  });
-  X2VEC_CHECK(status.ok()) << status.ToString();
-  return k;
+  }
+  if (!valid.ok()) return valid;
+  linalg::Matrix rows(static_cast<int>(graphs.size()), dim);
+  const Status status = internal::ForEachGraph(
+      static_cast<int64_t>(graphs.size()), budget, operation, [&](int64_t g) {
+        linalg::Copy(features(graphs[g]), rows.RowSpan(static_cast<int>(g)));
+      });
+  if (!status.ok()) return status;
+  const int n = rows.rows();
+  for (int j = 0; standardise && j < dim; ++j) {
+    double mean = 0.0;
+    for (int g = 0; g < n; ++g) mean += rows(g, j);
+    mean /= n;
+    double variance = 0.0;
+    for (int g = 0; g < n; ++g) {
+      variance += (rows(g, j) - mean) * (rows(g, j) - mean);
+    }
+    variance /= n;
+    const double scale = variance > 1e-18 ? 1.0 / std::sqrt(variance) : 0.0;
+    for (int g = 0; g < n; ++g) rows(g, j) = (rows(g, j) - mean) * scale;
+  }
+  return LinearKernelMatrix(rows, budget);
 }
 
-// Sparse dot of two sorted (key -> count) maps.
-template <typename Key>
-double MapDot(const std::map<Key, double>& a, const std::map<Key, double>& b) {
-  double total = 0.0;
-  auto i = a.begin();
-  auto j = b.begin();
-  while (i != a.end() && j != b.end()) {
-    if (i->first < j->first) {
-      ++i;
-    } else if (j->first < i->first) {
-      ++j;
-    } else {
-      total += i->second * j->second;
-      ++i;
-      ++j;
+// One random-walk entry, on the n_g x n_h grid of vertex pairs:
+// walks[u * n_h + x] counts the product walks of the current length ending
+// at (u, x). The counts are exact integers below 2^53, so each step's sum
+// is the product graph's 1^T A^step 1, and the terms add in its order.
+double WalkSum(const Graph& g, const Graph& h, double lambda, int max_length) {
+  const size_t ng = g.NumVertices();
+  const size_t nh = h.NumVertices();
+  std::vector<double> mask(ng * nh);
+  for (size_t u = 0; u < ng; ++u) {
+    for (size_t x = 0; x < nh; ++x) {
+      mask[u * nh + x] = g.VertexLabel(u) == h.VertexLabel(x) ? 1.0 : 0.0;
     }
+  }
+  std::vector<double> walks = mask;
+  std::vector<double> right(ng * nh);
+  double total = std::accumulate(mask.begin(), mask.end(), 0.0);  // k = 0.
+  double weight = 1.0;
+  for (int step = 1; step <= max_length; ++step) {
+    // right = walks A_h, then walks = mask o (A_g right).
+    for (size_t u = 0; u < ng; ++u) {
+      for (size_t x = 0; x < nh; ++x) {
+        double count = 0.0;
+        for (const graph::Neighbor& y : h.Neighbors(x)) {
+          count += walks[u * nh + y.to];
+        }
+        right[u * nh + x] = count;
+      }
+    }
+    double sum = 0.0;
+    for (size_t u = 0; u < ng; ++u) {
+      double* row = walks.data() + u * nh;
+      std::fill(row, row + nh, 0.0);
+      for (const graph::Neighbor& v : g.Neighbors(u)) {
+        const double* from = right.data() + v.to * nh;
+        for (size_t x = 0; x < nh; ++x) row[x] += from[x];
+      }
+      for (size_t x = 0; x < nh; ++x) {
+        row[x] = mask[u * nh + x] != 0.0 ? row[x] : 0.0;
+        sum += row[x];
+      }
+    }
+    weight *= lambda;
+    total += weight * sum;
   }
   return total;
 }
 
-// Gram fill over sparse per-graph count maps, parallel over the upper
-// triangle. Counts are integral, so the sums of products are exact and the
-// matrix is independent of key numbering and summation grouping.
-template <typename Key>
-linalg::Matrix GramFromCountMaps(
-    const std::vector<std::map<Key, double>>& counts) {
-  const int n = static_cast<int>(counts.size());
-  linalg::Matrix gram(n, n);
-  const int64_t pairs = static_cast<int64_t>(n) * (n + 1) / 2;
-  const Status status = ParallelFor(pairs, 0, [&](int64_t lo, int64_t hi) {
-    for (int64_t t = lo; t < hi; ++t) {
-      const auto [i, j] = UpperTriangleIndex(t, n);
-      const double dot = MapDot(counts[i], counts[j]);
-      gram(i, j) = dot;
-      gram(j, i) = dot;
-    }
-    return Status::Ok();
-  });
-  X2VEC_CHECK(status.ok()) << status.ToString();
-  return gram;
-}
-
 }  // namespace
 
-linalg::Matrix ShortestPathKernelMatrix(const std::vector<Graph>& graphs) {
-  // Per-graph feature maps over (label_u, label_v, dist) triples, one
-  // independent APSP per graph.
-  const auto counts =
-      ParallelMap(static_cast<int64_t>(graphs.size()), [&](int64_t g) {
-        const auto dist = graph::AllPairsShortestPaths(graphs[g]);
-        const int n = graphs[g].NumVertices();
-        std::map<std::tuple<int, int, int>, double> local;
-        for (int u = 0; u < n; ++u) {
-          for (int v = u + 1; v < n; ++v) {
-            if (dist[u][v] <= 0) continue;
-            const int a = std::min(graphs[g].VertexLabel(u),
-                                   graphs[g].VertexLabel(v));
-            const int b = std::max(graphs[g].VertexLabel(u),
-                                   graphs[g].VertexLabel(v));
-            local[std::make_tuple(a, b, dist[u][v])] += 1.0;
-          }
-        }
-        return local;
-      });
-  return GramFromCountMaps(counts);
+StatusOr<linalg::Matrix> ShortestPathKernelMatrix(
+    const std::vector<Graph>& graphs, Budget& budget) {
+  return WlShortestPathKernelMatrix(graphs, 0, budget);
 }
 
-linalg::Matrix RandomWalkKernelMatrix(const std::vector<Graph>& graphs,
-                                      double lambda, int max_length) {
-  X2VEC_CHECK_GT(lambda, 0.0);
-  X2VEC_CHECK_GE(max_length, 0);
-  const int n = static_cast<int>(graphs.size());
-  linalg::Matrix gram(n, n);
-  // Each (i, j) entry builds its own product graph; the upper triangle is
-  // the natural parallel decomposition.
-  const int64_t pairs = static_cast<int64_t>(n) * (n + 1) / 2;
-  const Status status = ParallelFor(pairs, 0, [&](int64_t lo, int64_t hi) {
-    for (int64_t t = lo; t < hi; ++t) {
-      const auto [i, j] = UpperTriangleIndex(t, n);
-      const Graph product = graph::DirectProduct(graphs[i], graphs[j]);
-      // sum_k lambda^k 1^T A^k 1 on the product graph.
-      const int np = product.NumVertices();
-      std::vector<double> ones(np, 1.0);
-      const linalg::Matrix a = product.AdjacencyMatrix();
-      double total = np;  // k = 0 term.
-      std::vector<double> current = ones;
-      double weight = 1.0;
-      for (int step = 1; step <= max_length; ++step) {
-        current = a.Apply(current);
-        weight *= lambda;
-        double sum = 0.0;
-        for (double x : current) sum += x;
-        total += weight * sum;
-      }
-      gram(i, j) = total;
-      gram(j, i) = total;
-    }
-    return Status::Ok();
-  });
-  X2VEC_CHECK(status.ok()) << status.ToString();
-  return gram;
+StatusOr<linalg::Matrix> RandomWalkKernelMatrix(
+    const std::vector<Graph>& graphs, double lambda, int max_length,
+    Budget& budget) {
+  Status valid = ValidateOptions(
+      {{"lambda", lambda, OptionCheck::Rule::kPositiveFinite},
+       {"max_length", static_cast<double>(max_length),
+        OptionCheck::Rule::kNonNegative}});
+  if (valid.ok()) {
+    valid = wl::CheckDirectedness(graphs, "random-walk kernel",
+                                  /*allow_directed=*/false);
+  }
+  if (!valid.ok()) return valid;
+  return internal::FillGram(
+      static_cast<int>(graphs.size()), budget, "random-walk kernel",
+      [&](int i, int j) {
+        return WalkSum(graphs[i], graphs[j], lambda, max_length);
+      });
 }
 
 std::vector<double> ThreeGraphletCounts(const Graph& g) {
@@ -162,11 +155,13 @@ std::vector<double> ThreeGraphletCounts(const Graph& g) {
   return counts;
 }
 
-linalg::Matrix GraphletKernelMatrix(const std::vector<Graph>& graphs) {
-  // O(n^3) triple enumeration per graph — parallel over the dataset.
-  const std::vector<std::vector<double>> features =
-      ParallelMap(static_cast<int64_t>(graphs.size()), [&](int64_t g) {
-        const std::vector<double> counts = ThreeGraphletCounts(graphs[g]);
+StatusOr<linalg::Matrix> GraphletKernelMatrix(const std::vector<Graph>& graphs,
+                                              Budget& budget) {
+  // O(n^3) triple enumeration per graph.
+  return FeatureGram(
+      graphs, {}, 3, /*standardise=*/false, budget, "graphlet kernel",
+      [](const Graph& g) {
+        const std::vector<double> counts = ThreeGraphletCounts(g);
         // Use the non-empty graphlets (edge+isolated, wedge, triangle),
         // normalised to a distribution so graph size does not dominate; the
         // empty triple would otherwise swamp the histogram on sparse graphs.
@@ -178,58 +173,50 @@ linalg::Matrix GraphletKernelMatrix(const std::vector<Graph>& graphs) {
         }
         return connected;
       });
-  return GramFromDense(features);
 }
 
-linalg::Matrix HomVectorKernelMatrix(const std::vector<Graph>& graphs,
-                                     const std::vector<hom::Pattern>& patterns) {
-  // One independent homomorphism-vector computation per graph.
-  std::vector<std::vector<double>> features =
-      ParallelMap(static_cast<int64_t>(graphs.size()), [&](int64_t g) {
-        return hom::LogScaledHomVector(graphs[g], patterns);
-      });
-  // Standardise each pattern coordinate over the dataset (zero mean, unit
-  // variance): a single highly discriminative pattern (say C3) should not
-  // be drowned by large shared walk counts.
-  if (!features.empty()) {
-    const size_t dim = features[0].size();
-    for (size_t j = 0; j < dim; ++j) {
-      double mean = 0.0;
-      for (const auto& f : features) mean += f[j];
-      mean /= features.size();
-      double variance = 0.0;
-      for (const auto& f : features) {
-        variance += (f[j] - mean) * (f[j] - mean);
-      }
-      variance /= features.size();
-      const double scale = variance > 1e-18 ? 1.0 / std::sqrt(variance) : 0.0;
-      for (auto& f : features) f[j] = (f[j] - mean) * scale;
-    }
-  }
-  return GramFromDense(features);
+StatusOr<linalg::Matrix> HomVectorKernelMatrix(
+    const std::vector<Graph>& graphs,
+    const std::vector<hom::Pattern>& patterns, Budget& budget) {
+  // Standardised coordinates: a single highly discriminative pattern (say
+  // C3) should not be drowned by large shared walk counts.
+  return FeatureGram(
+      graphs, patterns, static_cast<int>(patterns.size()),
+      /*standardise=*/true, budget, "hom-vector kernel",
+      [&](const Graph& g) { return hom::LogScaledHomVector(g, patterns); });
 }
 
-linalg::Matrix ScaledHomKernelMatrix(const std::vector<Graph>& graphs,
-                                     const std::vector<hom::Pattern>& patterns) {
+StatusOr<linalg::Matrix> ScaledHomKernelMatrix(
+    const std::vector<Graph>& graphs,
+    const std::vector<hom::Pattern>& patterns, Budget& budget) {
   // Group patterns by order k; scale hom(F, .) by k^{-k/2} and each order
   // class by 1/sqrt(|F_k|) so the Gram matrix realises eq. (4.1).
   std::map<int, int> order_counts;
   for (const hom::Pattern& p : patterns) ++order_counts[p.graph.NumVertices()];
-
-  const std::vector<std::vector<double>> features =
-      ParallelMap(static_cast<int64_t>(graphs.size()), [&](int64_t g) {
-        const std::vector<double> raw = hom::HomVector(graphs[g], patterns);
-        std::vector<double> scaled(raw.size());
-        for (size_t i = 0; i < raw.size(); ++i) {
+  return FeatureGram(
+      graphs, patterns, static_cast<int>(patterns.size()),
+      /*standardise=*/false, budget, "scaled hom kernel", [&](const Graph& g) {
+        std::vector<double> scaled = hom::HomVector(g, patterns);
+        for (size_t i = 0; i < scaled.size(); ++i) {
           const int k = patterns[i].graph.NumVertices();
-          const double class_scale = 1.0 / std::sqrt(
-              static_cast<double>(order_counts.at(k)));
-          scaled[i] = raw[i] * std::pow(static_cast<double>(k), -k / 2.0) *
+          const double class_scale =
+              1.0 / std::sqrt(static_cast<double>(order_counts.at(k)));
+          scaled[i] = scaled[i] * std::pow(static_cast<double>(k), -k / 2.0) *
                       class_scale;
         }
         return scaled;
       });
-  return GramFromDense(features);
+}
+
+StatusOr<linalg::Matrix> LinearKernelMatrix(const linalg::Matrix& rows,
+                                            Budget& budget) {
+  // Gauge written here, at the serial entry, never inside the fill.
+  X2VEC_METRIC_GAUGE("kernels.backend",
+                     static_cast<double>(linalg::ActiveKernelBackend()));
+  return internal::FillGram(
+      rows.rows(), budget, "linear kernel", [&](int i, int j) {
+        return linalg::Dot(rows.ConstRowSpan(i), rows.ConstRowSpan(j));
+      });
 }
 
 linalg::Matrix NormalizeKernel(const linalg::Matrix& k) {

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <span>
 
-#include "base/parallel.h"
+#include "kernel/gram.h"
 #include "linalg/eigen.h"
 
 namespace x2vec::kernel {
@@ -11,34 +11,25 @@ namespace {
 
 // Applies f to the Laplacian spectrum: K = V f(Lambda) V^T. The kernel
 // matrix is a node-pair similarity, so the triple product is materialised
-// entry by entry over the upper triangle in parallel; each entry is an
+// entry by entry through the module's Gram fill; each entry is an
 // independent weighted dot of two eigenvector rows.
-linalg::Matrix SpectralFunction(const graph::Graph& g,
-                                double (*f)(double, double, int),
-                                double parameter, int extra) {
+template <typename F>
+linalg::Matrix SpectralFunction(const graph::Graph& g, const F& f) {
   const linalg::EigenDecomposition eig =
       linalg::SymmetricEigen(Laplacian(g));
   const int n = static_cast<int>(eig.values.size());
   std::vector<double> mapped(eig.values.size());
-  for (size_t i = 0; i < eig.values.size(); ++i) {
-    mapped[i] = f(eig.values[i], parameter, extra);
-  }
-  linalg::Matrix k(n, n);
-  const int64_t pairs = static_cast<int64_t>(n) * (n + 1) / 2;
-  const Status status = ParallelFor(pairs, 0, [&](int64_t lo, int64_t hi) {
-    for (int64_t t = lo; t < hi; ++t) {
-      const auto [i, j] = UpperTriangleIndex(t, n);
-      const std::span<const double> vi = eig.vectors.ConstRowSpan(i);
-      const std::span<const double> vj = eig.vectors.ConstRowSpan(j);
-      double total = 0.0;
-      for (int e = 0; e < n; ++e) total += vi[e] * mapped[e] * vj[e];
-      k(i, j) = total;
-      k(j, i) = total;
-    }
-    return Status::Ok();
-  });
-  X2VEC_CHECK(status.ok()) << status.ToString();
-  return k;
+  for (size_t i = 0; i < eig.values.size(); ++i) mapped[i] = f(eig.values[i]);
+  // An unlimited budget never runs out, so the fill cannot fail.
+  Budget unlimited;
+  return internal::FillGram(n, unlimited, "node kernel", [&](int i, int j) {
+           const std::span<const double> vi = eig.vectors.ConstRowSpan(i);
+           const std::span<const double> vj = eig.vectors.ConstRowSpan(j);
+           double total = 0.0;
+           for (int e = 0; e < n; ++e) total += vi[e] * mapped[e] * vj[e];
+           return total;
+         })
+      .value();
 }
 
 }  // namespace
@@ -59,30 +50,25 @@ linalg::Matrix Laplacian(const graph::Graph& g) {
 linalg::Matrix DiffusionKernel(const graph::Graph& g, double beta) {
   X2VEC_CHECK_GT(beta, 0.0);
   return SpectralFunction(
-      g, [](double lambda, double b, int) { return std::exp(-b * lambda); },
-      beta, 0);
+      g, [beta](double lambda) { return std::exp(-beta * lambda); });
 }
 
 linalg::Matrix RegularizedLaplacianKernel(const graph::Graph& g,
                                           double sigma) {
   X2VEC_CHECK_GT(sigma, 0.0);
-  return SpectralFunction(
-      g,
-      [](double lambda, double s, int) { return 1.0 / (1.0 + s * s * lambda); },
-      sigma, 0);
+  return SpectralFunction(g, [sigma](double lambda) {
+    return 1.0 / (1.0 + sigma * sigma * lambda);
+  });
 }
 
 linalg::Matrix PStepRandomWalkKernel(const graph::Graph& g, double a, int p) {
   X2VEC_CHECK_GE(a, 2.0);
   X2VEC_CHECK_GE(p, 1);
-  return SpectralFunction(
-      g,
-      [](double lambda, double a_param, int steps) {
-        double value = 1.0;
-        for (int i = 0; i < steps; ++i) value *= (a_param - lambda);
-        return value;
-      },
-      a, p);
+  return SpectralFunction(g, [a, p](double lambda) {
+    double value = 1.0;
+    for (int i = 0; i < p; ++i) value *= (a - lambda);
+    return value;
+  });
 }
 
 }  // namespace x2vec::kernel

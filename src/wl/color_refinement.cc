@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "base/metrics.h"
@@ -178,6 +179,22 @@ RefinementResult RefineDataset(std::span<const Graph> graphs,
   for (const Graph& g : graphs) pointers.push_back(&g);
   return RefineGraphs(pointers, options,
                       LabelledPairs{options.use_edge_labels});
+}
+
+Status CheckDirectedness(std::span<const Graph> graphs,
+                         std::string_view operation, bool allow_directed) {
+  for (size_t g = 0; g < graphs.size(); ++g) {
+    if (graphs[g].directed() && !allow_directed) {
+      return Status::InvalidArgument(std::string(operation) + ": graph " +
+                                     std::to_string(g) + " is directed");
+    }
+    if (graphs[g].directed() != graphs[0].directed()) {
+      return Status::InvalidArgument(std::string(operation) + ": graph " +
+                                     std::to_string(g) +
+                                     " differs from graph 0 in directedness");
+    }
+  }
+  return Status::Ok();
 }
 
 JointRefinementResult RefineTogether(const Graph& g, const Graph& h,

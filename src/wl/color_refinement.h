@@ -1,8 +1,10 @@
 #pragma once
 
 #include <span>
+#include <string_view>
 #include <vector>
 
+#include "base/status.h"
 #include "graph/graph.h"
 
 namespace x2vec::wl {
@@ -57,6 +59,13 @@ RefinementResult ColorRefinement(const graph::Graph& g,
 /// directedness (CHECK). An empty dataset behaves like a 0-vertex graph.
 RefinementResult RefineDataset(std::span<const graph::Graph> graphs,
                                const RefinementOptions& options = {});
+
+/// kInvalidArgument naming `operation` and a graph unless the graphs share
+/// directedness, as RefineDataset requires, and, unless `allow_directed`,
+/// are undirected.
+Status CheckDirectedness(std::span<const graph::Graph> graphs,
+                         std::string_view operation,
+                         bool allow_directed = true);
 
 /// Result of running 1-WL jointly on two graphs in one colour namespace:
 /// the same ids as on their disjoint union.

@@ -54,37 +54,30 @@ struct Tuples {
   bool inline_only = false;  // Small passes stay on the calling thread.
 
   // Runs body(block, t, x, scratch) for every dataset tuple x, tuple t of
-  // its block, with scratch.tuple holding its vertices. Slices run one
-  // after another, each in parallel over its tuples; the calling thread
-  // reads the budget's deadline before each slice and after the last, as
-  // often as per-tuple Spend()s would under a limited budget.
+  // its block, with scratch.tuple holding its vertices, reading the
+  // budget's deadline before every chunk of at most
+  // Budget::kClockCheckStride tuples (as often as per-tuple Spend()s would
+  // read the clock); a small pass is one chunk on the calling thread.
   template <typename Body>
   Status ForEach(Budget& budget, const Body& body) const {
-    const int64_t slice = budget.limited() ? Budget::kClockCheckStride
-                                           : std::max<int64_t>(total, 1);
-    for (int64_t lo = 0;; lo += slice) {
-      if (budget.DeadlinePassed()) return budget.ExhaustedError(kOperation);
-      if (lo >= total) return Status::Ok();
-      const int64_t count = std::min(slice, total - lo);
-      const Status status = ParallelFor(
-          count, inline_only ? count : 0, [&](int64_t from, int64_t to) {
-            Scratch scratch;
-            scratch.tuple.resize(k);
-            size_t b = 0;
-            for (int64_t x = lo + from; x < lo + to; ++x) {
-              while (x >= blocks[b].first + blocks[b].count) ++b;
-              const TupleBlock& block = blocks[b];
-              const int64_t t = x - block.first;
-              for (int i = 0; i < k; ++i) {
-                scratch.tuple[i] =
-                    static_cast<int>(t / block.stride[i] % block.n);
-              }
-              body(block, t, x, scratch);
+    return ParallelForUntilDeadline(
+        total, inline_only ? total : 0, budget, kOperation,
+        [&](int64_t from, int64_t to) {
+          Scratch scratch;
+          scratch.tuple.resize(k);
+          size_t b = 0;
+          for (int64_t x = from; x < to; ++x) {
+            while (x >= blocks[b].first + blocks[b].count) ++b;
+            const TupleBlock& block = blocks[b];
+            const int64_t t = x - block.first;
+            for (int i = 0; i < k; ++i) {
+              scratch.tuple[i] =
+                  static_cast<int>(t / block.stride[i] % block.n);
             }
-            return Status::Ok();
-          });
-      X2VEC_CHECK(status.ok()) << status.ToString();
-    }
+            body(block, t, x, scratch);
+          }
+          return Status::Ok();
+        });
   }
 };
 
@@ -220,9 +213,18 @@ StatusOr<RefinementResult> RefineTuples(
         p + row_begin[a], p + row_begin[a + 1], p + row_begin[b],
         p + row_begin[b + 1]);
   };
+  // Early rounds repeat a few signatures over most tuples, whose long rows
+  // share long prefixes: the rank compares only the distinct ones.
+  const auto hash = [&](const std::vector<int>& colors, int x) {
+    uint64_t h = static_cast<uint32_t>(colors[x]);
+    for (int64_t e = row_begin[x]; e < row_begin[x + 1]; ++e) {
+      h = (h ^ static_cast<uint32_t>(rows[e])) * 0x9E3779B97F4A7C15ull;
+    }
+    return h;
+  };
   const Status status = internal::RunRounds(
       max_rounds < 0 ? static_cast<int>(total) : max_rounds, result, build,
-      compare, done);
+      compare, done, hash);
   if (!status.ok()) return status;
   return result;
 }

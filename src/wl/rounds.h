@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -70,22 +72,61 @@ int RankSignatures(std::vector<int>& ids, std::vector<int>& order,
   return order.empty() ? 0 : count + 1;
 }
 
+// RankSignatures for signatures that mostly repeat, as the k-WL tuple
+// pass's long rows do: items are grouped by hash(x), equal for equal
+// signatures, so only one item per distinct signature is compared and
+// sorted. The ids are RankSignatures'. The 1-WL pass keeps the plain sort:
+// its signatures are short and, on one or two graphs, mostly distinct, so
+// the hash and its sort are pure overhead there (Release, gcc 12.2, 4-core
+// VM: 1-WL to stability on one sparse graph of 256 vertices took 0.25
+// instead of 0.13 ms with this rank, of 1024 vertices 15% longer), while a
+// 400-graph dataset gained only 4-13%.
+template <typename Compare, typename Hash>
+int RankDistinctSignatures(std::vector<int>& ids, std::vector<int>& order,
+                           const Compare& compare, const Hash& hash) {
+  std::vector<std::pair<uint64_t, int>> keyed(ids.size());
+  for (size_t x = 0; x < ids.size(); ++x) keyed[x] = {hash(x), x};
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<int> reps;  // One item per distinct signature.
+  for (size_t k = 0, first = 0; k < keyed.size(); ++k) {
+    if (k > 0 && keyed[k].first != keyed[k - 1].first) first = reps.size();
+    const int x = keyed[k].second;
+    size_t r = first;
+    while (r < reps.size() && compare(reps[r], x) != 0) ++r;
+    if (r == reps.size()) reps.push_back(x);
+    ids[x] = static_cast<int>(r);
+  }
+  std::vector<int> rank(reps.size());
+  const int count = RankSignatures(
+      rank, order, [&](int a, int b) { return compare(reps[a], reps[b]); });
+  for (int& id : ids) id = rank[id];
+  return count;
+}
+
 // Appends rounds to `result`, which holds round 0: build(current) makes
 // every item's signature from the current colours (an error is returned
-// at once) and compare(current, a, b) ranks them into the next round.
-// Stops once done(result) holds (checked before every round), after
-// max_rounds rounds, or at the first round whose colour count does not
-// grow; stable_round is the number of rounds run.
-template <typename Build, typename Compare, typename Done>
+// at once) and compare(current, a, b) ranks them into the next round,
+// through RankDistinctSignatures when a hash(current, x) of the
+// signatures is given. Stops once done(result) holds (checked before
+// every round), after max_rounds rounds, or at the first round whose
+// colour count does not grow; stable_round is the number of rounds run.
+template <typename Build, typename Compare, typename Done,
+          typename Hash = std::nullptr_t>
 Status RunRounds(int max_rounds, RefinementResult& result, Build&& build,
-                 Compare&& compare, Done&& done) {
+                 Compare&& compare, Done&& done, Hash&& hash = nullptr) {
   std::vector<int> order;
   for (int round = 0; !done(result) && round < max_rounds; ++round) {
     const std::vector<int>& current = result.round_colors.back();
     if (Status built = build(current); !built.ok()) return built;
     std::vector<int> refined(current.size());
-    const int count = RankSignatures(
-        refined, order, [&](int a, int b) { return compare(current, a, b); });
+    const auto by = [&](int a, int b) { return compare(current, a, b); };
+    int count = 0;
+    if constexpr (std::is_null_pointer_v<std::decay_t<Hash>>) {
+      count = RankSignatures(refined, order, by);
+    } else {
+      count = RankDistinctSignatures(refined, order, by,
+                                     [&](int x) { return hash(current, x); });
+    }
     const bool stable = count == result.colors_per_round.back();
     result.round_colors.push_back(std::move(refined));
     result.colors_per_round.push_back(count);

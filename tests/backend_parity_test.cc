@@ -477,17 +477,18 @@ TEST(BackendEndToEndParityTest, KnnPredictionsAgreeWithGeneric) {
 }
 
 TEST(BackendEndToEndParityTest, GraphletGramCloseToGeneric) {
+  Budget unlimited;
   Rng rng = MakeRng(1234);
   std::vector<Graph> graphs = {Graph::Complete(4), Graph::Path(6),
                                Graph::Cycle(5), Graph::Star(4)};
   for (int i = 0; i < 4; ++i) {
     graphs.push_back(graph::ConnectedGnp(7, 0.4, rng));
   }
-  const Matrix generic_gram = kernel::GraphletKernelMatrix(graphs);
+  const Matrix generic_gram = *kernel::GraphletKernelMatrix(graphs, unlimited);
 
   for (const KernelBackend backend : kFastBackends) {
     BackendGuard guard(backend);
-    const Matrix gram = kernel::GraphletKernelMatrix(graphs);
+    const Matrix gram = kernel::GraphletKernelMatrix(graphs, unlimited).value();
     ASSERT_EQ(gram.rows(), generic_gram.rows());
     double diff = 0.0, norm = 0.0;
     for (int i = 0; i < gram.rows(); ++i) {
@@ -579,7 +580,7 @@ TEST(BackendGoldenGuaranteeTest, GenericStaysGoldenAfterBackendRoundTrip) {
   for (int i = 0; i < 4; ++i) {
     graphs.push_back(graph::ConnectedGnp(7, 0.4, graph_rng));
   }
-  EXPECT_EQ(Digest(kernel::GraphletKernelMatrix(graphs)),
+  EXPECT_EQ(Digest(kernel::GraphletKernelMatrix(graphs, unlimited).value()),
             11022058731005599074ull);
 }
 

@@ -93,12 +93,13 @@ TEST(RegistryTest, NodeSuiteShapes) {
 }
 
 TEST(IntegrationTest, WlKernelSeparatesChemLikeClasses) {
+  Budget unlimited;
   // End-to-end: dataset -> kernel -> SVM cross-validation. Trees vs
   // ring-closed molecules differ in local WL statistics.
   Rng rng = MakeRng(86);
   const data::GraphDataset dataset = data::ChemLikeDataset(10, 12, rng);
   const linalg::Matrix gram = kernel::NormalizeKernel(
-      kernel::WlSubtreeKernelMatrix(dataset.graphs, 3));
+      kernel::WlSubtreeKernelMatrix(dataset.graphs, 3, unlimited).value());
   Rng svm_rng = MakeRng(87);
   ml::SvmOptions svm_options;
   svm_options.c = 10.0;
@@ -108,14 +109,15 @@ TEST(IntegrationTest, WlKernelSeparatesChemLikeClasses) {
 }
 
 TEST(IntegrationTest, HomVectorsSeeMotifsWlCannotCount) {
+  Budget unlimited;
   // Section 4's pitch in miniature: 1-WL statistics barely separate the
   // planted-triangle vs planted-square classes, while a hom-vector kernel
   // whose family contains C3 and C4 separates them well.
   Rng rng = MakeRng(88);
   const data::GraphDataset dataset = data::MotifDataset(10, 14, rng);
-  const linalg::Matrix hom_gram = kernel::NormalizeKernel(
-      kernel::HomVectorKernelMatrix(dataset.graphs,
-                                    hom::DefaultPatternFamily(20)));
+  const linalg::Matrix hom_gram =
+      kernel::NormalizeKernel(*kernel::HomVectorKernelMatrix(
+          dataset.graphs, hom::DefaultPatternFamily(20), unlimited));
   Rng svm_rng = MakeRng(89);
   ml::SvmOptions svm_options;
   svm_options.c = 10.0;
@@ -123,7 +125,7 @@ TEST(IntegrationTest, HomVectorsSeeMotifsWlCannotCount) {
       hom_gram, dataset.labels, 4, svm_options, svm_rng);
   const double wl_accuracy = ml::CrossValidatedSvmAccuracy(
       kernel::NormalizeKernel(
-          kernel::WlSubtreeKernelMatrix(dataset.graphs, 5)),
+          kernel::WlSubtreeKernelMatrix(dataset.graphs, 5, unlimited).value()),
       dataset.labels, 4, svm_options, svm_rng);
   EXPECT_GT(hom_accuracy, 0.6);
   EXPECT_GE(hom_accuracy, wl_accuracy - 0.05);

@@ -26,6 +26,7 @@
 #include "embed/walks.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "hom/embeddings.h"
 #include "kernel/graph_kernels.h"
 #include "kernel/node_kernels.h"
 #include "kernel/wl_kernel.h"
@@ -81,43 +82,117 @@ std::vector<Graph> SmallDataset() {
   return graphs;
 }
 
+// Gram entry points take a Budget. Every thread count runs them unlimited
+// and under a generous deadline, read before every chunk of the feature
+// pass and the fill; all must match the 1-thread unlimited run bit for bit.
+template <typename Gram>
+void ExpectGramInvariant(Gram&& gram) {
+  SetThreadCount(1);
+  Budget unlimited;
+  const Matrix reference = gram(unlimited).value();
+  for (int threads : SweepThreadCounts()) {
+    SetThreadCount(threads);
+    Budget deadline = Budget::Deadline(3600);
+    for (Budget* budget : {&unlimited, &deadline}) {
+      const Matrix result = gram(*budget).value();
+      EXPECT_TRUE(result.rows() == reference.rows() &&
+                  result.AllClose(reference, 0.0))
+          << "diverged at " << threads << " threads"
+          << (budget->limited() ? " under a deadline" : "");
+    }
+  }
+  SetThreadCount(0);
+}
+
 TEST(GramDeterminismTest, WlSubtreeKernel) {
   const std::vector<Graph> graphs = SmallDataset();
-  ExpectMatrixInvariant([&] { return kernel::WlSubtreeKernelMatrix(graphs, 3); });
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::WlSubtreeKernelMatrix(graphs, 3, budget);
+  });
+}
+
+TEST(GramDeterminismTest, WlSubtreeKernelOnALargeDataset) {
+  // 400 graphs: 80200 Gram entries, so the fill's chunks are capped at
+  // Budget::kClockCheckStride entries rather than split 64 ways.
+  Rng rng = MakeRng(99);
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 400; ++i) {
+    graphs.push_back(graph::ConnectedGnp(5 + i % 4, 0.5, rng));
+  }
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::WlSubtreeKernelMatrix(graphs, 2, budget);
+  });
 }
 
 TEST(GramDeterminismTest, DiscountedWlKernel) {
   const std::vector<Graph> graphs = SmallDataset();
-  ExpectMatrixInvariant(
-      [&] { return kernel::DiscountedWlKernelMatrix(graphs, 3); });
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::DiscountedWlKernelMatrix(graphs, 3, budget);
+  });
 }
 
 TEST(GramDeterminismTest, WlShortestPathKernel) {
   const std::vector<Graph> graphs = SmallDataset();
-  ExpectMatrixInvariant(
-      [&] { return kernel::WlShortestPathKernelMatrix(graphs, 2); });
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::WlShortestPathKernelMatrix(graphs, 2, budget);
+  });
 }
 
 TEST(GramDeterminismTest, TwoWlKernel) {
   const std::vector<Graph> graphs = SmallDataset();
-  ExpectMatrixInvariant(
-      [&] { return kernel::TwoWlKernelMatrix(graphs, 2).value(); });
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::TwoWlKernelMatrix(graphs, 2, budget);
+  });
 }
 
 TEST(GramDeterminismTest, ShortestPathKernel) {
   const std::vector<Graph> graphs = SmallDataset();
-  ExpectMatrixInvariant([&] { return kernel::ShortestPathKernelMatrix(graphs); });
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::ShortestPathKernelMatrix(graphs, budget);
+  });
 }
 
 TEST(GramDeterminismTest, RandomWalkKernel) {
   const std::vector<Graph> graphs = SmallDataset();
-  ExpectMatrixInvariant(
-      [&] { return kernel::RandomWalkKernelMatrix(graphs, 0.1, 4); });
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::RandomWalkKernelMatrix(graphs, 0.1, 4, budget);
+  });
+}
+
+TEST(GramDeterminismTest, RandomWalkKernelOnLabelledGraphs) {
+  // Vertex labels make the label-match mask of every pair non-trivial.
+  std::vector<Graph> graphs = SmallDataset();
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    for (int v = 0; v < graphs[i].NumVertices(); ++v) {
+      graphs[i].SetVertexLabel(v, static_cast<int>((v + i) % 3));
+    }
+  }
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::RandomWalkKernelMatrix(graphs, 0.5, 3, budget);
+  });
+}
+
+TEST(GramDeterminismTest, HomVectorKernel) {
+  const std::vector<Graph> graphs = SmallDataset();
+  const std::vector<hom::Pattern> family = hom::DefaultPatternFamily(12);
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::HomVectorKernelMatrix(graphs, family, budget);
+  });
+}
+
+TEST(GramDeterminismTest, ScaledHomKernel) {
+  const std::vector<Graph> graphs = SmallDataset();
+  const std::vector<hom::Pattern> family = hom::DefaultPatternFamily(12);
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::ScaledHomKernelMatrix(graphs, family, budget);
+  });
 }
 
 TEST(GramDeterminismTest, GraphletKernel) {
   const std::vector<Graph> graphs = SmallDataset();
-  ExpectMatrixInvariant([&] { return kernel::GraphletKernelMatrix(graphs); });
+  ExpectGramInvariant([&](Budget& budget) {
+    return kernel::GraphletKernelMatrix(graphs, budget);
+  });
 }
 
 TEST(GramDeterminismTest, DiffusionNodeKernel) {
@@ -128,7 +203,10 @@ TEST(GramDeterminismTest, DiffusionNodeKernel) {
 TEST(WlFeatureDeterminismTest, SubtreeFeatureVectors) {
   const std::vector<Graph> graphs = SmallDataset();
   ExpectThreadCountInvariant(
-      [&] { return kernel::WlSubtreeFeatures(graphs, 3); },
+      [&] {
+        Budget unlimited;
+        return kernel::WlSubtreeFeatures(graphs, 3, unlimited).value();
+      },
       [](const kernel::WlFeatureSet& a, const kernel::WlFeatureSet& b) {
         if (a.features.size() != b.features.size()) return false;
         for (size_t i = 0; i < a.features.size(); ++i) {
@@ -161,8 +239,8 @@ TEST(WlFeatureDeterminismTest, DatasetRefinementAtOneToEightThreads) {
 }
 
 TEST(WlFeatureDeterminismTest, TupleRefinementAtOneToEightThreads) {
-  // Enough row entries that KwlRefineDataset builds its rows on the pool;
-  // under a deadline it builds each round in slices of 1024 tuples.
+  // Enough row entries that KwlRefineDataset builds its rows on the pool,
+  // in chunks of at most 1024 tuples that each read the deadline first.
   Rng rng = MakeRng(4343);
   for (const int k : {2, 3}) {
     std::vector<Graph> graphs;

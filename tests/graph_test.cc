@@ -146,13 +146,6 @@ TEST(AlgorithmsTest, GirthValues) {
   EXPECT_EQ(Girth(Graph::CompleteBipartite(2, 3)), 4);
 }
 
-TEST(AlgorithmsTest, DirectProductOfEdges) {
-  // K2 x K2 = two disjoint edges (4 vertices, 2 edges).
-  Graph p = DirectProduct(Graph::Path(2), Graph::Path(2));
-  EXPECT_EQ(p.NumVertices(), 4);
-  EXPECT_EQ(p.NumEdges(), 2);
-}
-
 TEST(GeneratorsTest, GnpExtremes) {
   Rng rng = MakeRng(10);
   EXPECT_EQ(ErdosRenyiGnp(6, 0.0, rng).NumEdges(), 0);

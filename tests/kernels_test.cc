@@ -334,12 +334,15 @@ TEST(KernelBitIdentityTest, SvmPredictions) {
 // ---- Gram fills and spectral embeddings ------------------------------------
 
 TEST(KernelBitIdentityTest, GramFillsAtOneAndManyThreads) {
+  Budget unlimited;
   const std::vector<Graph> graphs = GoldenGraphs();
   for (int threads : {1, 4}) {
     SetThreadCount(threads);
-    EXPECT_EQ(Digest(kernel::GraphletKernelMatrix(graphs)), 11022058731005599074ull)
+    EXPECT_EQ(Digest(*kernel::GraphletKernelMatrix(graphs, unlimited)),
+              11022058731005599074ull)
         << threads << " threads";
-    EXPECT_EQ(Digest(kernel::WlSubtreeKernelMatrix(graphs, 3)), 10193462307455244032ull)
+    EXPECT_EQ(Digest(*kernel::WlSubtreeKernelMatrix(graphs, 3, unlimited)),
+              10193462307455244032ull)
         << threads << " threads";
     EXPECT_EQ(Digest(kernel::DiffusionKernel(graphs[1], 0.5)), 4042648994033330886ull)
         << threads << " threads";

@@ -492,6 +492,31 @@ TEST(LintRuleTest, RawBudgetInParallelBodyFiresInHotModules) {
   }
 }
 
+TEST(LintRuleTest, DeadlineAndKernelLoopsCountAsParallelBodies) {
+  // ParallelForUntilDeadline and the kernel module's ForEachGraph and
+  // FillGram run their lambdas on pool workers as ParallelFor does.
+  for (const std::string call :
+       {"ParallelForUntilDeadline(n, 0, budget, \"op\", ",
+        "internal::ForEachGraph(n, budget, \"op\", ",
+        "internal::FillGram(n, budget, \"op\", "}) {
+    const std::string charged = "Status F(int n, Budget& budget) {\n  return " +
+                                call +
+                                "[&](int i) {\n    (void)budget.Spend(1);\n"
+                                "    return 0.0;\n  });\n}\n";
+    const auto gate = LintFile("src/kernel/graph_kernels_extra.cc", charged);
+    ASSERT_EQ(gate.size(), 1u) << call;
+    EXPECT_EQ(gate[0].rule, "budget-gate") << call;
+    const std::string drawn = "Status F(int n, Budget& budget, Rng& rng) {\n"
+                              "  return " +
+                              call +
+                              "[&](int i) {\n    return rng.Uniform();\n"
+                              "  });\n}\n";
+    const auto fork = LintFile("src/kernel/graph_kernels_extra.cc", drawn);
+    ASSERT_EQ(fork.size(), 1u) << call;
+    EXPECT_EQ(fork[0].rule, "rng-fork") << call;
+  }
+}
+
 TEST(LintWhitelistTest, RawBudgetInParallelBodyIsLegalOutsideHotModules) {
   EXPECT_TRUE(LintFixture("bad_budget_gate.cc").empty());
   const std::string code =

@@ -196,8 +196,8 @@ TEST(MethodSuiteTest, EveryOutcomeCarriesItsMetricDelta) {
   core::GraphKernelMethod method{
       "wl-metrics-probe",
       [](const std::vector<graph::Graph>& gs, Rng&,
-         Budget&) -> StatusOr<linalg::Matrix> {
-        return kernel::WlSubtreeKernelMatrix(gs, 2);
+         Budget& budget) -> StatusOr<linalg::Matrix> {
+        return kernel::WlSubtreeKernelMatrix(gs, 2, budget);
       }};
   const std::vector<core::MethodOutcome> outcomes =
       core::RunMethodSuite({method}, graphs, /*seed=*/7, BudgetSpec{});

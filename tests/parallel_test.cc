@@ -13,6 +13,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -213,6 +214,49 @@ TEST(BudgetGateTest, ExhaustionLatchesAcrossCalls) {
   EXPECT_FALSE(gate.Spend(1));  // Fast-path latch.
   const Status error = gate.ExhaustedError("op");
   EXPECT_EQ(error.code(), StatusCode::kResourceExhausted);
+}
+
+TEST(ParallelForUntilDeadlineTest, UnlimitedBudgetCoversTheRange) {
+  Budget unlimited;
+  std::atomic<int64_t> covered{0};
+  const Status status = ParallelForUntilDeadline(
+      1000, 7, unlimited, "probe", [&](int64_t lo, int64_t hi) {
+        covered += hi - lo;
+        return Status::Ok();
+      });
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(covered.load(), 1000);
+}
+
+TEST(ParallelForUntilDeadlineTest, SkipsEveryChunkThatStartsAfterTheDeadline) {
+  // Every chunk outlasts the deadline, so each of the 4 threads runs at
+  // most one chunk and the deadline read before its next one stops it.
+  ScopedThreads threads(4);
+  Budget budget = Budget::Deadline(0.1);
+  const Budget wait = Budget::Deadline(0.1);
+  std::atomic<int64_t> covered{0};
+  const Status status = ParallelForUntilDeadline(
+      640, 64, budget, "probe", [&](int64_t lo, int64_t hi) {
+        while (!wait.DeadlineReached()) {
+        }
+        covered += hi - lo;
+        return Status::Ok();
+      });
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(status.message().find("probe"), std::string::npos);
+  EXPECT_GE(covered.load(), 64);
+  EXPECT_LE(covered.load(), 4 * 64);
+  // A deadline that has passed stops the loop before its first chunk.
+  Budget expired = Budget::Deadline(0.0);
+  bool ran = false;
+  EXPECT_EQ(ParallelForUntilDeadline(1, 1, expired, "probe",
+                                     [&](int64_t, int64_t) {
+                                       ran = true;
+                                       return Status::Ok();
+                                     })
+                .code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_FALSE(ran);
 }
 
 TEST(ParallelMapTest, ReturnsResultsInIndexOrder) {

@@ -121,6 +121,7 @@ class KernelPsdTest
     : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
 
 TEST_P(KernelPsdTest, GramIsPsd) {
+  Budget unlimited;
   const auto [kernel_id, seed] = GetParam();
   Rng rng = MakeRng(seed);
   std::vector<Graph> graphs;
@@ -130,27 +131,27 @@ TEST_P(KernelPsdTest, GramIsPsd) {
   linalg::Matrix gram;
   switch (kernel_id) {
     case 0:
-      gram = kernel::WlSubtreeKernelMatrix(graphs, 3);
+      gram = kernel::WlSubtreeKernelMatrix(graphs, 3, unlimited).value();
       break;
     case 1:
-      gram = kernel::DiscountedWlKernelMatrix(graphs, 5);
+      gram = kernel::DiscountedWlKernelMatrix(graphs, 5, unlimited).value();
       break;
     case 2:
-      gram = kernel::WlShortestPathKernelMatrix(graphs, 2);
+      gram = kernel::WlShortestPathKernelMatrix(graphs, 2, unlimited).value();
       break;
     case 3:
-      gram = kernel::ShortestPathKernelMatrix(graphs);
+      gram = kernel::ShortestPathKernelMatrix(graphs, unlimited).value();
       break;
     case 4:
-      gram = kernel::GraphletKernelMatrix(graphs);
+      gram = kernel::GraphletKernelMatrix(graphs, unlimited).value();
       break;
     case 5:
-      gram = kernel::HomVectorKernelMatrix(graphs,
-                                           hom::DefaultPatternFamily(10));
+      gram = *kernel::HomVectorKernelMatrix(
+          graphs, hom::DefaultPatternFamily(10), unlimited);
       break;
     default:
-      gram = kernel::ScaledHomKernelMatrix(graphs,
-                                           hom::DefaultPatternFamily(10));
+      gram = *kernel::ScaledHomKernelMatrix(
+          graphs, hom::DefaultPatternFamily(10), unlimited);
   }
   EXPECT_TRUE(kernel::IsPositiveSemidefinite(gram)) << "kernel " << kernel_id;
   EXPECT_TRUE(gram.AllClose(gram.Transposed(), 1e-9));

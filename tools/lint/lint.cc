@@ -172,13 +172,17 @@ size_t MatchFrom(std::string_view text, size_t open, char open_c, char close_c) 
 }
 
 /// Calls `visit(body_open, body)` for the inline lambda body of every
-/// ParallelFor/ParallelMap call in the blanked code view. `body_open` is
-/// the offset of the body's '{' in `code`; `body` spans '{' to '}'
-/// inclusive. Loop bodies are always written inline as lambdas in this
-/// codebase, so calls without one are skipped.
+/// call that runs its lambda on pool workers — ParallelFor, ParallelMap,
+/// ParallelForUntilDeadline and the kernel module's ForEachGraph and
+/// FillGram — in the blanked code view. `body_open` is the offset of the
+/// body's '{' in `code`; `body` spans '{' to '}' inclusive. Loop bodies are
+/// always written inline as lambdas in this codebase, so calls without one
+/// are skipped.
 template <typename Visitor>
 void ForEachParallelBody(std::string_view code, const Visitor& visit) {
-  static const std::regex kCall(R"(\b(ParallelFor|ParallelMap)\b)");
+  static const std::regex kCall(
+      R"(\b(ParallelFor|ParallelMap|ParallelForUntilDeadline|ForEachGraph|)"
+      R"(FillGram)\b)");
   const std::string code_str(code);
   for (auto it = std::sregex_iterator(code_str.begin(), code_str.end(), kCall);
        it != std::sregex_iterator(); ++it) {
