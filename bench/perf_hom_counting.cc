@@ -2,17 +2,22 @@
 // for bounded-treewidth pattern classes [Dalmau-Jonsson]. Benchmarks the
 // three counting engines — tree DP (width 1), variable elimination
 // (width w), and brute force (exponential) — as the pattern grows, making
-// the tractability frontier visible in wall-clock time.
+// the tractability frontier visible in wall-clock time. The brute-force
+// cases (homomorphisms, embeddings, and the isomorphism tests on CFI
+// pairs) all run the one map search of graph/map_search.h.
 
 #include <benchmark/benchmark.h>
 
 #include "base/rng.h"
+#include "bench_meta.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/isomorphism.h"
 #include "hom/brute_force.h"
 #include "hom/path_cycle.h"
 #include "hom/tree_hom.h"
 #include "hom/treewidth.h"
+#include "wl/cfi.h"
 
 namespace {
 
@@ -86,6 +91,60 @@ BENCHMARK(BM_BruteForcePath)
     ->Arg(6)
     ->Unit(benchmark::kMillisecond);
 
+void BM_BruteForceEmbeddingsPath(benchmark::State& state) {
+  // Injective maps only: the search also tracks which images are used.
+  const Graph host = Host(24);
+  const Graph path = Graph::Path(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        x2vec::hom::CountEmbeddingsBruteForce(path, host));
+  }
+}
+BENCHMARK(BM_BruteForceEmbeddingsPath)
+    ->Arg(4)
+    ->Arg(5)
+    ->Arg(6)
+    ->Unit(benchmark::kMillisecond);
+
+// CFI pairs (Section 3.3) over K5 (arg 0) and the 3x3 grid (arg 1):
+// vertex-labelled, 1-WL-equivalent and non-isomorphic, so the isomorphism
+// test must exhaust its search.
+x2vec::wl::CfiPair CfiPairFor(int64_t base) {
+  return x2vec::wl::BuildCfiPair(base == 0 ? Graph::Complete(5)
+                                           : Graph::Grid(3, 3));
+}
+
+void BM_AreIsomorphicCfi(benchmark::State& state) {
+  const x2vec::wl::CfiPair pair = CfiPairFor(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        x2vec::graph::AreIsomorphic(pair.untwisted, pair.twisted));
+  }
+}
+BENCHMARK(BM_AreIsomorphicCfi)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_CountAutomorphismsCfi(benchmark::State& state) {
+  const x2vec::wl::CfiPair pair = CfiPairFor(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        x2vec::graph::CountAutomorphisms(pair.untwisted));
+  }
+}
+BENCHMARK(BM_CountAutomorphismsCfi)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN() plus the bench_meta entries in the benchmark context.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  for (const auto& [key, value] : x2vec::bench::MetaEntries()) {
+    benchmark::AddCustomContext(key, value);
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -8,6 +8,37 @@ namespace {
 using graph::Graph;
 using linalg::Matrix;
 
+// Runs each method with its own budget from `spec`, an Rng seeded with
+// seed + its index, a trace span, a stopwatch and a metrics delta.
+template <typename Method, typename Run>
+std::vector<MethodOutcome> RunSuite(const std::vector<Method>& suite,
+                                    uint64_t seed, const BudgetSpec& spec,
+                                    const Run& run) {
+  std::vector<MethodOutcome> outcomes;
+  outcomes.reserve(suite.size());
+  for (size_t i = 0; i < suite.size(); ++i) {
+    Budget budget = spec.MakeBudget();
+    Rng rng = MakeRng(seed + i);
+    const metrics::Snapshot before = metrics::GlobalSnapshot();
+    const trace::StopWatch watch;
+    StatusOr<Matrix> result = [&]() -> StatusOr<Matrix> {
+      trace::Span span("method." + suite[i].name);
+      return run(suite[i], rng, budget);
+    }();
+    const double seconds = watch.Seconds();
+    metrics::Snapshot delta =
+        metrics::Delta(before, metrics::GlobalSnapshot());
+    if (result.ok()) {
+      outcomes.push_back({suite[i].name, Status::Ok(), std::move(*result),
+                          seconds, std::move(delta)});
+    } else {
+      outcomes.push_back({suite[i].name, result.status(), Matrix(), seconds,
+                          std::move(delta)});
+    }
+  }
+  return outcomes;
+}
+
 }  // namespace
 
 Matrix GraphKernelMethod::gram(const std::vector<Graph>& graphs,
@@ -24,57 +55,21 @@ Matrix NodeEmbeddingMethod::embed(const Graph& g, Rng& rng) const {
 std::vector<MethodOutcome> RunMethodSuite(
     const std::vector<GraphKernelMethod>& suite,
     const std::vector<Graph>& graphs, uint64_t seed, const BudgetSpec& spec) {
-  std::vector<MethodOutcome> outcomes;
-  outcomes.reserve(suite.size());
-  for (size_t i = 0; i < suite.size(); ++i) {
-    Budget budget = spec.MakeBudget();
-    Rng rng = MakeRng(seed + i);
-    const metrics::Snapshot before = metrics::GlobalSnapshot();
-    const trace::StopWatch watch;
-    StatusOr<Matrix> result = [&]() -> StatusOr<Matrix> {
-      trace::Span span("method." + suite[i].name);
-      return suite[i].gram_budgeted(graphs, rng, budget);
-    }();
-    const double seconds = watch.Seconds();
-    metrics::Snapshot delta =
-        metrics::Delta(before, metrics::GlobalSnapshot());
-    if (result.ok()) {
-      outcomes.push_back({suite[i].name, Status::Ok(), std::move(*result),
-                          seconds, std::move(delta)});
-    } else {
-      outcomes.push_back({suite[i].name, result.status(), Matrix(), seconds,
-                          std::move(delta)});
-    }
-  }
-  return outcomes;
+  return RunSuite(suite, seed, spec,
+                  [&](const GraphKernelMethod& method, Rng& rng,
+                      Budget& budget) {
+                    return method.gram_budgeted(graphs, rng, budget);
+                  });
 }
 
 std::vector<MethodOutcome> RunNodeMethodSuite(
     const std::vector<NodeEmbeddingMethod>& suite, const Graph& g,
     uint64_t seed, const BudgetSpec& spec) {
-  std::vector<MethodOutcome> outcomes;
-  outcomes.reserve(suite.size());
-  for (size_t i = 0; i < suite.size(); ++i) {
-    Budget budget = spec.MakeBudget();
-    Rng rng = MakeRng(seed + i);
-    const metrics::Snapshot before = metrics::GlobalSnapshot();
-    const trace::StopWatch watch;
-    StatusOr<Matrix> result = [&]() -> StatusOr<Matrix> {
-      trace::Span span("method." + suite[i].name);
-      return suite[i].embed_budgeted(g, rng, budget);
-    }();
-    const double seconds = watch.Seconds();
-    metrics::Snapshot delta =
-        metrics::Delta(before, metrics::GlobalSnapshot());
-    if (result.ok()) {
-      outcomes.push_back({suite[i].name, Status::Ok(), std::move(*result),
-                          seconds, std::move(delta)});
-    } else {
-      outcomes.push_back({suite[i].name, result.status(), Matrix(), seconds,
-                          std::move(delta)});
-    }
-  }
-  return outcomes;
+  return RunSuite(suite, seed, spec,
+                  [&](const NodeEmbeddingMethod& method, Rng& rng,
+                      Budget& budget) {
+                    return method.embed_budgeted(g, rng, budget);
+                  });
 }
 
 }  // namespace x2vec::core

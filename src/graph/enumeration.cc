@@ -25,19 +25,6 @@ Graph GraphFromMask(int n, uint64_t mask) {
   return g;
 }
 
-// Rooted AHU encoding of the subtree at v (coming from `parent`).
-std::string AhuEncode(const Graph& tree, int v, int parent) {
-  std::vector<std::string> children;
-  for (const Neighbor& nb : tree.Neighbors(v)) {
-    if (nb.to != parent) children.push_back(AhuEncode(tree, nb.to, v));
-  }
-  std::sort(children.begin(), children.end());
-  std::string out = "(";
-  for (const std::string& c : children) out += c;
-  out += ")";
-  return out;
-}
-
 // Centre vertices of a tree (1 or 2): iteratively strip leaves.
 std::vector<int> TreeCenters(const Graph& tree) {
   const int n = tree.NumVertices();
@@ -66,14 +53,28 @@ std::vector<int> TreeCenters(const Graph& tree) {
 
 }  // namespace
 
+std::string RootedTreeCanonicalString(const Graph& tree, int v, int parent) {
+  std::vector<std::string> children;
+  for (const Neighbor& nb : tree.Neighbors(v)) {
+    if (nb.to != parent) {
+      children.push_back(RootedTreeCanonicalString(tree, nb.to, v));
+    }
+  }
+  std::sort(children.begin(), children.end());
+  std::string out = "(";
+  for (const std::string& c : children) out += c;
+  out += ")";
+  return out;
+}
+
 std::string TreeCanonicalString(const Graph& tree) {
   X2VEC_CHECK(IsTree(tree)) << "TreeCanonicalString needs a tree";
   const std::vector<int> centers = TreeCenters(tree);
   if (centers.size() == 1) {
-    return AhuEncode(tree, centers[0], -1);
+    return RootedTreeCanonicalString(tree, centers[0], -1);
   }
-  std::string a = AhuEncode(tree, centers[0], centers[1]);
-  std::string b = AhuEncode(tree, centers[1], centers[0]);
+  std::string a = RootedTreeCanonicalString(tree, centers[0], centers[1]);
+  std::string b = RootedTreeCanonicalString(tree, centers[1], centers[0]);
   if (b < a) std::swap(a, b);
   return "[" + a + b + "]";
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/graph.h"
@@ -11,6 +12,11 @@ namespace x2vec::graph {
 /// smallest upper-triangle edge bitmask over all vertex permutations.
 /// Brute force (n! permutations) — intended for n <= 8.
 uint64_t CanonicalKey(const Graph& g);
+
+/// AHU canonical string of the subtree at v of an unlabelled tree, entered
+/// from `parent` (-1: the whole tree, rooted at v). Two rooted trees are
+/// isomorphic iff their strings are equal.
+std::string RootedTreeCanonicalString(const Graph& tree, int v, int parent);
 
 /// AHU canonical string of an unlabelled tree (linear time): two trees are
 /// isomorphic iff their canonical strings are equal. Roots at the centre

@@ -1,186 +1,18 @@
 #include "graph/isomorphism.h"
 
-#include <algorithm>
+#include <utility>
+
+#include "graph/map_search.h"
 
 namespace x2vec::graph {
 namespace {
 
-// Shared backtracking engine. Maps vertices of g to vertices of h one at a
-// time in a degree-guided order, checking adjacency, labels and edge
-// attributes incrementally. When `count_all` is false the search stops at
-// the first full mapping. Each candidate pair trial spends one budget
-// unit; an exhausted budget aborts the search (`aborted()`).
-class IsomorphismSearch {
- public:
-  IsomorphismSearch(const Graph& g, const Graph& h, bool count_all,
-                    Budget& budget)
-      : g_(g), h_(h), count_all_(count_all), budget_(budget) {}
-
-  // Runs the search; returns the number of isomorphisms found (capped at 1
-  // unless count_all). `witness` receives the first mapping if non-null.
-  int64_t Run(std::vector<int>* witness) {
-    aborted_ = budget_.Exhausted();
-    if (aborted_) return 0;
-    const int n = g_.NumVertices();
-    if (n != h_.NumVertices() || g_.NumEdges() != h_.NumEdges() ||
-        g_.directed() != h_.directed()) {
-      return 0;
-    }
-    if (g_.DegreeSequence() != h_.DegreeSequence()) return 0;
-    {
-      std::vector<int> lg = g_.VertexLabels();
-      std::vector<int> lh = h_.VertexLabels();
-      std::sort(lg.begin(), lg.end());
-      std::sort(lh.begin(), lh.end());
-      if (lg != lh) return 0;
-    }
-
-    mapping_.assign(n, -1);
-    used_.assign(n, false);
-    order_ = SearchOrder();
-    witness_ = witness;
-    count_ = 0;
-    Extend(0);
-    return count_;
-  }
-
-  bool aborted() const { return aborted_; }
-
- private:
-  // Order vertices of g so that each vertex (after the first in its
-  // component) is adjacent to an already-placed one: keeps the adjacency
-  // constraints dense early and the branching factor small.
-  std::vector<int> SearchOrder() const {
-    const int n = g_.NumVertices();
-    std::vector<int> order;
-    order.reserve(n);
-    std::vector<bool> chosen(n, false);
-    while (static_cast<int>(order.size()) < n) {
-      // Next seed: highest-degree unchosen vertex.
-      int seed = -1;
-      for (int v = 0; v < n; ++v) {
-        if (!chosen[v] && (seed == -1 || g_.Degree(v) > g_.Degree(seed))) {
-          seed = v;
-        }
-      }
-      std::vector<int> frontier = {seed};
-      chosen[seed] = true;
-      while (!frontier.empty()) {
-        // Pick the frontier vertex with most chosen neighbours.
-        size_t best = 0;
-        for (size_t i = 1; i < frontier.size(); ++i) {
-          if (ChosenNeighbors(frontier[i], chosen) >
-              ChosenNeighbors(frontier[best], chosen)) {
-            best = i;
-          }
-        }
-        const int v = frontier[best];
-        frontier.erase(frontier.begin() + best);
-        order.push_back(v);
-        for (const Neighbor& nb : g_.Neighbors(v)) {
-          if (!chosen[nb.to]) {
-            chosen[nb.to] = true;
-            frontier.push_back(nb.to);
-          }
-        }
-      }
-    }
-    return order;
-  }
-
-  int ChosenNeighbors(int v, const std::vector<bool>& chosen) const {
-    int c = 0;
-    for (const Neighbor& nb : g_.Neighbors(v)) c += chosen[nb.to] ? 1 : 0;
-    return c;
-  }
-
-  bool Feasible(int u, int w) const {
-    if (g_.VertexLabel(u) != h_.VertexLabel(w)) return false;
-    if (g_.Degree(u) != h_.Degree(w)) return false;
-    if (g_.directed() && g_.InDegree(u) != h_.InDegree(w)) return false;
-    // Every already-mapped neighbour of u must map to a neighbour of w with
-    // the same edge attributes (and vice versa by edge-count equality).
-    for (const Neighbor& nb : g_.Neighbors(u)) {
-      const int mapped = mapping_[nb.to];
-      if (mapped == -1) continue;
-      bool found = false;
-      for (const Neighbor& hn : h_.Neighbors(w)) {
-        if (hn.to == mapped && hn.weight == nb.weight &&
-            hn.label == nb.label) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
-    }
-    if (g_.directed()) {
-      for (const Neighbor& nb : g_.InNeighbors(u)) {
-        const int mapped = mapping_[nb.to];
-        if (mapped == -1) continue;
-        bool found = false;
-        for (const Neighbor& hn : h_.InNeighbors(w)) {
-          if (hn.to == mapped && hn.weight == nb.weight &&
-              hn.label == nb.label) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) return false;
-      }
-    }
-    // Mapped neighbour counts must agree so no h-edge goes unmatched.
-    int mapped_g = 0;
-    for (const Neighbor& nb : g_.Neighbors(u)) {
-      mapped_g += mapping_[nb.to] != -1 ? 1 : 0;
-    }
-    int mapped_h = 0;
-    for (const Neighbor& hn : h_.Neighbors(w)) {
-      mapped_h += used_h_contains(hn.to) ? 1 : 0;
-    }
-    return mapped_g == mapped_h;
-  }
-
-  bool used_h_contains(int w) const { return used_[w]; }
-
-  void Extend(size_t depth) {
-    if (!count_all_ && count_ > 0) return;
-    if (depth == order_.size()) {
-      ++count_;
-      if (witness_ != nullptr && count_ == 1) {
-        *witness_ = mapping_;
-      }
-      return;
-    }
-    const int u = order_[depth];
-    for (int w = 0; w < h_.NumVertices(); ++w) {
-      if (aborted_) return;
-      if (!budget_.Spend(1)) {
-        aborted_ = true;
-        return;
-      }
-      if (used_[w] || !Feasible(u, w)) continue;
-      mapping_[u] = w;
-      used_[w] = true;
-      Extend(depth + 1);
-      mapping_[u] = -1;
-      used_[w] = false;
-      if (!count_all_ && count_ > 0) return;
-    }
-  }
-
-  const Graph& g_;
-  const Graph& h_;
-  const bool count_all_;
-  Budget& budget_;
-  std::vector<int> mapping_;
-  std::vector<bool> used_;
-  std::vector<int> order_;
-  std::vector<int>* witness_ = nullptr;
-  int64_t count_ = 0;
-  bool aborted_ = false;
-};
-
 constexpr std::string_view kOperation = "isomorphism search";
+
+constexpr internal::MapKind kIsomorphisms = {.injective = true,
+                                             .surjective = true};
+constexpr internal::MapKind kFirstIsomorphism = {
+    .injective = true, .surjective = true, .stop_at_first = true};
 
 }  // namespace
 
@@ -191,10 +23,10 @@ bool AreIsomorphic(const Graph& g, const Graph& h) {
 
 std::optional<std::vector<int>> FindIsomorphism(const Graph& g,
                                                 const Graph& h) {
-  std::vector<int> witness;
   Budget unlimited;
-  IsomorphismSearch search(g, h, /*count_all=*/false, unlimited);
-  if (search.Run(&witness) > 0) return witness;
+  internal::MapSearchResult found =
+      internal::SearchMaps(g, h, kFirstIsomorphism, unlimited);
+  if (found.count > 0) return std::move(found.first_map);
   return std::nullopt;
 }
 
@@ -209,22 +41,22 @@ int64_t CountAutomorphisms(const Graph& g) {
 
 StatusOr<bool> AreIsomorphicBudgeted(const Graph& g, const Graph& h,
                                      Budget& budget) {
-  if (budget.Exhausted()) return budget.ExhaustedError(kOperation);
-  IsomorphismSearch search(g, h, /*count_all=*/false, budget);
-  const bool found = search.Run(nullptr) > 0;
+  const internal::MapSearchResult found =
+      internal::SearchMaps(g, h, kFirstIsomorphism, budget);
   // A truncated search that already found a witness still has a sound
   // positive answer; only an exhausted *negative* is inconclusive.
-  if (!found && search.aborted()) return budget.ExhaustedError(kOperation);
-  return found;
+  if (found.count == 0 && found.exhausted) {
+    return budget.ExhaustedError(kOperation);
+  }
+  return found.count > 0;
 }
 
 StatusOr<int64_t> CountIsomorphismsBudgeted(const Graph& g, const Graph& h,
                                             Budget& budget) {
-  if (budget.Exhausted()) return budget.ExhaustedError(kOperation);
-  IsomorphismSearch search(g, h, /*count_all=*/true, budget);
-  const int64_t count = search.Run(nullptr);
-  if (search.aborted()) return budget.ExhaustedError(kOperation);
-  return count;
+  const internal::MapSearchResult found =
+      internal::SearchMaps(g, h, kIsomorphisms, budget);
+  if (found.exhausted) return budget.ExhaustedError(kOperation);
+  return found.count;
 }
 
 StatusOr<int64_t> CountAutomorphismsBudgeted(const Graph& g, Budget& budget) {

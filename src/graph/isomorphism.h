@@ -10,10 +10,12 @@
 
 namespace x2vec::graph {
 
-/// True iff g and h are isomorphic (respecting vertex and edge labels).
-/// Backtracking search with degree/label pruning — exact ground truth for
-/// the sizes used in the indistinguishability experiments (n up to ~40 for
-/// structured instances, smaller worst case).
+/// True iff g and h are isomorphic (respecting vertex labels, edge labels
+/// and edge weights). An isomorphism is a homomorphism that is injective
+/// and surjective, found by the backtracking map search that also counts
+/// hom/brute_force.h's maps, with degree and label pruning — exact ground
+/// truth for the sizes used in the indistinguishability experiments (n up
+/// to ~50 for structured instances, smaller worst case).
 bool AreIsomorphic(const Graph& g, const Graph& h);
 
 /// An isomorphism g -> h as a vertex mapping, if one exists.
@@ -30,7 +32,7 @@ int64_t CountAutomorphisms(const Graph& g);
 
 /// ---- Budgeted variants: isomorphism search is exponential in the worst
 /// case, so servers must be able to bound or cancel it. One work unit =
-/// one candidate vertex-pair trial in the backtracking search. Returns
+/// one trial of a candidate (vertex, image) pair in the search. Returns
 /// kResourceExhausted when the budget runs out; with an unlimited budget
 /// the answers match the plain functions above exactly (those are thin
 /// wrappers over these).

@@ -1,250 +1,63 @@
 #include "hom/brute_force.h"
 
-#include <utility>
-#include <vector>
+#include <string>
+
+#include "graph/map_search.h"
 
 namespace x2vec::hom {
 namespace {
 
 using graph::Graph;
-using graph::Neighbor;
+using graph::internal::MapKind;
+using graph::internal::MapSearchResult;
 
 constexpr std::string_view kOperation = "brute-force homomorphism search";
 
-// Generic backtracking over maps V(F) -> V(G). The visitor is called once
-// per complete homomorphism with the weight product of its edges (1.0 for
-// unweighted G). Each candidate extension spends one budget unit; when the
-// budget runs out the search unwinds and reports `aborted()`.
-class HomSearch {
- public:
-  HomSearch(const Graph& f, const Graph& g, bool injective, Budget& budget)
-      : f_(f), g_(g), injective_(injective), budget_(budget),
-        mapping_(f.NumVertices(), -1), used_(g.NumVertices(), false) {}
-
-  // Optional pin: force mapping_[root] = target.
-  void Pin(int root, int target) {
-    pinned_root_ = root;
-    pinned_target_ = target;
-  }
-
-  // Runs the search, returning the number of homomorphisms; if
-  // `weighted_total` is non-null, accumulates the weight products instead.
-  int64_t Run(double* weighted_total) {
-    count_ = 0;
-    weighted_sum_ = 0.0;
-    aborted_ = budget_.Exhausted();
-    if (!aborted_) Extend(0, 1.0);
-    if (weighted_total != nullptr) *weighted_total = weighted_sum_;
-    return count_;
-  }
-
-  bool aborted() const { return aborted_; }
-
- private:
-  // Checks that mapping f-vertex u to g-vertex w is consistent with all
-  // already-mapped neighbours; multiplies the corresponding edge weights
-  // into *weight.
-  bool Consistent(int u, int w, double* weight) const {
-    if (f_.VertexLabel(u) != g_.VertexLabel(w)) return false;
-    for (const Neighbor& nb : f_.Neighbors(u)) {
-      const int mapped = mapping_[nb.to];
-      if (mapped == -1) continue;
-      bool found = false;
-      for (const Neighbor& gn : g_.Neighbors(w)) {
-        if (gn.to == mapped && gn.label == nb.label) {
-          found = true;
-          *weight *= gn.weight;
-          break;
-        }
-      }
-      if (!found) return false;
-    }
-    if (f_.directed()) {
-      for (const Neighbor& nb : f_.InNeighbors(u)) {
-        const int mapped = mapping_[nb.to];
-        if (mapped == -1) continue;
-        bool found = false;
-        for (const Neighbor& gn : g_.InNeighbors(w)) {
-          if (gn.to == mapped && gn.label == nb.label) {
-            found = true;
-            *weight *= gn.weight;
-            break;
-          }
-        }
-        if (!found) return false;
-      }
-    }
-    return true;
-  }
-
-  void Extend(int u, double weight) {
-    if (u == f_.NumVertices()) {
-      ++count_;
-      weighted_sum_ += weight;
-      return;
-    }
-    if (u == pinned_root_) {
-      if (!budget_.Spend(1)) {
-        aborted_ = true;
-        return;
-      }
-      double w = weight;
-      if (!(injective_ && used_[pinned_target_]) &&
-          Consistent(u, pinned_target_, &w)) {
-        mapping_[u] = pinned_target_;
-        if (injective_) used_[pinned_target_] = true;
-        Extend(u + 1, w);
-        if (injective_) used_[pinned_target_] = false;
-        mapping_[u] = -1;
-      }
-      return;
-    }
-    for (int w_vertex = 0; w_vertex < g_.NumVertices(); ++w_vertex) {
-      if (aborted_) return;
-      if (!budget_.Spend(1)) {
-        aborted_ = true;
-        return;
-      }
-      if (injective_ && used_[w_vertex]) continue;
-      double w = weight;
-      if (!Consistent(u, w_vertex, &w)) continue;
-      mapping_[u] = w_vertex;
-      if (injective_) used_[w_vertex] = true;
-      Extend(u + 1, w);
-      if (injective_) used_[w_vertex] = false;
-      mapping_[u] = -1;
-    }
-  }
-
-  const Graph& f_;
-  const Graph& g_;
-  const bool injective_;
-  Budget& budget_;
-  std::vector<int> mapping_;
-  std::vector<bool> used_;
-  int pinned_root_ = -1;
-  int pinned_target_ = -1;
-  int64_t count_ = 0;
-  double weighted_sum_ = 0.0;
-  bool aborted_ = false;
-};
+// Runs the map search and returns one field of its result, or the status
+// of an exhausted budget.
+template <typename T>
+StatusOr<T> Search(const Graph& f, const Graph& g, const MapKind& kind,
+                   T MapSearchResult::*field, Budget& budget) {
+  const MapSearchResult found = graph::internal::SearchMaps(f, g, kind, budget);
+  if (found.exhausted) return budget.ExhaustedError(kOperation);
+  return found.*field;
+}
 
 }  // namespace
 
 StatusOr<int64_t> CountHomomorphismsBruteForceBudgeted(const Graph& f,
                                                        const Graph& g,
                                                        Budget& budget) {
-  HomSearch search(f, g, /*injective=*/false, budget);
-  const int64_t count = search.Run(nullptr);
-  if (search.aborted()) return budget.ExhaustedError(kOperation);
-  return count;
+  return Search(f, g, {}, &MapSearchResult::count, budget);
 }
 
 StatusOr<int64_t> CountRootedHomomorphismsBruteForceBudgeted(
     const Graph& f, int r, const Graph& g, int v, Budget& budget) {
-  X2VEC_CHECK(r >= 0 && r < f.NumVertices());
-  X2VEC_CHECK(v >= 0 && v < g.NumVertices());
-  HomSearch search(f, g, /*injective=*/false, budget);
-  search.Pin(r, v);
-  const int64_t count = search.Run(nullptr);
-  if (search.aborted()) return budget.ExhaustedError(kOperation);
-  return count;
+  if (r < 0 || r >= f.NumVertices() || v < 0 || v >= g.NumVertices()) {
+    return Status::InvalidArgument(
+        "rooted homomorphism count: root " + std::to_string(r) + " or target " +
+        std::to_string(v) + " out of range");
+  }
+  return Search(f, g, {.pinned = r, .pinned_image = v},
+                &MapSearchResult::count, budget);
 }
 
 StatusOr<double> WeightedHomomorphismBruteForceBudgeted(const Graph& f,
                                                         const Graph& g,
                                                         Budget& budget) {
-  HomSearch search(f, g, /*injective=*/false, budget);
-  double total = 0.0;
-  search.Run(&total);
-  if (search.aborted()) return budget.ExhaustedError(kOperation);
-  return total;
+  return Search(f, g, {}, &MapSearchResult::weighted_sum, budget);
 }
 
 StatusOr<int64_t> CountEmbeddingsBruteForceBudgeted(const Graph& f,
                                                     const Graph& g,
                                                     Budget& budget) {
-  HomSearch search(f, g, /*injective=*/true, budget);
-  const int64_t count = search.Run(nullptr);
-  if (search.aborted()) return budget.ExhaustedError(kOperation);
-  return count;
+  return Search(f, g, {.injective = true}, &MapSearchResult::count, budget);
 }
 
 StatusOr<int64_t> CountEpimorphismsBruteForceBudgeted(const Graph& f,
                                                       const Graph& g,
                                                       Budget& budget) {
-  if (budget.Exhausted()) return budget.ExhaustedError(kOperation);
-  // Inclusion-exclusion over vertex subsets of G would be faster, but the
-  // direct filter is clear and only used on tiny instances: count
-  // homomorphisms whose image covers all of V(G) and E(G). We re-run the
-  // backtracking with an explicit enumeration.
-  if (f.NumVertices() < g.NumVertices() || f.NumEdges() < g.NumEdges()) {
-    return int64_t{0};
-  }
-  // Enumerate all homomorphisms via recursion with a callback-style check.
-  // Reuse brute force by enumerating maps directly here.
-  std::vector<int> mapping(f.NumVertices(), -1);
-  int64_t count = 0;
-  bool aborted = false;
-
-  // Recursive lambda over partial maps with surjectivity check at the leaf.
-  auto consistent = [&](int u, int w) {
-    if (f.VertexLabel(u) != g.VertexLabel(w)) return false;
-    for (const Neighbor& nb : f.Neighbors(u)) {
-      if (mapping[nb.to] == -1) continue;
-      bool found = false;
-      for (const Neighbor& gn : g.Neighbors(w)) {
-        if (gn.to == mapping[nb.to] && gn.label == nb.label) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
-    }
-    return true;
-  };
-  auto is_epi = [&]() {
-    std::vector<bool> vertex_hit(g.NumVertices(), false);
-    for (int u = 0; u < f.NumVertices(); ++u) vertex_hit[mapping[u]] = true;
-    for (bool hit : vertex_hit) {
-      if (!hit) return false;
-    }
-    std::vector<bool> edge_hit(g.NumEdges(), false);
-    for (const graph::Edge& e : f.Edges()) {
-      const int a = mapping[e.u];
-      const int b = mapping[e.v];
-      for (size_t i = 0; i < g.Edges().size(); ++i) {
-        const graph::Edge& ge = g.Edges()[i];
-        if ((ge.u == a && ge.v == b) || (!g.directed() && ge.u == b && ge.v == a)) {
-          edge_hit[i] = true;
-        }
-      }
-    }
-    for (bool hit : edge_hit) {
-      if (!hit) return false;
-    }
-    return true;
-  };
-  auto extend = [&](auto&& self, int u) -> void {
-    if (u == f.NumVertices()) {
-      if (is_epi()) ++count;
-      return;
-    }
-    for (int w = 0; w < g.NumVertices(); ++w) {
-      if (aborted) return;
-      if (!budget.Spend(1)) {
-        aborted = true;
-        return;
-      }
-      if (!consistent(u, w)) continue;
-      mapping[u] = w;
-      self(self, u + 1);
-      mapping[u] = -1;
-    }
-  };
-  extend(extend, 0);
-  if (aborted) return budget.ExhaustedError(kOperation);
-  return count;
+  return Search(f, g, {.surjective = true}, &MapSearchResult::count, budget);
 }
 
 int64_t CountHomomorphismsBruteForce(const Graph& f, const Graph& g) {

@@ -11,11 +11,14 @@ namespace x2vec::hom {
 /// hom(F, G): number of homomorphisms from pattern F into G, by
 /// backtracking over partial maps (exact ground truth; exponential in |F|).
 /// Homomorphisms preserve vertex labels, edge labels and edge direction.
+/// Every count here, and graph/isomorphism.h's, comes from one map search
+/// with one vertex order and one work unit.
 int64_t CountHomomorphismsBruteForce(const graph::Graph& f,
                                      const graph::Graph& g);
 
 /// hom(F, G; r -> v): homomorphisms mapping the root r of F to v
-/// (Section 4.4).
+/// (Section 4.4). The budgeted variant returns kInvalidArgument for an r
+/// or v out of range.
 int64_t CountRootedHomomorphismsBruteForce(const graph::Graph& f, int r,
                                            const graph::Graph& g, int v);
 
@@ -30,17 +33,18 @@ double WeightedHomomorphismBruteForce(const graph::Graph& f,
 int64_t CountEmbeddingsBruteForce(const graph::Graph& f,
                                   const graph::Graph& g);
 
-/// epi(F, G): number of surjective homomorphisms (onto vertices and edges),
-/// completing the hom = epi/aut * emb decomposition of Theorem 4.2.
+/// epi(F, G): number of surjective homomorphisms (onto vertices and edges;
+/// arcs on digraphs), completing the hom = epi/aut * emb decomposition of
+/// Theorem 4.2.
 int64_t CountEpimorphismsBruteForce(const graph::Graph& f,
                                     const graph::Graph& g);
 
 /// ---- Budgeted variants (Grohe Section 4: brute-force hom counting is
 /// O(n^|F|) and #W[1]-hard in general, so callers must be able to bound
-/// it). One work unit = one candidate partial-map extension. The search
-/// stops cooperatively and returns kResourceExhausted once the budget is
-/// gone; with an unlimited budget the results are identical to the plain
-/// functions above (which are thin wrappers over these).
+/// it). One work unit = one trial of a candidate (vertex, image) pair. The
+/// search stops cooperatively and returns kResourceExhausted once the
+/// budget is gone; with an unlimited budget the results are identical to
+/// the plain functions above (which are thin wrappers over these).
 
 [[nodiscard]] StatusOr<int64_t> CountHomomorphismsBruteForceBudgeted(const graph::Graph& f,
                                                        const graph::Graph& g,

@@ -36,20 +36,6 @@ Graph Spider(int legs, int leg_length) {
   return t;
 }
 
-// Rooted canonical string (children multisets, labels ignored) for root
-// orbit deduplication.
-std::string RootedCanonical(const Graph& tree, int v, int parent) {
-  std::vector<std::string> children;
-  for (const graph::Neighbor& nb : tree.Neighbors(v)) {
-    if (nb.to != parent) children.push_back(RootedCanonical(tree, nb.to, v));
-  }
-  std::sort(children.begin(), children.end());
-  std::string out = "(";
-  for (const std::string& c : children) out += c;
-  out += ")";
-  return out;
-}
-
 }  // namespace
 
 std::vector<Pattern> DefaultPatternFamily(int count) {
@@ -125,7 +111,7 @@ std::vector<RootedPattern> RootedTreesUpTo(int max_size) {
   for (const Graph& tree : graph::TreesUpTo(max_size)) {
     ++index;
     for (int r = 0; r < tree.NumVertices(); ++r) {
-      const std::string canon = RootedCanonical(tree, r, -1);
+      const std::string canon = graph::RootedTreeCanonicalString(tree, r, -1);
       if (seen.insert(canon).second) {
         out.push_back({tree, r,
                        "T" + std::to_string(tree.NumVertices()) + "#" +

@@ -96,10 +96,6 @@ bool PathHomVectorsEqual(const Graph& g, const Graph& h, int max_k) {
   return PathHomVector(g, max_k) == PathHomVector(h, max_k);
 }
 
-bool CycleHomVectorsEqual(const Graph& g, const Graph& h, int max_k) {
-  return CycleHomVector(g, max_k) == CycleHomVector(h, max_k);
-}
-
 bool WeightedTreeHomVectorsEqual(const Graph& g, const Graph& h,
                                  int max_pattern_size, double tol) {
   for (const Graph& tree : graph::TreesUpTo(max_pattern_size)) {

@@ -44,12 +44,6 @@ bool TreeHomVectorsEqual(const graph::Graph& g, const graph::Graph& h,
 bool PathHomVectorsEqual(const graph::Graph& g, const graph::Graph& h,
                          int max_k);
 
-/// Direct comparison: hom(C_k, ·) equal for k = 3..max_k. With
-/// max_k >= 2 * max(|G|, |H|) + 2 this decides Hom_C equality
-/// (power sums up to n determine the spectrum).
-bool CycleHomVectorsEqual(const graph::Graph& g, const graph::Graph& h,
-                          int max_k);
-
 /// Weighted-graph analogue for Theorem 4.13: weighted tree partition
 /// functions hom(T, ·) equal for all trees up to `max_pattern_size`
 /// (floating-point comparison with tolerance).

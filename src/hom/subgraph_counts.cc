@@ -5,11 +5,14 @@
 
 #include "graph/isomorphism.h"
 #include "hom/treewidth.h"
+#include "linalg/int128.h"
 
 namespace x2vec::hom {
 namespace {
 
 using graph::Graph;
+using linalg::CheckedAdd;
+using linalg::CheckedMul;
 
 // Quotient of f by the partition given as block ids per vertex; nullopt if
 // an edge collapses into a self-loop (such quotients contribute nothing).
@@ -30,12 +33,6 @@ std::optional<Graph> Quotient(const Graph& f,
     if (!q.HasEdge(a, b)) q.AddEdge(a, b);
   }
   return q;
-}
-
-__int128 CheckedMul(__int128 a, __int128 b) {
-  __int128 out;
-  X2VEC_CHECK(!__builtin_mul_overflow(a, b, &out)) << "overflow";
-  return out;
 }
 
 // Enumerates all set partitions of {0..n-1} as restricted growth strings
@@ -87,7 +84,7 @@ __int128 CountEmbeddingsViaHoms(const Graph& f, const Graph& g) {
       mu = CheckedMul(mu, ((size - 1) % 2 == 0 ? 1 : -1) *
                               static_cast<__int128>(Factorial(size - 1)));
     }
-    total += CheckedMul(mu, CountHoms(*quotient, g));
+    total = CheckedAdd(total, CheckedMul(mu, CountHoms(*quotient, g)));
   });
   return total;
 }

@@ -2,25 +2,15 @@
 
 #include <algorithm>
 
+#include "linalg/int128.h"
+
 namespace x2vec::hom {
 namespace {
 
 using graph::Graph;
 using graph::Neighbor;
-
-__int128 CheckedMul(__int128 a, __int128 b) {
-  __int128 out;
-  X2VEC_CHECK(!__builtin_mul_overflow(a, b, &out))
-      << "tree homomorphism count overflowed 128 bits";
-  return out;
-}
-
-__int128 CheckedAdd(__int128 a, __int128 b) {
-  __int128 out;
-  X2VEC_CHECK(!__builtin_add_overflow(a, b, &out))
-      << "tree homomorphism count overflowed 128 bits";
-  return out;
-}
+using linalg::CheckedAdd;
+using linalg::CheckedMul;
 
 // Generic rooted-tree DP parameterised over the accumulator type. For each
 // tree vertex t (processed children-first) computes

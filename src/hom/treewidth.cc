@@ -4,24 +4,12 @@
 #include <cstring>
 #include <numeric>
 
+#include "linalg/int128.h"
+
 namespace x2vec::hom {
 namespace {
 
 using graph::Graph;
-
-__int128 CheckedMulInt(__int128 a, __int128 b) {
-  __int128 out;
-  X2VEC_CHECK(!__builtin_mul_overflow(a, b, &out))
-      << "homomorphism count overflowed 128 bits";
-  return out;
-}
-
-__int128 CheckedAddInt(__int128 a, __int128 b) {
-  __int128 out;
-  X2VEC_CHECK(!__builtin_add_overflow(a, b, &out))
-      << "homomorphism count overflowed 128 bits";
-  return out;
-}
 
 // Dense symmetric boolean adjacency that supports fill-in edges.
 class FillGraph {
@@ -353,12 +341,6 @@ int ExactTreewidth(const Graph& f, std::vector<int>* best_order) {
   return *ExactTreewidthBudgeted(f, best_order, unlimited);
 }
 
-__int128 CountHomsViaElimination(const Graph& f, const Graph& g,
-                                 const std::vector<int>& order) {
-  Budget unlimited;
-  return *CountHomsViaEliminationBudgeted(f, g, order, unlimited);
-}
-
 __int128 CountHoms(const Graph& f, const Graph& g) {
   Budget unlimited;
   return *CountHomsBudgeted(f, g, unlimited);
@@ -387,7 +369,7 @@ StatusOr<__int128> CountHomsViaEliminationBudgeted(
   if (budget.Exhausted()) return budget.ExhaustedError(kEliminationOperation);
   bool aborted = false;
   const __int128 count = EliminationCount<__int128>(
-      f, g, order, &CheckedMulInt, &CheckedAddInt, budget, aborted);
+      f, g, order, &linalg::CheckedMul, &linalg::CheckedAdd, budget, aborted);
   if (aborted) return budget.ExhaustedError(kEliminationOperation);
   return count;
 }

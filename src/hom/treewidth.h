@@ -22,14 +22,8 @@ std::vector<int> MinFillEliminationOrder(const graph::Graph& f);
 /// with up to ~9 vertices). Optionally returns an optimal order.
 int ExactTreewidth(const graph::Graph& f, std::vector<int>* best_order);
 
-/// hom(F, G) for an arbitrary pattern F by bucket (variable) elimination
-/// along the given order: time and memory n_G^{w+1} where w is the order's
-/// width — the Dalmau–Jonsson tractability regime of Section 4.3.
-/// Exact in 128-bit integers; respects vertex labels.
-__int128 CountHomsViaElimination(const graph::Graph& f, const graph::Graph& g,
-                                 const std::vector<int>& order);
-
-/// Convenience: hom(F, G) with a min-fill order.
+/// hom(F, G) by bucket elimination (CountHomsViaEliminationBudgeted below)
+/// along a min-fill order.
 __int128 CountHoms(const graph::Graph& f, const graph::Graph& g);
 
 /// Floating-point variant (for feature vectors on larger G, where counts
@@ -49,6 +43,10 @@ double CountHomsDouble(const graph::Graph& f, const graph::Graph& g);
                                      std::vector<int>* best_order,
                                      Budget& budget);
 
+/// hom(F, G) for an arbitrary pattern F by bucket (variable) elimination
+/// along the given order: time and memory n_G^{w+1} where w is the order's
+/// width — the Dalmau–Jonsson tractability regime of Section 4.3.
+/// Exact in 128-bit integers; respects vertex labels.
 [[nodiscard]] StatusOr<__int128> CountHomsViaEliminationBudgeted(
     const graph::Graph& f, const graph::Graph& g,
     const std::vector<int>& order, Budget& budget);

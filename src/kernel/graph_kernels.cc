@@ -236,16 +236,6 @@ linalg::Matrix NormalizeKernel(const linalg::Matrix& k) {
   return out;
 }
 
-linalg::Matrix CenterKernel(const linalg::Matrix& k) {
-  X2VEC_CHECK_EQ(k.rows(), k.cols());
-  const int n = k.rows();
-  linalg::Matrix centering = linalg::Matrix::Identity(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) centering(i, j) -= 1.0 / n;
-  }
-  return centering * k * centering;
-}
-
 bool IsPositiveSemidefinite(const linalg::Matrix& k, double tol) {
   const std::vector<double> spectrum = linalg::Spectrum(k);
   return spectrum.empty() || spectrum.back() >= -tol;

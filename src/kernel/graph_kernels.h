@@ -66,9 +66,6 @@ StatusOr<linalg::Matrix> LinearKernelMatrix(const linalg::Matrix& rows,
 /// stay zero.
 linalg::Matrix NormalizeKernel(const linalg::Matrix& k);
 
-/// Double-centring K' = (I - 1/n J) K (I - 1/n J), as used by kernel PCA.
-linalg::Matrix CenterKernel(const linalg::Matrix& k);
-
 /// True if the symmetric matrix is positive semidefinite up to `tol`
 /// (minimum eigenvalue >= -tol) — the defining property of a kernel
 /// (Section 2.4).

@@ -2,24 +2,9 @@
 
 #include <algorithm>
 
+#include "linalg/int128.h"
+
 namespace x2vec::linalg {
-namespace {
-
-__int128 CheckedMul(__int128 a, __int128 b) {
-  __int128 out;
-  X2VEC_CHECK(!__builtin_mul_overflow(a, b, &out))
-      << "128-bit overflow in exact integer matrix arithmetic";
-  return out;
-}
-
-__int128 CheckedAdd(__int128 a, __int128 b) {
-  __int128 out;
-  X2VEC_CHECK(!__builtin_add_overflow(a, b, &out))
-      << "128-bit overflow in exact integer matrix arithmetic";
-  return out;
-}
-
-}  // namespace
 
 IntMatrix IntMatrix::Identity(int n) {
   IntMatrix m(n);

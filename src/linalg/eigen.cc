@@ -92,16 +92,6 @@ std::vector<double> Spectrum(const Matrix& a) {
   return SymmetricEigen(a).values;
 }
 
-bool CoSpectral(const Matrix& a, const Matrix& b, double tol) {
-  if (a.rows() != b.rows()) return false;
-  const std::vector<double> sa = Spectrum(a);
-  const std::vector<double> sb = Spectrum(b);
-  for (size_t i = 0; i < sa.size(); ++i) {
-    if (std::abs(sa[i] - sb[i]) > tol) return false;
-  }
-  return true;
-}
-
 SvdDecomposition Svd(const Matrix& a) {
   const int m = a.rows();
   const int n = a.cols();

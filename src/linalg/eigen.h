@@ -23,10 +23,6 @@ EigenDecomposition SymmetricEigen(const Matrix& a,
 /// Sorted eigenvalue spectrum (descending) of a symmetric matrix.
 std::vector<double> Spectrum(const Matrix& a);
 
-/// True if symmetric matrices a and b have the same spectrum up to `tol`
-/// per eigenvalue (the co-spectrality relation of Theorem 4.3).
-bool CoSpectral(const Matrix& a, const Matrix& b, double tol = 1e-8);
-
 /// Result of a (thin) singular value decomposition A = U diag(s) V^T.
 struct SvdDecomposition {
   Matrix u;                    ///< rows(A) x r, orthonormal columns.

@@ -122,6 +122,10 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// Double-centring (I - J/n) K (I - J/n) of a square Gram matrix K, as used
+/// by kernel PCA.
+Matrix DoubleCentered(const Matrix& k);
+
 /// The free vector helpers (Dot, Norm2, CosineSimilarity, Distance2, Axpy,
 /// Scale, ...) live in linalg/kernels.h, included above. They take spans,
 /// so they accept std::vector<double> and Matrix row views alike.

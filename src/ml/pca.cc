@@ -42,13 +42,8 @@ linalg::Matrix KernelPca(const linalg::Matrix& gram, int d) {
   const int n = gram.rows();
   X2VEC_CHECK_EQ(gram.rows(), gram.cols());
   X2VEC_CHECK(d >= 1 && d <= n);
-  // Double-centre the Gram matrix.
-  linalg::Matrix centering = linalg::Matrix::Identity(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) centering(i, j) -= 1.0 / n;
-  }
-  const linalg::Matrix centered = centering * gram * centering;
-  const linalg::EigenDecomposition eig = linalg::SymmetricEigen(centered);
+  const linalg::EigenDecomposition eig =
+      linalg::SymmetricEigen(linalg::DoubleCentered(gram));
   linalg::Matrix scores(n, d);
   for (int j = 0; j < d; ++j) {
     const double scale = eig.values[j] > 1e-12 ? std::sqrt(eig.values[j]) : 0.0;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "graph/graph.h"
 #include "graph/isomorphism.h"
 #include "gtest/gtest.h"
+#include "wl/cfi.h"
 
 namespace x2vec::graph {
 namespace {
@@ -257,6 +259,32 @@ TEST(IsomorphismTest, AutomorphismCounts) {
 TEST(IsomorphismTest, CountIsomorphismsBetweenCopies) {
   Graph c4 = Graph::Cycle(4);
   EXPECT_EQ(CountIsomorphisms(c4, Permuted(c4, {2, 0, 3, 1})), 8);
+}
+
+TEST(IsomorphismTest, CfiAutomorphismCountsArePinned) {
+  // With gadget vertices labelled by their base vertex, aut(CFI(G)) =
+  // 2^{|E| - |V| + 1} for a connected base G, twisted or not, and the two
+  // copies are not isomorphic. C8(1, 2) is the largest search here, about
+  // 23M candidate trials a count.
+  struct Case {
+    const char* name;
+    Graph base;
+    int64_t automorphisms;
+  };
+  const Case cases[] = {{"K4", Graph::Complete(4), 8},
+                        {"K5", Graph::Complete(5), 64},
+                        {"C6", Graph::Cycle(6), 2},
+                        {"3x3 grid", Graph::Grid(3, 3), 16},
+                        {"C8(1, 2)", Graph::Circulant(8, {1, 2}), 512}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(int64_t{1} << (c.base.NumEdges() - c.base.NumVertices() + 1),
+              c.automorphisms);
+    const wl::CfiPair pair = wl::BuildCfiPair(c.base);
+    EXPECT_EQ(CountAutomorphisms(pair.untwisted), c.automorphisms);
+    EXPECT_EQ(CountAutomorphisms(pair.twisted), c.automorphisms);
+    EXPECT_FALSE(AreIsomorphic(pair.untwisted, pair.twisted));
+  }
 }
 
 TEST(EnumerationTest, GraphCountsMatchOeis) {

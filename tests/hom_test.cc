@@ -1,5 +1,10 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -92,6 +97,187 @@ TEST(BruteForceTest, LabelsRestrictHoms) {
   g.SetVertexLabel(1, 1);
   // Only maps sending f's labelled end to g's centre: 2 homs.
   EXPECT_EQ(CountHomomorphismsBruteForce(f, g), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Exhaustive reference for every map count of Theorem 4.2: enumerate all
+// n_G^{n_F} maps V(F) -> V(G) and classify each one from the definitions,
+// then compare with every brute-force counter and isomorphism function.
+
+// The arc a -> b of g (the edge ab when g is undirected), or nullptr.
+const graph::Neighbor* FindArc(const Graph& g, int a, int b) {
+  for (const graph::Neighbor& nb : g.Neighbors(a)) {
+    if (nb.to == b) return &nb;
+  }
+  return nullptr;
+}
+
+struct MapClass {
+  bool hom = true;      // Keeps vertex labels, edges, edge labels, direction.
+  bool injective = true;
+  bool onto = true;     // Covers every vertex and every edge of G.
+  bool keeps_weights = true;
+  double weight = 1.0;  // Product of G's weights over the image edges.
+};
+
+MapClass Classify(const Graph& f, const Graph& g, const std::vector<int>& h) {
+  MapClass c;
+  std::vector<bool> vertex_hit(g.NumVertices(), false);
+  for (int u = 0; u < f.NumVertices(); ++u) {
+    if (f.VertexLabel(u) != g.VertexLabel(h[u])) c.hom = false;
+    if (vertex_hit[h[u]]) c.injective = false;
+    vertex_hit[h[u]] = true;
+  }
+  std::set<std::pair<int, int>> edges_hit;
+  for (const graph::Edge& e : f.Edges()) {
+    const graph::Neighbor* arc = FindArc(g, h[e.u], h[e.v]);
+    if (arc == nullptr || arc->label != e.label) {
+      c.hom = false;
+      continue;
+    }
+    c.weight *= arc->weight;
+    if (arc->weight != e.weight) c.keeps_weights = false;
+    int a = h[e.u];
+    int b = h[e.v];
+    if (!g.directed() && a > b) std::swap(a, b);
+    edges_hit.insert({a, b});
+  }
+  c.onto = std::count(vertex_hit.begin(), vertex_hit.end(), true) ==
+               g.NumVertices() &&
+           static_cast<int>(edges_hit.size()) == g.NumEdges();
+  return c;
+}
+
+bool IsIsomorphism(const Graph& f, const Graph& g, const MapClass& c) {
+  return c.hom && c.injective && c.onto && c.keeps_weights &&
+         f.directed() == g.directed();
+}
+
+struct ReferenceCounts {
+  int64_t hom = 0;
+  int64_t emb = 0;
+  int64_t epi = 0;
+  int64_t iso = 0;
+  double weighted = 0.0;
+  std::vector<std::vector<int64_t>> rooted;  // [root of F][image in G].
+};
+
+ReferenceCounts EnumerateMaps(const Graph& f, const Graph& g) {
+  const int nf = f.NumVertices();
+  const int ng = g.NumVertices();
+  ReferenceCounts out;
+  out.rooted.assign(nf, std::vector<int64_t>(ng, 0));
+  std::vector<int> h(nf, 0);
+  while (true) {
+    const MapClass c = Classify(f, g, h);
+    if (c.hom) {
+      ++out.hom;
+      out.weighted += c.weight;
+      out.emb += c.injective ? 1 : 0;
+      out.epi += c.onto ? 1 : 0;
+      out.iso += IsIsomorphism(f, g, c) ? 1 : 0;
+      for (int r = 0; r < nf; ++r) ++out.rooted[r][h[r]];
+    }
+    int i = 0;
+    while (i < nf && ++h[i] == ng) h[i++] = 0;
+    if (i == nf) return out;
+  }
+}
+
+void ExpectCountsMatchReference(const Graph& f, const Graph& g) {
+  const ReferenceCounts ref = EnumerateMaps(f, g);
+  EXPECT_EQ(CountHomomorphismsBruteForce(f, g), ref.hom);
+  EXPECT_NEAR(WeightedHomomorphismBruteForce(f, g), ref.weighted,
+              1e-12 * (1.0 + ref.weighted));
+  EXPECT_EQ(CountEmbeddingsBruteForce(f, g), ref.emb);
+  EXPECT_EQ(CountEpimorphismsBruteForce(f, g), ref.epi);
+  for (int r = 0; r < f.NumVertices(); ++r) {
+    for (int v = 0; v < g.NumVertices(); ++v) {
+      EXPECT_EQ(CountRootedHomomorphismsBruteForce(f, r, g, v),
+                ref.rooted[r][v])
+          << "root " << r << " -> " << v;
+    }
+  }
+  EXPECT_EQ(graph::CountIsomorphisms(f, g), ref.iso);
+  EXPECT_EQ(graph::AreIsomorphic(f, g), ref.iso > 0);
+  const std::optional<std::vector<int>> witness = graph::FindIsomorphism(f, g);
+  ASSERT_EQ(witness.has_value(), ref.iso > 0);
+  if (witness.has_value()) {
+    EXPECT_TRUE(IsIsomorphism(f, g, Classify(f, g, *witness)));
+  }
+}
+
+std::vector<Graph> GraphsUpToFourVertices() {
+  std::vector<Graph> out;
+  for (int n = 1; n <= 4; ++n) {
+    for (Graph& g : graph::AllGraphs(n)) out.push_back(std::move(g));
+  }
+  return out;
+}
+
+// A copy of g with vertex labels, edge labels and edge weights that are
+// fixed functions of the endpoints, so copies share some isomorphisms.
+Graph Decorated(const Graph& g) {
+  Graph out(g.NumVertices());
+  for (int v = 0; v < g.NumVertices(); ++v) out.SetVertexLabel(v, v % 2);
+  for (const graph::Edge& e : g.Edges()) {
+    out.AddEdge(e.u, e.v, 1.0 + 0.5 * ((e.u + e.v) % 3), (e.u * e.v) % 2);
+  }
+  return out;
+}
+
+TEST(MapCountReferenceTest, AllGraphPairsUpToFourVertices) {
+  const std::vector<Graph> graphs = GraphsUpToFourVertices();
+  ASSERT_EQ(graphs.size(), 18u);
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    for (size_t j = 0; j < graphs.size(); ++j) {
+      SCOPED_TRACE("pair " + std::to_string(i) + ", " + std::to_string(j));
+      ExpectCountsMatchReference(graphs[i], graphs[j]);
+    }
+  }
+}
+
+TEST(MapCountReferenceTest, LabelledWeightedPairsUpToFourVertices) {
+  const std::vector<Graph> graphs = GraphsUpToFourVertices();
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    for (size_t j = 0; j < graphs.size(); ++j) {
+      SCOPED_TRACE("pair " + std::to_string(i) + ", " + std::to_string(j));
+      ExpectCountsMatchReference(Decorated(graphs[i]), Decorated(graphs[j]));
+    }
+  }
+}
+
+TEST(MapCountReferenceTest, AllDigraphPairsOnThreeVertices) {
+  // The 64 digraphs on {0, 1, 2}, one per subset of the 6 arcs.
+  std::vector<Graph> digraphs;
+  for (int mask = 0; mask < 64; ++mask) {
+    Graph d(3, /*directed=*/true);
+    int bit = 0;
+    for (int u = 0; u < 3; ++u) {
+      for (int v = 0; v < 3; ++v) {
+        if (u != v && ((mask >> bit++) & 1) != 0) d.AddEdge(u, v);
+      }
+    }
+    digraphs.push_back(std::move(d));
+  }
+  for (int i = 0; i < 64; ++i) {
+    for (int j = 0; j < 64; ++j) {
+      SCOPED_TRACE("masks " + std::to_string(i) + ", " + std::to_string(j));
+      ExpectCountsMatchReference(digraphs[i], digraphs[j]);
+    }
+  }
+}
+
+TEST(MapCountReferenceTest, DirectedEpimorphismChecksEveryArc) {
+  // F = {0 -> 1, 1 -> 0} plus an isolated vertex has no homomorphism onto
+  // G = {0 -> 1} plus an isolated vertex: the arc 1 -> 0 has no image.
+  Graph f(3, /*directed=*/true);
+  f.AddEdge(0, 1);
+  f.AddEdge(1, 0);
+  Graph g(3, /*directed=*/true);
+  g.AddEdge(0, 1);
+  EXPECT_EQ(CountEpimorphismsBruteForce(f, g), 0);
+  EXPECT_EQ(CountHomomorphismsBruteForce(f, g), 0);
 }
 
 TEST(TreeHomTest, MatchesBruteForceOnRandomTrees) {

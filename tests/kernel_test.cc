@@ -651,7 +651,7 @@ TEST(KernelUtilsTest, CenteringZeroesRowSums) {
   Budget unlimited;
   const linalg::Matrix k =
       *WlSubtreeKernelMatrix(TestDataset(5, 81), 2, unlimited);
-  const linalg::Matrix c = CenterKernel(k);
+  const linalg::Matrix c = linalg::DoubleCentered(k);
   for (int i = 0; i < c.rows(); ++i) {
     double row = 0.0;
     for (int j = 0; j < c.cols(); ++j) row += c(i, j);

@@ -275,6 +275,20 @@ TEST(ZeroBudgetTest, BruteForceHomCounting) {
   ExpectExhausted(hom::CountEmbeddingsBruteForceBudgeted(f, g, b4));
   Budget b5 = Budget::WorkUnits(0);
   ExpectExhausted(hom::CountEpimorphismsBruteForceBudgeted(f, g, b5));
+
+  // An out-of-range root of F or target in G is caller input: a typed
+  // status, never an abort, whatever the budget.
+  const std::pair<int, int> bad_pins[] = {{-1, 0}, {4, 0}, {0, -1}, {0, 5}};
+  for (const auto& [root, target] : bad_pins) {
+    for (const int64_t units : {int64_t{0}, int64_t{1'000'000}}) {
+      Budget budget = Budget::WorkUnits(units);
+      const auto result = hom::CountRootedHomomorphismsBruteForceBudgeted(
+          f, root, g, target, budget);
+      ASSERT_FALSE(result.ok()) << root << " -> " << target;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << root << " -> " << target;
+    }
+  }
 }
 
 TEST(ZeroBudgetTest, IsomorphismSearch) {
