@@ -32,6 +32,7 @@
 #include "base/rng.h"
 #include "base/trace.h"
 #include "bench_meta.h"
+#include "embed/checkpoint.h"
 #include "linalg/kernels.h"
 #include "linalg/kernels_backend.h"
 #include "linalg/matrix.h"
@@ -41,13 +42,9 @@ namespace {
 using x2vec::linalg::Matrix;
 
 uint64_t Fnv1a(const double* data, size_t count) {
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < count * sizeof(double); ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+  x2vec::embed::Fnv1a hasher;
+  hasher.Update(data, count * sizeof(double));
+  return hasher.digest();
 }
 
 // ---- Workload 1: brute-force kNN distance scan ------------------------------

@@ -5,7 +5,9 @@
 // between log-scaled hom vectors — Section 5.2's question whether
 // homomorphism distances track matrix distances, answered empirically.
 
+#include <array>
 #include <cstdio>
+#include <vector>
 
 #include "api/x2vec.h"
 
@@ -25,7 +27,11 @@ int main() {
   std::printf("%-6s %-10s %-10s %-10s %-12s %-12s\n", "k", "dist_1",
               "dist_F", "dist_cut", "FrankWolfe", "hom-dist");
 
-  for (int flips : {0, 1, 2, 4, 8, 12}) {
+  // Rows of the table: per flip level, the five column averages.
+  const int kLevels[] = {0, 1, 2, 4, 8, 12};
+  constexpr int kColumns = 5;
+  std::vector<std::array<double, kColumns>> rows;
+  for (int flips : kLevels) {
     // Average over a few perturbations per level.
     double d1 = 0.0;
     double df = 0.0;
@@ -48,16 +54,33 @@ int main() {
       dhom += linalg::Distance2(base_embedding,
                                 hom::LogScaledHomVector(perturbed, family));
     }
+    rows.push_back({d1 / kRepeats, df / kRepeats, dcut / kRepeats,
+                    dfw / kRepeats, dhom / kRepeats});
+    const std::array<double, kColumns>& row = rows.back();
     std::printf("%-6d %-10.2f %-10.2f %-10.2f %-12.4f %-12.4f\n", flips,
-                d1 / kRepeats, df / kRepeats, dcut / kRepeats, dfw / kRepeats,
-                dhom / kRepeats);
+                row[0], row[1], row[2], row[3], row[4]);
+  }
+
+  // Section 5.2 asks whether hom distances track matrix distances; whether
+  // each column grows with k is measured here, not assumed.
+  const char* const kNames[kColumns] = {"dist_1", "dist_F", "dist_cut",
+                                        "FrankWolfe", "hom-dist"};
+  const int kDecimals[kColumns] = {2, 2, 2, 4, 4};
+  std::printf("\nmonotone in k over the measured levels (a measurement):\n");
+  for (int c = 0; c < kColumns; ++c) {
+    size_t fall = 1;
+    while (fall < rows.size() && rows[fall][c] >= rows[fall - 1][c]) ++fall;
+    if (fall == rows.size()) {
+      std::printf("  %-11s yes\n", kNames[c]);
+    } else {
+      std::printf("  %-11s no: %.*f at k=%d, then %.*f at k=%d\n", kNames[c],
+                  kDecimals[c], rows[fall - 1][c], kLevels[fall - 1],
+                  kDecimals[c], rows[fall][c], kLevels[fall]);
+    }
   }
 
   std::printf(
       "\npaper-shape checks:\n"
-      " - every column grows monotonically (on average) with the\n"
-      "   perturbation level: the hom-embedding distance tracks the\n"
-      "   matrix-norm distances, supporting Section 5's hypothesis;\n"
       " - the relaxed distance lower-bounds the exact Frobenius distance\n"
       "   and is 0 exactly at k=0 (Theorem 3.2);\n"
       " - dist_1 = 2 * (edge flips needed), eq. (5.3): compare column 1\n"

@@ -19,25 +19,28 @@
 #   8. ctest -L persist (durable I/O + checkpoint/resume crash-safety
 #      suite, re-run on its own so a persistence regression is called out
 #      by name)
-#   9. ctest -L serve (embedding-serving suite: index backends, query
+#   9. ctest -L golden (every test that pins a digest of tests/goldens.h,
+#      re-run on its own; a moved digest prints one
+#      "GOLDEN <name> pinned=<old> got=<new>" line)
+#  10. ctest -L serve (embedding-serving suite: index backends, query
 #      engine, admission control, batch-replay determinism) followed by a
 #      tab_serving smoke replay, which must report every batch
 #      bit-identical and write run_report.json
-#  10. ctest -L stream (out-of-core CSR backend + streaming walk-corpus
+#  11. ctest -L stream (out-of-core CSR backend + streaming walk-corpus
 #      pipeline suite, re-run on its own so a streaming regression is
 #      called out by name) followed by a perf_stream --smoke run, which
 #      must stream a DeepWalk training pass over a generated 10M-edge CSR
 #      graph without materialising the walk corpus
-#  11. python3 perfbench/smoke_test.py (plain gate only): builds the
+#  12. python3 perfbench/smoke_test.py (plain gate only): builds the
 #      benchmark from src/ in its own non-sanitized .bench_build/ and runs
 #      every workload at toy size, so a src/ change that breaks the
 #      benchmark's build or its correctness checks fails here
-#  12. x2vec_lint over src/ tests/ bench/ tools/ examples/ — per-file
+#  13. x2vec_lint over src/ tests/ bench/ tools/ examples/ — per-file
 #      rules plus the whole-program passes (include cycles, layering
 #      against tools/lint/layers.txt, metric registry); also exports the
 #      module dependency DAG to $BUILD_DIR/deps.json and fails if the
 #      checked-in docs/metrics.md is stale
-#  13. clang-tidy over src/ — skipped with a notice when not installed
+#  14. clang-tidy over src/ — skipped with a notice when not installed
 #
 # Usage:
 #   scripts/check.sh [--sanitize=asan|tsan|ubsan] [--build-dir=DIR] [-j N]
@@ -111,6 +114,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L parity
 
 step "ctest -L persist (durable I/O + checkpoint/resume)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L persist
+
+step "ctest -L golden (every pinned digest of tests/goldens.h)"
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L golden
 
 step "ctest -L serve (embedding serving: index, engine, admission)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L serve

@@ -14,10 +14,17 @@ using graph::internal::MapSearchResult;
 constexpr std::string_view kOperation = "brute-force homomorphism search";
 
 // Runs the map search and returns one field of its result, or the status
-// of an exhausted budget.
+// of an exhausted budget. An F and a G that differ in directedness are
+// rejected before the budget is read: an undirected edge has no defined
+// image among arcs.
 template <typename T>
 StatusOr<T> Search(const Graph& f, const Graph& g, const MapKind& kind,
                    T MapSearchResult::*field, Budget& budget) {
+  if (f.directed() != g.directed()) {
+    return Status::InvalidArgument(
+        std::string(kOperation) +
+        ": F and G must be both directed or both undirected");
+  }
   const MapSearchResult found = graph::internal::SearchMaps(f, g, kind, budget);
   if (found.exhausted) return budget.ExhaustedError(kOperation);
   return found.*field;

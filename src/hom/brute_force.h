@@ -44,7 +44,9 @@ int64_t CountEpimorphismsBruteForce(const graph::Graph& f,
 /// it). One work unit = one trial of a candidate (vertex, image) pair. The
 /// search stops cooperatively and returns kResourceExhausted once the
 /// budget is gone; with an unlimited budget the results are identical to
-/// the plain functions above (which are thin wrappers over these).
+/// the plain functions above (which are thin wrappers over these). An F
+/// and a G that differ in directedness are kInvalidArgument, checked
+/// before the budget is read; the plain functions abort on them.
 
 [[nodiscard]] StatusOr<int64_t> CountHomomorphismsBruteForceBudgeted(const graph::Graph& f,
                                                        const graph::Graph& g,

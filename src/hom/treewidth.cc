@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
 
 #include "linalg/int128.h"
 
@@ -226,14 +227,45 @@ Factor<Acc> SumOut(const Factor<Acc>& f, int vertex, int ng,
   return out;
 }
 
+constexpr std::string_view kTreewidthOperation = "exact treewidth search";
+constexpr std::string_view kEliminationOperation =
+    "homomorphism counting via elimination";
+
+// Caller input bucket elimination cannot count: digraphs (its adjacency
+// factors are symmetric) and an order that is not a permutation of V(F).
+Status CheckEliminationInput(const Graph& f, const Graph& g,
+                             const std::vector<int>& order) {
+  const std::string operation(kEliminationOperation);
+  if (f.directed() || g.directed()) {
+    return Status::InvalidArgument(operation +
+                                   ": F and G must be undirected");
+  }
+  std::vector<char> seen(f.NumVertices(), 0);
+  bool permutation = order.size() == seen.size();
+  for (size_t i = 0; permutation && i < order.size(); ++i) {
+    const int v = order[i];
+    permutation = v >= 0 && v < f.NumVertices() && seen[v] == 0;
+    if (permutation) seen[v] = 1;
+  }
+  if (!permutation) {
+    return Status::InvalidArgument(
+        operation + ": the order is not a permutation of V(F)");
+  }
+  return Status::Ok();
+}
+
+// hom(F, G) by bucket elimination along `order`. Bad input is
+// kInvalidArgument, checked before the budget is read.
 template <typename Acc>
-Acc EliminationCount(const Graph& f, const Graph& g,
-                     const std::vector<int>& order, Acc (*mul)(Acc, Acc),
-                     Acc (*add)(Acc, Acc), Budget& budget, bool& aborted) {
-  X2VEC_CHECK(!f.directed() && !g.directed());
+StatusOr<Acc> EliminationCount(const Graph& f, const Graph& g,
+                               const std::vector<int>& order,
+                               Acc (*mul)(Acc, Acc), Acc (*add)(Acc, Acc),
+                               Budget& budget) {
+  const Status valid = CheckEliminationInput(f, g, order);
+  if (!valid.ok()) return valid;
+  if (budget.Exhausted()) return budget.ExhaustedError(kEliminationOperation);
   const int nf = f.NumVertices();
   const int ng = g.NumVertices();
-  X2VEC_CHECK_EQ(static_cast<int>(order.size()), nf);
   if (nf == 0) return Acc(1);
   if (ng == 0) return Acc(0);
 
@@ -261,6 +293,7 @@ Acc EliminationCount(const Graph& f, const Graph& g,
     factors.push_back(std::move(binary));
   }
 
+  bool aborted = false;
   for (int x : order) {
     // Join all factors mentioning x, then sum x out.
     Factor<Acc> joint;
@@ -274,7 +307,7 @@ Acc EliminationCount(const Graph& f, const Graph& g,
           have = true;
         } else {
           joint = Multiply(joint, factor, ng, mul, budget, aborted);
-          if (aborted) return Acc(0);
+          if (aborted) return budget.ExhaustedError(kEliminationOperation);
         }
       } else {
         rest.push_back(std::move(factor));
@@ -282,7 +315,7 @@ Acc EliminationCount(const Graph& f, const Graph& g,
     }
     X2VEC_CHECK(have);
     rest.push_back(SumOut(joint, x, ng, add, budget, aborted));
-    if (aborted) return Acc(0);
+    if (aborted) return budget.ExhaustedError(kEliminationOperation);
     factors = std::move(rest);
   }
 
@@ -294,10 +327,6 @@ Acc EliminationCount(const Graph& f, const Graph& g,
   }
   return result;
 }
-
-constexpr std::string_view kTreewidthOperation = "exact treewidth search";
-constexpr std::string_view kEliminationOperation =
-    "homomorphism counting via elimination";
 
 }  // namespace
 
@@ -354,8 +383,12 @@ double CountHomsDouble(const Graph& f, const Graph& g) {
 StatusOr<int> ExactTreewidthBudgeted(const Graph& f,
                                      std::vector<int>* best_order,
                                      Budget& budget) {
-  X2VEC_CHECK_LE(f.NumVertices(), 10)
-      << "exact treewidth search is for small patterns";
+  if (f.NumVertices() > 10) {
+    return Status::InvalidArgument(
+        std::string(kTreewidthOperation) + ": F has " +
+        std::to_string(f.NumVertices()) +
+        " vertices; the search is for patterns of at most 10");
+  }
   if (budget.Exhausted()) return budget.ExhaustedError(kTreewidthOperation);
   TreewidthSearch search(f, budget);
   const int width = search.Run(best_order);
@@ -366,12 +399,8 @@ StatusOr<int> ExactTreewidthBudgeted(const Graph& f,
 StatusOr<__int128> CountHomsViaEliminationBudgeted(
     const Graph& f, const Graph& g, const std::vector<int>& order,
     Budget& budget) {
-  if (budget.Exhausted()) return budget.ExhaustedError(kEliminationOperation);
-  bool aborted = false;
-  const __int128 count = EliminationCount<__int128>(
-      f, g, order, &linalg::CheckedMul, &linalg::CheckedAdd, budget, aborted);
-  if (aborted) return budget.ExhaustedError(kEliminationOperation);
-  return count;
+  return EliminationCount<__int128>(f, g, order, &linalg::CheckedMul,
+                                    &linalg::CheckedAdd, budget);
 }
 
 StatusOr<__int128> CountHomsBudgeted(const Graph& f, const Graph& g,
@@ -382,14 +411,10 @@ StatusOr<__int128> CountHomsBudgeted(const Graph& f, const Graph& g,
 
 StatusOr<double> CountHomsDoubleBudgeted(const Graph& f, const Graph& g,
                                          Budget& budget) {
-  if (budget.Exhausted()) return budget.ExhaustedError(kEliminationOperation);
   static const auto mul = [](double a, double b) { return a * b; };
   static const auto add = [](double a, double b) { return a + b; };
-  bool aborted = false;
-  const double count = EliminationCount<double>(
-      f, g, MinFillEliminationOrder(f), +mul, +add, budget, aborted);
-  if (aborted) return budget.ExhaustedError(kEliminationOperation);
-  return count;
+  return EliminationCount<double>(f, g, MinFillEliminationOrder(f), +mul,
+                                  +add, budget);
 }
 
 }  // namespace x2vec::hom

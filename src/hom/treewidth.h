@@ -19,7 +19,7 @@ int WidthOfEliminationOrder(const graph::Graph& f,
 std::vector<int> MinFillEliminationOrder(const graph::Graph& f);
 
 /// Exact treewidth by branch-and-bound over elimination orders (patterns
-/// with up to ~9 vertices). Optionally returns an optimal order.
+/// of at most 10 vertices). Optionally returns an optimal order.
 int ExactTreewidth(const graph::Graph& f, std::vector<int>* best_order);
 
 /// hom(F, G) by bucket elimination (CountHomsViaEliminationBudgeted below)
@@ -37,7 +37,11 @@ double CountHomsDouble(const graph::Graph& f, const graph::Graph& g);
 /// per factor-table entry written for the elimination counters. Returns
 /// kResourceExhausted when the budget runs out; with an unlimited budget
 /// the results match the plain functions above exactly (those are thin
-/// wrappers over these).
+/// wrappers over these). Input they cannot handle is kInvalidArgument,
+/// checked before the budget is read: a pattern of more than 10 vertices
+/// for ExactTreewidthBudgeted, and a directed F or G, or an order that is
+/// not a permutation of V(F), for the elimination counters. The plain
+/// functions abort on such input.
 
 [[nodiscard]] StatusOr<int> ExactTreewidthBudgeted(const graph::Graph& f,
                                      std::vector<int>* best_order,

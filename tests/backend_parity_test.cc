@@ -2,7 +2,7 @@
 // (ctest label: parity).
 //
 // The generic backend is the golden reference: bit-identical to the pinned
-// digests in kernels_test.cc, re-asserted here at 1 and 4 threads and after
+// digests of tests/goldens.h, re-asserted here at 1 and 4 threads and after
 // backend flips. The fast backend (vectorized) is a *numeric* variant —
 // this harness holds it to explicit tolerance contracts instead of bit
 // equality, at three levels:
@@ -31,10 +31,9 @@
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "corpus_training.h"
-#include "data/datasets.h"
+#include "goldens.h"
 #include "embed/corpus.h"
 #include "embed/sgns.h"
-#include "graph/generators.h"
 #include "graph/graph.h"
 #include "kernel/graph_kernels.h"
 #include "linalg/kernels.h"
@@ -360,20 +359,6 @@ TEST(BackendKernelParityTest, SgdPairUpdateDeltaMatchesInPlaceVariant) {
 
 // ---- End-to-end trained-model parity ----------------------------------------
 
-embed::Corpus GoldenCorpus() {
-  Rng rng = MakeRng(42);
-  return embed::Corpus::FromSentences(data::TopicCorpus(3, 5, 60, 8, rng));
-}
-
-embed::SgnsOptions GoldenSgnsOptions() {
-  embed::SgnsOptions options;
-  options.dimension = 16;
-  options.window = 3;
-  options.negatives = 3;
-  options.epochs = 3;
-  return options;
-}
-
 // Downstream probe: classify each topic word ("t<topic>_w<i>") by its
 // neighbors in embedding space. The whole pipeline — training *and* the
 // kNN distance scans — runs under the backend being scored.
@@ -478,12 +463,7 @@ TEST(BackendEndToEndParityTest, KnnPredictionsAgreeWithGeneric) {
 
 TEST(BackendEndToEndParityTest, GraphletGramCloseToGeneric) {
   Budget unlimited;
-  Rng rng = MakeRng(1234);
-  std::vector<Graph> graphs = {Graph::Complete(4), Graph::Path(6),
-                               Graph::Cycle(5), Graph::Star(4)};
-  for (int i = 0; i < 4; ++i) {
-    graphs.push_back(graph::ConnectedGnp(7, 0.4, rng));
-  }
+  const std::vector<Graph> graphs = GoldenGraphs();
   const Matrix generic_gram = *kernel::GraphletKernelMatrix(graphs, unlimited);
 
   for (const KernelBackend backend : kFastBackends) {
@@ -505,26 +485,9 @@ TEST(BackendEndToEndParityTest, GraphletGramCloseToGeneric) {
 
 // ---- Generic stays golden ---------------------------------------------------
 //
-// Digest machinery and constants mirror kernels_test.cc: FNV-1a over raw
-// little-endian bytes. If these move, the kernels suite fails too — this
-// copy exists so a backend-dispatch bug (e.g. a fast table leaking into
-// the generic path) is caught *here*, next to the backend switching.
-
-uint64_t Fnv1aBytes(const void* data, size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t Digest(const std::vector<double>& values) {
-  return Fnv1aBytes(values.data(), values.size() * sizeof(double));
-}
-
-uint64_t Digest(const Matrix& m) { return Digest(m.data()); }
+// The kernels suite reads the same goldens; reading them here too catches a
+// backend-dispatch bug (e.g. a fast table leaking into the generic path)
+// next to the backend switching.
 
 TEST(BackendGoldenGuaranteeTest, GenericBitIdenticalAtOneAndFourThreads) {
   linalg::SetKernelBackend(KernelBackend::kGeneric);
@@ -534,18 +497,17 @@ TEST(BackendGoldenGuaranteeTest, GenericBitIdenticalAtOneAndFourThreads) {
   Budget unlimited;
   const embed::SgnsModel sequential =
       *TrainSgnsOnCorpus(corpus, GoldenSgnsOptions(), rng, unlimited);
-  EXPECT_EQ(Digest(sequential.input), 18278926393330042903ull);
-  EXPECT_EQ(Digest(sequential.output), 993439134845477708ull);
+  ExpectGolden("sgns/sequential/input", Digest(sequential.input));
+  ExpectGolden("sgns/sequential/output", Digest(sequential.output));
 
   for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     SetThreadCount(threads);
     const StatusOr<embed::SgnsModel> sharded = TrainSgnsShardedOnCorpus(
         corpus, GoldenSgnsOptions(), /*seed=*/7, unlimited);
     ASSERT_TRUE(sharded.ok());
-    EXPECT_EQ(Digest(sharded->input), 3462095741590153806ull)
-        << threads << " threads";
-    EXPECT_EQ(Digest(sharded->output), 293832832280350799ull)
-        << threads << " threads";
+    ExpectGolden("sgns/sharded/input", Digest(sharded->input));
+    ExpectGolden("sgns/sharded/output", Digest(sharded->output));
   }
   SetThreadCount(0);
 }
@@ -568,20 +530,15 @@ TEST(BackendGoldenGuaranteeTest, GenericStaysGoldenAfterBackendRoundTrip) {
     Rng rng = MakeRng(7);
     const embed::SgnsModel model =
         *TrainSgnsOnCorpus(corpus, GoldenSgnsOptions(), rng, unlimited);
-    EXPECT_EQ(Digest(model.input), 18278926393330042903ull)
-        << "after round-trip through " << linalg::KernelBackendName(backend);
-    EXPECT_EQ(Digest(model.output), 993439134845477708ull)
-        << "after round-trip through " << linalg::KernelBackendName(backend);
+    SCOPED_TRACE(testing::Message() << "after round-trip through "
+                                    << linalg::KernelBackendName(backend));
+    ExpectGolden("sgns/sequential/input", Digest(model.input));
+    ExpectGolden("sgns/sequential/output", Digest(model.output));
   }
 
-  Rng graph_rng = MakeRng(1234);
-  std::vector<Graph> graphs = {Graph::Complete(4), Graph::Path(6),
-                               Graph::Cycle(5), Graph::Star(4)};
-  for (int i = 0; i < 4; ++i) {
-    graphs.push_back(graph::ConnectedGnp(7, 0.4, graph_rng));
-  }
-  EXPECT_EQ(Digest(kernel::GraphletKernelMatrix(graphs, unlimited).value()),
-            11022058731005599074ull);
+  ExpectGolden(
+      "gram/golden-graphs/graphlet",
+      Digest(kernel::GraphletKernelMatrix(GoldenGraphs(), unlimited).value()));
 }
 
 // ---- Serving-index determinism across backends and threads ------------------

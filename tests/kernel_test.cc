@@ -10,6 +10,7 @@
 #include "base/rng.h"
 #include "base/status.h"
 #include "core/registry.h"
+#include "goldens.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
@@ -113,22 +114,6 @@ TEST(WlKernelTest, ShortestPathVariantPsd) {
       WlShortestPathKernelMatrix(graphs, 2, unlimited).value()));
 }
 
-uint64_t Digest(const linalg::Matrix& m) {
-  // FNV-1a over the raw bytes of every entry, as in kernels_test.
-  uint64_t h = 1469598103934665603ull;
-  const auto* p = reinterpret_cast<const unsigned char*>(m.data().data());
-  for (size_t i = 0; i < m.data().size() * sizeof(double); ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// The digest of a Gram computed without limits, which must succeed.
-uint64_t Digest(const StatusOr<linalg::Matrix>& gram) {
-  return Digest(gram.value());
-}
-
 // Vertex labels, edge labels (negative ones too), a 1-vertex graph and an
 // edgeless graph: every input a joint WL colouring has to line up across.
 std::vector<Graph> LabelledDataset() {
@@ -160,12 +145,13 @@ TEST(WlKernelTest, LabelledDatasetGramsArePinned) {
   // Captured before the dataset refinement stopped building the disjoint
   // union; the joint colour ids, and so every entry, must not move.
   const std::vector<Graph> graphs = LabelledDataset();
-  EXPECT_EQ(Digest(WlSubtreeKernelMatrix(graphs, 3, unlimited)),
-            8060041855713182602ull);
-  EXPECT_EQ(Digest(DiscountedWlKernelMatrix(graphs, 3, unlimited)),
-            4700007788846284159ull);
-  EXPECT_EQ(Digest(WlShortestPathKernelMatrix(graphs, 2, unlimited)),
-            13634039831283152666ull);
+  ExpectGolden("gram/labelled/wl-subtree-h3",
+               Digest(WlSubtreeKernelMatrix(graphs, 3, unlimited).value()));
+  ExpectGolden("gram/labelled/discounted-wl-h3",
+               Digest(DiscountedWlKernelMatrix(graphs, 3, unlimited).value()));
+  ExpectGolden(
+      "gram/labelled/wl-shortest-path-h2",
+      Digest(WlShortestPathKernelMatrix(graphs, 2, unlimited).value()));
 }
 
 TEST(WlKernelTest, EmptyDatasetGivesEmptyResults) {
@@ -215,8 +201,9 @@ TEST(TwoWlKernelTest, LabelledDatasetGramIsPinned) {
   // Captured from the kernel's own folklore engine before it moved onto
   // the shared k-WL pass: only the joint partitions matter, and the
   // integer counts make every sum exact.
-  EXPECT_EQ(Digest(TwoWlKernelMatrix(LabelledDataset(), 3, unlimited).value()),
-            12222943699210141462ull);
+  ExpectGolden(
+      "gram/labelled/two-wl-h3",
+      Digest(TwoWlKernelMatrix(LabelledDataset(), 3, unlimited).value()));
 }
 
 TEST(TwoWlKernelTest, DigraphsSeeBothEdgeDirections) {
@@ -365,18 +352,22 @@ TEST(GraphKernelPinTest, ShortestPathAndRandomWalkGramsArePinned) {
   // may move.
   const std::vector<Graph> labelled = LabelledDataset();
   const std::vector<Graph> unlabelled = TestDataset(10, 91);
-  EXPECT_EQ(Digest(ShortestPathKernelMatrix(labelled, unlimited)),
-            7222126725437203662ull);
-  EXPECT_EQ(Digest(ShortestPathKernelMatrix(unlabelled, unlimited)),
-            862829817019914385ull);
-  EXPECT_EQ(Digest(RandomWalkKernelMatrix(labelled, 0.1, 6, unlimited)),
-            9902397724384988674ull);
-  EXPECT_EQ(Digest(RandomWalkKernelMatrix(labelled, 0.5, 3, unlimited)),
-            3689212100142624389ull);
-  EXPECT_EQ(Digest(RandomWalkKernelMatrix(unlabelled, 0.1, 6, unlimited)),
-            1480792845295228127ull);
-  EXPECT_EQ(Digest(RandomWalkKernelMatrix(unlabelled, 0.5, 3, unlimited)),
-            9082380041892252602ull);
+  ExpectGolden("gram/labelled/shortest-path",
+               Digest(ShortestPathKernelMatrix(labelled, unlimited).value()));
+  ExpectGolden("gram/unlabelled/shortest-path",
+               Digest(ShortestPathKernelMatrix(unlabelled, unlimited).value()));
+  ExpectGolden(
+      "gram/labelled/random-walk-0.1-6",
+      Digest(RandomWalkKernelMatrix(labelled, 0.1, 6, unlimited).value()));
+  ExpectGolden(
+      "gram/labelled/random-walk-0.5-3",
+      Digest(RandomWalkKernelMatrix(labelled, 0.5, 3, unlimited).value()));
+  ExpectGolden(
+      "gram/unlabelled/random-walk-0.1-6",
+      Digest(RandomWalkKernelMatrix(unlabelled, 0.1, 6, unlimited).value()));
+  ExpectGolden(
+      "gram/unlabelled/random-walk-0.5-3",
+      Digest(RandomWalkKernelMatrix(unlabelled, 0.5, 3, unlimited).value()));
 }
 
 TEST(GraphKernelPinTest, HomGramsArePinned) {
@@ -386,38 +377,44 @@ TEST(GraphKernelPinTest, HomGramsArePinned) {
   const std::vector<hom::Pattern> family = hom::DefaultPatternFamily(12);
   const std::vector<Graph> labelled = LabelledDataset();
   const std::vector<Graph> unlabelled = TestDataset(10, 91);
-  EXPECT_EQ(Digest(HomVectorKernelMatrix(labelled, family, unlimited)),
-            2652513415263549985ull);
-  EXPECT_EQ(Digest(HomVectorKernelMatrix(unlabelled, family, unlimited)),
-            1941975474802445705ull);
-  EXPECT_EQ(Digest(ScaledHomKernelMatrix(labelled, family, unlimited)),
-            14495850494772472213ull);
-  EXPECT_EQ(Digest(ScaledHomKernelMatrix(unlabelled, family, unlimited)),
-            10630653595353569416ull);
+  ExpectGolden(
+      "gram/labelled/hom-12",
+      Digest(HomVectorKernelMatrix(labelled, family, unlimited).value()));
+  ExpectGolden(
+      "gram/unlabelled/hom-12",
+      Digest(HomVectorKernelMatrix(unlabelled, family, unlimited).value()));
+  ExpectGolden(
+      "gram/labelled/scaled-hom-12",
+      Digest(ScaledHomKernelMatrix(labelled, family, unlimited).value()));
+  ExpectGolden(
+      "gram/unlabelled/scaled-hom-12",
+      Digest(ScaledHomKernelMatrix(unlabelled, family, unlimited).value()));
 }
 
 TEST(GraphKernelPinTest, MethodSuiteGramsArePinned) {
   // Every default method's Gram through RunMethodSuite, the graph2vec and
-  // GIN feature rows included, on an unlabelled and a labelled dataset.
-  const std::pair<std::vector<Graph>, std::vector<uint64_t>> cases[] = {
+  // GIN feature rows included, on an unlabelled and a labelled dataset. Six
+  // of them are the direct kernel Grams pinned above.
+  const std::pair<std::vector<Graph>, std::vector<GoldenName>> cases[] = {
       {TestDataset(10, 91),
-       {9288570520315065203ull, 17072278768719844127ull,
-        4672950816301059893ull, 13724878980576062677ull,
-        862829817019914385ull, 1480792845295228127ull,
-        8628217715491934564ull, 4579041920982689013ull}},
+       {"gram/unlabelled/wl-subtree-h5", "gram/unlabelled/two-wl-h3",
+        "gram/unlabelled/hom-20", "gram/unlabelled/graphlet",
+        "gram/unlabelled/shortest-path", "gram/unlabelled/random-walk-0.1-6",
+        "gram/unlabelled/graph2vec", "gram/unlabelled/gin-random"}},
       {LabelledDataset(),
-       {8060041855713182602ull, 12222943699210141462ull,
-        10742062810292458309ull, 10908621087501135836ull,
-        7222126725437203662ull, 9902397724384988674ull,
-        3366866416726195867ull, 16042466704927158020ull}},
+       {"gram/labelled/wl-subtree-h3", "gram/labelled/two-wl-h3",
+        "gram/labelled/hom-20", "gram/labelled/graphlet",
+        "gram/labelled/shortest-path", "gram/labelled/random-walk-0.1-6",
+        "gram/labelled/graph2vec", "gram/labelled/gin-random"}},
   };
-  for (const auto& [graphs, digests] : cases) {
+  for (const auto& [graphs, goldens] : cases) {
     const std::vector<core::MethodOutcome> outcomes = core::RunMethodSuite(
         api::DefaultMethodSuite(), graphs, /*seed=*/7, BudgetSpec{});
-    ASSERT_EQ(outcomes.size(), digests.size());
+    ASSERT_EQ(outcomes.size(), goldens.size());
     for (size_t m = 0; m < outcomes.size(); ++m) {
-      ASSERT_TRUE(outcomes[m].status.ok()) << outcomes[m].name;
-      EXPECT_EQ(Digest(outcomes[m].matrix), digests[m]) << outcomes[m].name;
+      SCOPED_TRACE(outcomes[m].name);
+      ASSERT_TRUE(outcomes[m].status.ok());
+      ExpectGolden(goldens[m], Digest(outcomes[m].matrix));
     }
   }
 }

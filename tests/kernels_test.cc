@@ -1,17 +1,14 @@
 // Bit-identity regression suite for the span-based dense-kernel layer
 // (ctest label: kernels).
 //
-// The golden digests below were captured from the pre-refactor
-// implementations — the ones that walked Matrix::operator() element by
-// element and allocated Matrix::Row() copies in every hot loop. The span
-// kernels keep the exact floating-point operation order of those loops, so
-// every trained model, classifier output and Gram matrix here must
-// reproduce its digest bit for bit, at 1 and N threads. A digest change
-// means the refactor altered numerics, not just speed.
-//
-// Digests are FNV-1a over the raw little-endian byte patterns of the
-// values, so they are sensitive to every bit of every double (including
-// the sign of zero).
+// The golden digests were captured from the pre-refactor implementations
+// — the ones that walked Matrix::operator() element by element and
+// allocated Matrix::Row() copies in every hot loop. The span kernels keep
+// the exact floating-point operation order of those loops, so every
+// trained model, classifier output and Gram matrix here must reproduce its
+// digest bit for bit, at 1 and N threads. A digest change means the
+// refactor altered numerics, not just speed. The digests, their values and
+// the shared golden fixtures live in tests/goldens.h.
 
 #include <cmath>
 #include <cstdint>
@@ -27,9 +24,9 @@
 #include "base/metrics.h"
 #include "base/parallel.h"
 #include "base/rng.h"
-#include "data/datasets.h"
 #include "kg/datasets.h"
 #include "corpus_training.h"
+#include "goldens.h"
 #include "embed/corpus.h"
 #include "embed/graph2vec.h"
 #include "embed/node_embeddings.h"
@@ -55,64 +52,6 @@ namespace {
 using graph::Graph;
 using linalg::Matrix;
 
-// ---- Digest helpers ---------------------------------------------------------
-
-uint64_t Fnv1aBytes(const void* data, size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t Digest(const std::vector<double>& values) {
-  return Fnv1aBytes(values.data(), values.size() * sizeof(double));
-}
-
-uint64_t Digest(const std::vector<int>& values) {
-  return Fnv1aBytes(values.data(), values.size() * sizeof(int));
-}
-
-uint64_t Digest(const Matrix& m) { return Digest(m.data()); }
-
-// ---- Shared fixtures (seeds are part of the golden contract) ----------------
-
-embed::Corpus GoldenCorpus() {
-  Rng rng = MakeRng(42);
-  return embed::Corpus::FromSentences(data::TopicCorpus(3, 5, 60, 8, rng));
-}
-
-embed::SgnsOptions GoldenSgnsOptions() {
-  embed::SgnsOptions options;
-  options.dimension = 16;
-  options.window = 3;
-  options.negatives = 3;
-  options.epochs = 3;
-  return options;
-}
-
-std::vector<std::vector<int>> GoldenDocuments() {
-  std::vector<std::vector<int>> documents;
-  for (int d = 0; d < 30; ++d) {
-    std::vector<int> doc;
-    for (int t = 0; t < 20; ++t) doc.push_back((d * 13 + t * 7) % 40);
-    documents.push_back(std::move(doc));
-  }
-  return documents;
-}
-
-std::vector<Graph> GoldenGraphs() {
-  Rng rng = MakeRng(1234);
-  std::vector<Graph> graphs = {Graph::Complete(4), Graph::Path(6),
-                               Graph::Cycle(5), Graph::Star(4)};
-  for (int i = 0; i < 4; ++i) {
-    graphs.push_back(graph::ConnectedGnp(7, 0.4, rng));
-  }
-  return graphs;
-}
-
 // ---- SGNS / PV-DBOW ---------------------------------------------------------
 
 TEST(KernelBitIdentityTest, SgnsSequential) {
@@ -122,20 +61,21 @@ TEST(KernelBitIdentityTest, SgnsSequential) {
   const StatusOr<embed::SgnsModel> model =
       TrainSgnsOnCorpus(corpus, GoldenSgnsOptions(), rng, unlimited);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(Digest(model->input), 18278926393330042903ull);
-  EXPECT_EQ(Digest(model->output), 993439134845477708ull);
+  ExpectGolden("sgns/sequential/input", Digest(model->input));
+  ExpectGolden("sgns/sequential/output", Digest(model->output));
 }
 
 TEST(KernelBitIdentityTest, SgnsShardedAtOneAndManyThreads) {
   const embed::Corpus corpus = GoldenCorpus();
   for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     SetThreadCount(threads);
     Budget unlimited;
     const StatusOr<embed::SgnsModel> model = TrainSgnsShardedOnCorpus(
         corpus, GoldenSgnsOptions(), /*seed=*/7, unlimited);
     ASSERT_TRUE(model.ok());
-    EXPECT_EQ(Digest(model->input), 3462095741590153806ull) << threads << " threads";
-    EXPECT_EQ(Digest(model->output), 293832832280350799ull) << threads << " threads";
+    ExpectGolden("sgns/sharded/input", Digest(model->input));
+    ExpectGolden("sgns/sharded/output", Digest(model->output));
   }
   SetThreadCount(0);
 }
@@ -146,18 +86,19 @@ TEST(KernelBitIdentityTest, PvDbowSequential) {
   const StatusOr<embed::SgnsModel> model = TrainPvDbowOnDocuments(
       GoldenDocuments(), 40, GoldenSgnsOptions(), rng, unlimited);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(Digest(model->input), 7506412274478109361ull);
+  ExpectGolden("pvdbow/sequential/input", Digest(model->input));
 }
 
 TEST(KernelBitIdentityTest, PvDbowShardedAtOneAndManyThreads) {
   const std::vector<std::vector<int>> documents = GoldenDocuments();
   for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     SetThreadCount(threads);
     Budget unlimited;
     const StatusOr<embed::SgnsModel> model = TrainPvDbowShardedOnDocuments(
         documents, 40, GoldenSgnsOptions(), /*seed=*/11, unlimited);
     ASSERT_TRUE(model.ok());
-    EXPECT_EQ(Digest(model->input), 16656231216226078774ull) << threads << " threads";
+    ExpectGolden("pvdbow/sharded/input", Digest(model->input));
   }
   SetThreadCount(0);
 }
@@ -185,14 +126,15 @@ embed::Node2VecOptions GoldenWalkOptions() {
 TEST(KernelBitIdentityTest, DeepWalkSequentialAtOneAndManyThreads) {
   const Graph g = GoldenNodeGraph();
   for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     SetThreadCount(threads);
     Rng rng = MakeRng(19);
     Budget budget = Budget::WorkUnits(1'000'000'000);
     const StatusOr<Matrix> embedding = embed::DeepWalkEmbeddingBudgeted(
         graph::GraphView(g), GoldenWalkOptions(), rng, budget);
     ASSERT_TRUE(embedding.ok());
-    EXPECT_EQ(Digest(*embedding), 10486663230332059249ull) << threads << " threads";
-    EXPECT_EQ(budget.work_spent(), 9312) << threads << " threads";
+    ExpectGolden("walks/deepwalk", Digest(*embedding));
+    EXPECT_EQ(budget.work_spent(), 9312);
   }
   SetThreadCount(0);
 }
@@ -203,14 +145,15 @@ TEST(KernelBitIdentityTest, Node2VecSequentialAtOneAndManyThreads) {
   options.walks.p = 1.0;
   options.walks.q = 0.5;
   for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     SetThreadCount(threads);
     Rng rng = MakeRng(23);
     Budget budget = Budget::WorkUnits(1'000'000'000);
     const StatusOr<Matrix> embedding = embed::Node2VecEmbeddingBudgeted(
         graph::GraphView(g), options, rng, budget);
     ASSERT_TRUE(embedding.ok());
-    EXPECT_EQ(Digest(*embedding), 5938407196543842321ull) << threads << " threads";
-    EXPECT_EQ(budget.work_spent(), 9312) << threads << " threads";
+    ExpectGolden("walks/node2vec", Digest(*embedding));
+    EXPECT_EQ(budget.work_spent(), 9312);
   }
   SetThreadCount(0);
 }
@@ -222,14 +165,15 @@ TEST(KernelBitIdentityTest, Graph2VecSequentialAtOneAndManyThreads) {
   options.sgns.dimension = 8;
   options.sgns.epochs = 3;
   for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     SetThreadCount(threads);
     Rng rng = MakeRng(29);
     Budget budget = Budget::WorkUnits(1'000'000'000);
     const StatusOr<Matrix> embedding =
         embed::Graph2VecEmbeddingBudgeted(graphs, options, rng, budget);
     ASSERT_TRUE(embedding.ok());
-    EXPECT_EQ(Digest(*embedding), 10778255640977380102ull) << threads << " threads";
-    EXPECT_EQ(budget.work_spent(), 432) << threads << " threads";
+    ExpectGolden("graph2vec/sequential", Digest(*embedding));
+    EXPECT_EQ(budget.work_spent(), 432);
   }
   SetThreadCount(0);
 }
@@ -241,13 +185,14 @@ TEST(KernelBitIdentityTest, Graph2VecParallelAtOneAndManyThreads) {
   options.sgns.dimension = 8;
   options.sgns.epochs = 3;
   for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     SetThreadCount(threads);
     Budget budget = Budget::WorkUnits(1'000'000'000);
     const StatusOr<Matrix> embedding = embed::Graph2VecEmbeddingParallel(
         graphs, options, /*seed=*/29, budget);
     ASSERT_TRUE(embedding.ok());
-    EXPECT_EQ(Digest(*embedding), 8474447060080171401ull) << threads << " threads";
-    EXPECT_EQ(budget.work_spent(), 432) << threads << " threads";
+    ExpectGolden("graph2vec/parallel", Digest(*embedding));
+    EXPECT_EQ(budget.work_spent(), 432);
   }
   SetThreadCount(0);
 }
@@ -266,8 +211,8 @@ TEST(KernelBitIdentityTest, TransEModelAndScores) {
       kg::TrainTransEBudgeted(graph, options, rng, unlimited);
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
   const kg::TransEModel& model = *trained;
-  EXPECT_EQ(Digest(model.entities), 2074243407751469905ull);
-  EXPECT_EQ(Digest(model.relations), 2852556191302250550ull);
+  ExpectGolden("transe/entities", Digest(model.entities));
+  ExpectGolden("transe/relations", Digest(model.relations));
   // The score loop itself is part of the swept surface.
   std::vector<double> scores;
   std::vector<int> ranks;
@@ -275,8 +220,8 @@ TEST(KernelBitIdentityTest, TransEModelAndScores) {
     scores.push_back(model.Score(triple.head, triple.relation, triple.tail));
     ranks.push_back(model.TailRank(graph, triple));
   }
-  EXPECT_EQ(Digest(scores), 16068623033078006014ull);
-  EXPECT_EQ(Digest(ranks), 16585628102887568796ull);
+  ExpectGolden("transe/scores", Digest(scores));
+  ExpectGolden("transe/tail-ranks", Digest(ranks));
 }
 
 TEST(KernelBitIdentityTest, RescalModelAndScores) {
@@ -291,12 +236,12 @@ TEST(KernelBitIdentityTest, RescalModelAndScores) {
       kg::TrainRescalBudgeted(graph, options, rng, unlimited);
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
   const kg::RescalModel& model = *trained;
-  EXPECT_EQ(Digest(model.entities), 6493029908213810661ull);
+  ExpectGolden("rescal/entities", Digest(model.entities));
   std::vector<double> scores;
   for (const kg::Triple& triple : graph.Triples()) {
     scores.push_back(model.Score(triple.head, triple.relation, triple.tail));
   }
-  EXPECT_EQ(Digest(scores), 4873018744700757922ull);
+  ExpectGolden("rescal/scores", Digest(scores));
 }
 
 // ---- Classification probes --------------------------------------------------
@@ -308,16 +253,16 @@ TEST(KernelBitIdentityTest, KnnPredictions) {
   ml::KnnClassifier knn(5);
   knn.Fit(features, labels);
   const Matrix queries = Matrix::Random(15, 8, 1.0, /*seed=*/4);
-  EXPECT_EQ(Digest(knn.PredictAll(queries)), 16954234328204494896ull);
+  ExpectGolden("ml/knn-predictions", Digest(knn.PredictAll(queries)));
 }
 
 TEST(KernelBitIdentityTest, KMeansClustering) {
   const Matrix features = Matrix::Random(40, 6, 1.0, /*seed=*/21);
   Rng rng = MakeRng(11);
   const ml::KMeansResult result = ml::KMeans(features, 4, rng);
-  EXPECT_EQ(Digest(result.centroids), 2267001519176672800ull);
-  EXPECT_EQ(Digest(result.assignment), 18288138977900006033ull);
-  EXPECT_EQ(Fnv1aBytes(&result.inertia, sizeof(result.inertia)), 3711601997687623616ull);
+  ExpectGolden("ml/kmeans-centroids", Digest(result.centroids));
+  ExpectGolden("ml/kmeans-assignment", Digest(result.assignment));
+  ExpectGolden("ml/kmeans-inertia", Digest(result.inertia));
 }
 
 TEST(KernelBitIdentityTest, SvmPredictions) {
@@ -328,7 +273,7 @@ TEST(KernelBitIdentityTest, SvmPredictions) {
   Rng rng = MakeRng(17);
   ml::OneVsRestSvm svm;
   svm.Fit(gram, labels, ml::SvmOptions(), rng);
-  EXPECT_EQ(Digest(svm.Predict(gram)), 12354013578755776467ull);
+  ExpectGolden("ml/svm-predictions", Digest(svm.Predict(gram)));
 }
 
 // ---- Gram fills and spectral embeddings ------------------------------------
@@ -337,15 +282,14 @@ TEST(KernelBitIdentityTest, GramFillsAtOneAndManyThreads) {
   Budget unlimited;
   const std::vector<Graph> graphs = GoldenGraphs();
   for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     SetThreadCount(threads);
-    EXPECT_EQ(Digest(*kernel::GraphletKernelMatrix(graphs, unlimited)),
-              11022058731005599074ull)
-        << threads << " threads";
-    EXPECT_EQ(Digest(*kernel::WlSubtreeKernelMatrix(graphs, 3, unlimited)),
-              10193462307455244032ull)
-        << threads << " threads";
-    EXPECT_EQ(Digest(kernel::DiffusionKernel(graphs[1], 0.5)), 4042648994033330886ull)
-        << threads << " threads";
+    ExpectGolden("gram/golden-graphs/graphlet",
+                 Digest(*kernel::GraphletKernelMatrix(graphs, unlimited)));
+    ExpectGolden("gram/golden-graphs/wl-subtree-h3",
+                 Digest(*kernel::WlSubtreeKernelMatrix(graphs, 3, unlimited)));
+    ExpectGolden("kernel/diffusion-path6",
+                 Digest(kernel::DiffusionKernel(graphs[1], 0.5)));
   }
   SetThreadCount(0);
 }
@@ -353,14 +297,14 @@ TEST(KernelBitIdentityTest, GramFillsAtOneAndManyThreads) {
 TEST(KernelBitIdentityTest, SpectralNodeEmbeddings) {
   Rng rng = MakeRng(31);
   const Graph g = graph::ConnectedGnp(12, 0.4, rng);
-  EXPECT_EQ(Digest(embed::LaplacianEigenmapEmbedding(g, 3)), 3239205366608690076ull);
-  EXPECT_EQ(Digest(embed::IsomapEmbedding(g, 3)), 2363788967733660846ull);
+  ExpectGolden("spectral/laplacian-eigenmap",
+               Digest(embed::LaplacianEigenmapEmbedding(g, 3)));
+  ExpectGolden("spectral/isomap", Digest(embed::IsomapEmbedding(g, 3)));
 }
 
 TEST(KernelBitIdentityTest, CutNorm) {
   const Matrix m = Matrix::Random(10, 7, 1.0, /*seed=*/23);
-  const double value = sim::CutNorm(m);
-  EXPECT_EQ(Fnv1aBytes(&value, sizeof(value)), 389602748859326270ull);
+  ExpectGolden("sim/cut-norm", Digest(sim::CutNorm(m)));
 }
 
 // ---- Span-kernel unit tests -------------------------------------------------

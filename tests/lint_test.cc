@@ -401,6 +401,49 @@ TEST(LintSuppressionTest, AllowIntrinsicsSilencesTheLine) {
   EXPECT_TRUE(LintFile("src/embed/sgns.cc", code).empty());
 }
 
+// -- Rule: golden-literal -----------------------------------------------------
+
+TEST(LintRuleTest, PlantedGoldenLiteralsAreReported) {
+  // Decimal and hex digests, with and without digit separators, fire once
+  // per line; short, floating-point, commented and quoted numbers do not.
+  const auto diags = LintFixture("bad_golden_literal.cc");
+  ASSERT_EQ(diags.size(), 4u);
+  for (size_t i = 0; i < diags.size(); ++i) {
+    EXPECT_EQ(diags[i].rule, "golden-literal") << FormatDiagnostic(diags[i]);
+    EXPECT_EQ(diags[i].line, 7 + static_cast<int>(i));
+    EXPECT_NE(diags[i].message.find("tests/goldens.h"), std::string::npos);
+  }
+}
+
+TEST(LintSuppressionTest, AllowGoldenLiteralSilencesTheLine) {
+  EXPECT_TRUE(LintFixture("good_golden_literal_allow.cc").empty());
+  const auto diags = LintFile(
+      "tests/x_test.cc", "uint64_t F() { return 0xfeedface12345678ull; }\n");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "golden-literal");
+}
+
+TEST(LintWhitelistTest, DigestLiteralsLiveInTheGoldenTableOnly) {
+  const std::string code =
+      ReadFileOrDie(SourcePath("tests/lint_fixtures/bad_golden_literal.cc"));
+  const auto count = [&](const std::string& rel) {
+    const auto diags = LintFile(rel, code);
+    return std::count_if(diags.begin(), diags.end(), [](const Diagnostic& d) {
+      return d.rule == "golden-literal";
+    });
+  };
+  // The table itself holds every pin; outside tests/ long literals are
+  // hash constants and seeds, not pins.
+  for (const std::string rel :
+       {"tests/goldens.h", "src/graph/csr.cc", "bench/perf_stream.cc"}) {
+    EXPECT_EQ(count(rel), 0) << rel;
+  }
+  for (const std::string rel :
+       {"tests/kernels_test.cc", "tests/corpus_training.h"}) {
+    EXPECT_EQ(count(rel), 4) << rel;
+  }
+}
+
 // -- Digit separators (string-blanking regression) ----------------------------
 
 TEST(LintStripTest, DigitSeparatorsDoNotOpenCharLiterals) {

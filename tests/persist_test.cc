@@ -3,7 +3,7 @@
 // persist.
 //
 // The resume tests pin the central contract against the golden digests of
-// tests/kernels_test.cc: a training run killed mid-epoch (simulated with a
+// tests/goldens.h: a training run killed mid-epoch (simulated with a
 // finite work-unit Budget) and resumed from its newest intact checkpoint
 // must finish bit-identical to the uninterrupted run, at 1 and 4 threads.
 // The fault-injection tests script torn writes, short reads, bit flips,
@@ -26,7 +26,7 @@
 #include "base/rng.h"
 #include "base/status.h"
 #include "corpus_training.h"
-#include "data/datasets.h"
+#include "goldens.h"
 #include "kg/datasets.h"
 #include "embed/checkpoint.h"
 #include "embed/corpus.h"
@@ -45,27 +45,11 @@ using embed::CheckpointKind;
 using embed::CheckpointSection;
 using linalg::Matrix;
 
-// ---- Digest helpers (the scheme of tests/kernels_test.cc) -------------------
-
-uint64_t Fnv1aBytes(const void* data, size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t Digest(const Matrix& m) {
-  return Fnv1aBytes(m.data().data(), m.data().size() * sizeof(double));
-}
-
-/// Digest of a file's bytes; 0 (never a pinned value) when unreadable.
-uint64_t FileDigest(const std::string& path) {
+/// A file's bytes, to digest; empty (never a pinned file) when unreadable.
+std::string FileBytes(const std::string& path) {
   const StatusOr<std::string> bytes = DefaultFs().ReadFile(path);
   EXPECT_TRUE(bytes.ok()) << path;
-  return bytes.ok() ? Fnv1aBytes(bytes->data(), bytes->size()) : 0;
+  return bytes.ok() ? *bytes : std::string();
 }
 
 // ---- Scratch directories ----------------------------------------------------
@@ -76,57 +60,6 @@ std::string ScratchDir(const std::string& name) {
   EXPECT_TRUE(DefaultFs().RemoveTree(dir).ok());
   return dir;
 }
-
-// ---- Golden fixtures (identical to tests/kernels_test.cc) -------------------
-
-embed::Corpus GoldenCorpus() {
-  Rng rng = MakeRng(42);
-  return embed::Corpus::FromSentences(data::TopicCorpus(3, 5, 60, 8, rng));
-}
-
-embed::SgnsOptions GoldenSgnsOptions() {
-  embed::SgnsOptions options;
-  options.dimension = 16;
-  options.window = 3;
-  options.negatives = 3;
-  options.epochs = 3;
-  return options;
-}
-
-std::vector<std::vector<int>> GoldenDocuments() {
-  std::vector<std::vector<int>> documents;
-  for (int d = 0; d < 30; ++d) {
-    std::vector<int> doc;
-    for (int t = 0; t < 20; ++t) doc.push_back((d * 13 + t * 7) % 40);
-    documents.push_back(std::move(doc));
-  }
-  return documents;
-}
-
-// Golden digests pinned by tests/kernels_test.cc. A resumed run matching
-// these proves bit-identity with the uninterrupted trainers.
-constexpr uint64_t kSgnsSequentialInput = 18278926393330042903ull;
-constexpr uint64_t kSgnsSequentialOutput = 993439134845477708ull;
-constexpr uint64_t kSgnsShardedInput = 3462095741590153806ull;
-constexpr uint64_t kSgnsShardedOutput = 293832832280350799ull;
-constexpr uint64_t kPvDbowSequentialInput = 7506412274478109361ull;
-constexpr uint64_t kPvDbowShardedInput = 16656231216226078774ull;
-constexpr uint64_t kTransEEntities = 2074243407751469905ull;
-constexpr uint64_t kTransERelations = 2852556191302250550ull;
-constexpr uint64_t kRescalEntities = 6493029908213810661ull;
-
-// The golden SGNS corpus contributes 36 window-clipped pairs per sentence
-// x 60 sentences = 2160 positive pairs (work units) per epoch; the golden
-// documents contribute 600 PV-DBOW pairs per epoch. Budgets below are
-// chosen to exhaust mid-epoch, after at least one checkpoint barrier.
-constexpr int64_t kSgnsPairsPerEpoch = 2160;
-constexpr int64_t kPvDbowPairsPerEpoch = 600;
-
-// Byte digests of the epoch-1 checkpoint files of the golden SGNS runs:
-// the on-disk layout of checkpoint kinds 1 and 2, which files written by
-// earlier builds must keep resuming under.
-constexpr uint64_t kSgnsSequentialEpoch1File = 16940352043929195601ull;
-constexpr uint64_t kSgnsShardedEpoch1File = 15791905833580085654ull;
 
 // ---- base/fs: durable writes and bounded reads ------------------------------
 
@@ -260,7 +193,7 @@ TEST(FsFaultTest, NotFoundIsNeverRetried) {
 CheckpointData SampleData() {
   CheckpointData data;
   data.kind = CheckpointKind::kSgnsSequential;
-  data.fingerprint = 0xfeedface12345678ull;
+  data.fingerprint = 0xfeedface12345678ull;  // x2vec-lint: allow(golden-literal)
   embed::PayloadWriter model;
   model.PutMatrix(Matrix::Random(3, 4, 1.0, /*seed=*/1));
   data.sections.push_back({"model", model.Take()});
@@ -430,9 +363,9 @@ TEST(ResumeTest, SgnsSequentialResumeIsBitIdenticalToGolden) {
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
   }
-  EXPECT_EQ(FileDigest(options.checkpoint.dir + "/" +
-                       embed::CheckpointFileName(1)),
-            kSgnsSequentialEpoch1File);
+  ExpectGolden("checkpoint/sgns-sequential-epoch1",
+               Digest(FileBytes(options.checkpoint.dir + "/" +
+                                embed::CheckpointFileName(1))));
 
   const metrics::Snapshot before = metrics::GlobalSnapshot();
   const embed::Corpus corpus = GoldenCorpus();
@@ -441,8 +374,8 @@ TEST(ResumeTest, SgnsSequentialResumeIsBitIdenticalToGolden) {
   const StatusOr<embed::SgnsModel> model =
       TrainSgnsOnCorpus(corpus, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(Digest(model->input), kSgnsSequentialInput);
-  EXPECT_EQ(Digest(model->output), kSgnsSequentialOutput);
+  ExpectGolden("sgns/sequential/input", Digest(model->input));
+  ExpectGolden("sgns/sequential/output", Digest(model->output));
   const metrics::Snapshot delta =
       metrics::Delta(before, metrics::GlobalSnapshot());
   EXPECT_EQ(delta.counter("checkpoint.resumes"), 1);
@@ -451,6 +384,7 @@ TEST(ResumeTest, SgnsSequentialResumeIsBitIdenticalToGolden) {
 TEST(ResumeTest, SgnsShardedResumeIsBitIdenticalAtOneAndFourThreads) {
   const embed::Corpus corpus = GoldenCorpus();
   for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     SetThreadCount(threads);
     embed::SgnsOptions options = GoldenSgnsOptions();
     options.checkpoint.dir =
@@ -461,18 +395,16 @@ TEST(ResumeTest, SgnsShardedResumeIsBitIdenticalAtOneAndFourThreads) {
         TrainSgnsShardedOnCorpus(corpus, options, /*seed=*/7, finite);
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kResourceExhausted);
-    EXPECT_EQ(FileDigest(options.checkpoint.dir + "/" +
-                         embed::CheckpointFileName(1)),
-              kSgnsShardedEpoch1File)
-        << threads << " threads";
+    ExpectGolden("checkpoint/sgns-sharded-epoch1",
+                 Digest(FileBytes(options.checkpoint.dir + "/" +
+                                  embed::CheckpointFileName(1))));
 
     Budget unlimited;
     const StatusOr<embed::SgnsModel> model =
         TrainSgnsShardedOnCorpus(corpus, options, /*seed=*/7, unlimited);
     ASSERT_TRUE(model.ok());
-    EXPECT_EQ(Digest(model->input), kSgnsShardedInput) << threads << " threads";
-    EXPECT_EQ(Digest(model->output), kSgnsShardedOutput)
-        << threads << " threads";
+    ExpectGolden("sgns/sharded/input", Digest(model->input));
+    ExpectGolden("sgns/sharded/output", Digest(model->output));
   }
   SetThreadCount(0);
 }
@@ -502,12 +434,13 @@ TEST(ResumeTest, PvDbowSequentialResumeWithSparserBarriers) {
   const StatusOr<embed::SgnsModel> model =
       TrainPvDbowOnDocuments(documents, 40, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(Digest(model->input), kPvDbowSequentialInput);
+  ExpectGolden("pvdbow/sequential/input", Digest(model->input));
 }
 
 TEST(ResumeTest, PvDbowShardedResumeIsBitIdenticalAtOneAndFourThreads) {
   const std::vector<std::vector<int>> documents = GoldenDocuments();
   for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     SetThreadCount(threads);
     embed::SgnsOptions options = GoldenSgnsOptions();
     options.checkpoint.dir =
@@ -523,8 +456,7 @@ TEST(ResumeTest, PvDbowShardedResumeIsBitIdenticalAtOneAndFourThreads) {
     const StatusOr<embed::SgnsModel> model = TrainPvDbowShardedOnDocuments(
         documents, 40, options, /*seed=*/11, unlimited);
     ASSERT_TRUE(model.ok());
-    EXPECT_EQ(Digest(model->input), kPvDbowShardedInput)
-        << threads << " threads";
+    ExpectGolden("pvdbow/sharded/input", Digest(model->input));
   }
   SetThreadCount(0);
 }
@@ -559,8 +491,8 @@ TEST(ResumeTest, TornCheckpointFallsBackToOlderBarrierAndStillMatchesGolden) {
   const StatusOr<embed::SgnsModel> model =
       TrainSgnsOnCorpus(corpus, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(Digest(model->input), kSgnsSequentialInput);
-  EXPECT_EQ(Digest(model->output), kSgnsSequentialOutput);
+  ExpectGolden("sgns/sequential/input", Digest(model->input));
+  ExpectGolden("sgns/sequential/output", Digest(model->output));
   const metrics::Snapshot delta =
       metrics::Delta(before, metrics::GlobalSnapshot());
   EXPECT_EQ(delta.counter("checkpoint.corrupt_skipped"), 1);
@@ -592,8 +524,8 @@ TEST(ResumeTest, StaleOptionsCheckpointIsSkippedNotResumed) {
   const StatusOr<embed::SgnsModel> model =
       TrainSgnsOnCorpus(corpus, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(Digest(model->input), kSgnsSequentialInput);
-  EXPECT_EQ(Digest(model->output), kSgnsSequentialOutput);
+  ExpectGolden("sgns/sequential/input", Digest(model->input));
+  ExpectGolden("sgns/sequential/output", Digest(model->output));
   const metrics::Snapshot delta =
       metrics::Delta(before, metrics::GlobalSnapshot());
   EXPECT_EQ(delta.counter("checkpoint.mismatch_skipped"), 1);
@@ -627,8 +559,8 @@ TEST(ResumeTest, TransEResumeIsBitIdenticalToGolden) {
   const StatusOr<kg::TransEModel> model =
       kg::TrainTransEBudgeted(graph, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(Digest(model->entities), kTransEEntities);
-  EXPECT_EQ(Digest(model->relations), kTransERelations);
+  ExpectGolden("transe/entities", Digest(model->entities));
+  ExpectGolden("transe/relations", Digest(model->relations));
   const metrics::Snapshot delta =
       metrics::Delta(before, metrics::GlobalSnapshot());
   EXPECT_EQ(delta.counter("checkpoint.resumes"), 1);
@@ -659,7 +591,7 @@ TEST(ResumeTest, RescalResumeIsBitIdenticalToGolden) {
   const StatusOr<kg::RescalModel> model =
       kg::TrainRescalBudgeted(graph, options, rng, unlimited);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(Digest(model->entities), kRescalEntities);
+  ExpectGolden("rescal/entities", Digest(model->entities));
   const metrics::Snapshot delta =
       metrics::Delta(before, metrics::GlobalSnapshot());
   EXPECT_EQ(delta.counter("checkpoint.resumes"), 1);
@@ -675,7 +607,7 @@ TEST(ArtifactTest, SgnsModelAndMatrixRoundTrip) {
   model.output = Matrix::Random(5, 3, 1.0, /*seed=*/3);
   const std::string path = dir + "/model.x2v";
   ASSERT_TRUE(embed::SaveSgnsModel(DefaultFs(), path, model).ok());
-  EXPECT_EQ(FileDigest(path), 18414297877333131973ull);  // Kind 5 layout.
+  ExpectGolden("artifact/sgns-model", Digest(FileBytes(path)));
   const StatusOr<embed::SgnsModel> loaded =
       embed::LoadSgnsModel(DefaultFs(), path);
   ASSERT_TRUE(loaded.ok());
@@ -685,7 +617,7 @@ TEST(ArtifactTest, SgnsModelAndMatrixRoundTrip) {
   const Matrix embedding = Matrix::Random(7, 2, 1.0, /*seed=*/4);
   const std::string mpath = dir + "/embedding.x2v";
   ASSERT_TRUE(embed::SaveEmbeddingMatrix(DefaultFs(), mpath, embedding).ok());
-  EXPECT_EQ(FileDigest(mpath), 14528364926796489744ull);  // Kind 6 layout.
+  ExpectGolden("artifact/embedding-matrix", Digest(FileBytes(mpath)));
   const StatusOr<Matrix> mloaded = embed::LoadEmbeddingMatrix(DefaultFs(), mpath);
   ASSERT_TRUE(mloaded.ok());
   EXPECT_EQ(Digest(*mloaded), Digest(embedding));
@@ -700,7 +632,7 @@ TEST(ArtifactTest, KnowledgeGraphModelsRoundTrip) {
   transe.relations = Matrix::Random(2, 4, 1.0, /*seed=*/6);
   const std::string tpath = dir + "/transe.x2v";
   ASSERT_TRUE(kg::SaveTransEModel(DefaultFs(), tpath, transe).ok());
-  EXPECT_EQ(FileDigest(tpath), 17618565794956811808ull);  // Kind 7 layout.
+  ExpectGolden("artifact/transe-model", Digest(FileBytes(tpath)));
   const StatusOr<kg::TransEModel> tloaded =
       kg::LoadTransEModel(DefaultFs(), tpath);
   ASSERT_TRUE(tloaded.ok());
@@ -713,7 +645,7 @@ TEST(ArtifactTest, KnowledgeGraphModelsRoundTrip) {
   rescal.relations.push_back(Matrix::Random(3, 3, 1.0, /*seed=*/9));
   const std::string rpath = dir + "/rescal.x2v";
   ASSERT_TRUE(kg::SaveRescalModel(DefaultFs(), rpath, rescal).ok());
-  EXPECT_EQ(FileDigest(rpath), 8024725119508341775ull);  // Kind 8 layout.
+  ExpectGolden("artifact/rescal-model", Digest(FileBytes(rpath)));
   const StatusOr<kg::RescalModel> rloaded =
       kg::LoadRescalModel(DefaultFs(), rpath);
   ASSERT_TRUE(rloaded.ok());

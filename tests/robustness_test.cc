@@ -32,12 +32,12 @@
 #include "base/trace.h"
 #include "core/registry.h"
 #include "corpus_training.h"
-#include "embed/checkpoint.h"
 #include "embed/corpus.h"
 #include "embed/graph2vec.h"
 #include "embed/node_embeddings.h"
 #include "embed/sgns.h"
 #include "embed/stream.h"
+#include "goldens.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -80,16 +80,6 @@ class FaultInjectingRng : public Rng {
 
 // ---------------------------------------------------------------------------
 // Shared fixtures.
-
-// FNV-1a over the raw bytes of each matrix in turn: for one matrix, the
-// golden-digest scheme of tests/kernels_test.cc.
-uint64_t Digest(const std::vector<const linalg::Matrix*>& matrices) {
-  embed::Fnv1a hasher;
-  for (const linalg::Matrix* m : matrices) {
-    hasher.Update(m->data().data(), m->data().size() * sizeof(double));
-  }
-  return hasher.digest();
-}
 
 embed::Corpus SmallCorpus() {
   return embed::Corpus::FromSentences({
@@ -262,6 +252,12 @@ void ExpectExhausted(const StatusOr<T>& result) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
+template <typename T>
+void ExpectInvalidArgument(const StatusOr<T>& result) {
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ZeroBudgetTest, BruteForceHomCounting) {
   const graph::Graph f = graph::Graph::Cycle(4);
   const graph::Graph g = graph::Graph::Complete(5);
@@ -287,6 +283,37 @@ TEST(ZeroBudgetTest, BruteForceHomCounting) {
       ASSERT_FALSE(result.ok()) << root << " -> " << target;
       EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
           << root << " -> " << target;
+    }
+  }
+
+  // So is an F and a G that differ in directedness: an undirected edge has
+  // no defined image among arcs, and the count came out by search order
+  // (hom(P3, 0->1->2) = 2 but hom(0->1->2, P3) = 6).
+  graph::Graph arcs(3, /*directed=*/true);
+  arcs.AddEdge(0, 1);
+  arcs.AddEdge(1, 2);
+  const graph::Graph path = graph::Graph::Path(3);
+  const std::pair<const graph::Graph*, const graph::Graph*> mixed[] = {
+      {&path, &arcs}, {&arcs, &path}};
+  for (const auto& [pattern, host] : mixed) {
+    for (const int64_t units : {int64_t{0}, int64_t{1'000'000}}) {
+      SCOPED_TRACE(testing::Message() << (pattern->directed() ? "F" : "G")
+                                      << " directed, " << units << " units");
+      Budget c1 = Budget::WorkUnits(units);
+      ExpectInvalidArgument(
+          hom::CountHomomorphismsBruteForceBudgeted(*pattern, *host, c1));
+      Budget c2 = Budget::WorkUnits(units);
+      ExpectInvalidArgument(hom::CountRootedHomomorphismsBruteForceBudgeted(
+          *pattern, 0, *host, 0, c2));
+      Budget c3 = Budget::WorkUnits(units);
+      ExpectInvalidArgument(
+          hom::WeightedHomomorphismBruteForceBudgeted(*pattern, *host, c3));
+      Budget c4 = Budget::WorkUnits(units);
+      ExpectInvalidArgument(
+          hom::CountEmbeddingsBruteForceBudgeted(*pattern, *host, c4));
+      Budget c5 = Budget::WorkUnits(units);
+      ExpectInvalidArgument(
+          hom::CountEpimorphismsBruteForceBudgeted(*pattern, *host, c5));
     }
   }
 }
@@ -343,6 +370,36 @@ TEST(ZeroBudgetTest, TreewidthAndElimination) {
   Budget b4 = Budget::WorkUnits(0);
   ExpectExhausted(hom::CountHomsViaEliminationBudgeted(
       f, g, hom::MinFillEliminationOrder(f), b4));
+
+  // Input they cannot handle is a typed status at any budget, never an
+  // abort: a directed F or G, an order that is not a permutation of V(F),
+  // and a pattern past the exact search's 10 vertices.
+  graph::Graph arcs(5, /*directed=*/true);
+  for (int v = 0; v < 5; ++v) arcs.AddEdge(v, (v + 1) % 5);
+  const std::pair<const graph::Graph*, const graph::Graph*> directed[] = {
+      {&arcs, &g}, {&f, &arcs}};
+  const std::vector<int> bad_orders[] = {
+      {0, 1, 2, 3}, {0, 1, 2, 3, 3}, {0, 1, 2, 3, 5}, {-1, 0, 1, 2, 3}};
+  for (const int64_t units : {int64_t{0}, int64_t{1'000'000}}) {
+    SCOPED_TRACE(testing::Message() << units << " units");
+    for (const auto& [pattern, host] : directed) {
+      Budget c1 = Budget::WorkUnits(units);
+      ExpectInvalidArgument(hom::CountHomsBudgeted(*pattern, *host, c1));
+      Budget c2 = Budget::WorkUnits(units);
+      ExpectInvalidArgument(hom::CountHomsDoubleBudgeted(*pattern, *host, c2));
+      Budget c3 = Budget::WorkUnits(units);
+      ExpectInvalidArgument(hom::CountHomsViaEliminationBudgeted(
+          *pattern, *host, {0, 1, 2, 3, 4}, c3));
+    }
+    for (const std::vector<int>& order : bad_orders) {
+      Budget budget = Budget::WorkUnits(units);
+      ExpectInvalidArgument(
+          hom::CountHomsViaEliminationBudgeted(f, g, order, budget));
+    }
+    Budget c4 = Budget::WorkUnits(units);
+    ExpectInvalidArgument(
+        hom::ExactTreewidthBudgeted(graph::Graph::Cycle(11), nullptr, c4));
+  }
 }
 
 TEST(ZeroBudgetTest, AllFourTrainers) {
@@ -619,7 +676,7 @@ TEST(RecoveryTest, SgnsHealsForcedDivergence) {
   EXPECT_TRUE(model->input.AllFinite());
   EXPECT_TRUE(model->output.AllFinite());
   EXPECT_LE(model->input.MaxAbs(), options.recovery.max_abs);
-  EXPECT_EQ(Digest({&model->input, &model->output}), 3407966811909118685ull);
+  ExpectGolden("recovery/sgns", Digest(model->input, model->output));
 }
 
 TEST(RecoveryTest, SgnsGivesUpAfterMaxRetries) {
@@ -651,7 +708,7 @@ TEST(RecoveryTest, PvDbowHealsForcedDivergence) {
             1);
   EXPECT_TRUE(model->input.AllFinite());
   EXPECT_TRUE(model->output.AllFinite());
-  EXPECT_EQ(Digest({&model->input, &model->output}), 1949955593915328938ull);
+  ExpectGolden("recovery/pvdbow", Digest(model->input, model->output));
 }
 
 TEST(RecoveryTest, PvDbowGivesUpAfterMaxRetries) {
@@ -688,7 +745,7 @@ TEST(RecoveryTest, TransEHealsForcedDivergence) {
     }
     EXPECT_NEAR(std::sqrt(norm), 1.0, 1e-9);
   }
-  EXPECT_EQ(Digest({&model->entities, &model->relations}), 10098389350943963532ull);
+  ExpectGolden("recovery/transe", Digest(model->entities, model->relations));
 }
 
 TEST(RecoveryTest, TransEGivesUpAfterMaxRetries) {
@@ -715,13 +772,11 @@ TEST(RecoveryTest, RescalHealsForcedDivergence) {
   EXPECT_EQ(metrics::Delta(before, metrics::GlobalSnapshot())
                 .counter("train.recovery_retries"),
             1);
-  std::vector<const linalg::Matrix*> params = {&model->entities};
   EXPECT_TRUE(model->entities.AllFinite());
   for (const linalg::Matrix& relation : model->relations) {
     EXPECT_TRUE(relation.AllFinite());
-    params.push_back(&relation);
   }
-  EXPECT_EQ(Digest(params), 8753732170233246899ull);
+  ExpectGolden("recovery/rescal", Digest(model->entities, model->relations));
 }
 
 TEST(RecoveryTest, RescalGivesUpAfterMaxRetries) {

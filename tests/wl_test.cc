@@ -10,6 +10,7 @@
 #include "base/budget.h"
 #include "base/rng.h"
 #include "base/status.h"
+#include "goldens.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/isomorphism.h"
@@ -406,23 +407,18 @@ TEST(WeightedWlTest, RefinementOnWeightedStar) {
   EXPECT_EQ(plain.NumStableColors(), 2);
 }
 
-// FNV-1a over a refinement trace: every round's colours, the per-round
-// counts and the stable round.
-uint64_t RefinementDigest(const RefinementResult& r) {
-  uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](int64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= static_cast<uint64_t>(value >> (8 * byte)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+// A refinement trace as its goldens digest it: every round's size and
+// colours, the per-round counts and the stable round, as 64-bit values.
+std::vector<int64_t> RefinementTrace(const RefinementResult& r) {
+  std::vector<int64_t> trace;
   for (const std::vector<int>& round : r.round_colors) {
-    mix(static_cast<int64_t>(round.size()));
-    for (int c : round) mix(c);
+    trace.push_back(static_cast<int64_t>(round.size()));
+    trace.insert(trace.end(), round.begin(), round.end());
   }
-  for (int count : r.colors_per_round) mix(count);
-  mix(r.stable_round);
-  return h;
+  trace.insert(trace.end(), r.colors_per_round.begin(),
+               r.colors_per_round.end());
+  trace.push_back(r.stable_round);
+  return trace;
 }
 
 // The centres' sums 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in their
@@ -465,14 +461,16 @@ Graph DirectedWeighted() {
 TEST(WeightedWlTest, RoundColorsArePinned) {
   // Captured from the std::map engine the dataset pass replaced.
   const RefinementResult stars = WeightedColorRefinement(NonDyadicStars());
-  EXPECT_EQ(RefinementDigest(stars), 17615029713128575043ull);
+  ExpectGolden("wl/weighted-non-dyadic-stars",
+               Digest(RefinementTrace(stars)));
   EXPECT_NE(stars.round_colors[1][0], stars.round_colors[1][4]);
   const RefinementResult cancelling =
       WeightedColorRefinement(CancellingWeights());
-  EXPECT_EQ(RefinementDigest(cancelling), 16835682370046024225ull);
+  ExpectGolden("wl/weighted-cancelling", Digest(RefinementTrace(cancelling)));
   EXPECT_EQ(cancelling.round_colors[1][0], cancelling.round_colors[1][3]);
-  EXPECT_EQ(RefinementDigest(WeightedColorRefinement(DirectedWeighted())),
-            16254024904661667239ull);
+  ExpectGolden(
+      "wl/weighted-directed",
+      Digest(RefinementTrace(WeightedColorRefinement(DirectedWeighted()))));
 }
 
 Graph RandomWeighted(int n, double p, Rng& rng) {

@@ -14,7 +14,7 @@ constexpr std::string_view kRules[] = {
     "nondeterminism",  "chrono",   "rng-fork",       "pragma-once",
     "using-namespace", "row-copy", "raw-file-io",    "intrinsics",
     "statusor-deref",  "budget-gate", "include-cycle", "layering",
-    "metric-name",
+    "metric-name",     "golden-literal",
 };
 
 bool EndsWith(std::string_view s, std::string_view suffix) {
@@ -432,6 +432,68 @@ void CheckIntrinsics(const std::string& path,
   }
 }
 
+// -- Rule: golden-literal -----------------------------------------------------
+
+/// True when the number starting at `line[pos]` is an integer literal of
+/// 16+ decimal or 13+ hex digits, not counting a 0x prefix, separators or
+/// the suffix. `*end` receives the offset past the number.
+bool IsDigestLiteral(std::string_view line, size_t pos, size_t* end) {
+  size_t j = pos;
+  while (j < line.size() &&
+         (IsIdentChar(line[j]) || line[j] == '\'' || line[j] == '.' ||
+          ((line[j] == '+' || line[j] == '-') &&
+           std::string_view("eEpP").find(line[j - 1]) !=
+               std::string_view::npos))) {
+    ++j;
+  }
+  *end = j;
+  const std::string_view number = line.substr(pos, j - pos);
+  const bool hex = number.size() > 1 && number[0] == '0' &&
+                   (number[1] == 'x' || number[1] == 'X');
+  // A floating-point literal is no digest.
+  if (number.find_first_of(hex ? ".pP" : ".eE") != std::string_view::npos) {
+    return false;
+  }
+  int digits = 0;
+  for (size_t k = hex ? 2 : 0; k < number.size(); ++k) {
+    const unsigned char c = static_cast<unsigned char>(number[k]);
+    if (c == '\'') continue;
+    if (hex ? std::isxdigit(c) == 0 : std::isdigit(c) == 0) break;
+    ++digits;
+  }
+  return digits >= (hex ? 13 : 16);
+}
+
+void CheckGoldenLiteral(const std::string& path,
+                        const std::vector<std::string>& code_lines,
+                        std::vector<Diagnostic>* out) {
+  // An integer literal of 16+ decimal or 13+ hex digits is a 64-bit digest
+  // in all but name; pinned digests live in one named table so a
+  // regeneration is one edit of one file.
+  for (size_t i = 0; i < code_lines.size(); ++i) {
+    const std::string& line = code_lines[i];
+    for (size_t pos = 0; pos < line.size();) {
+      const bool starts = std::isdigit(static_cast<unsigned char>(line[pos])) &&
+                          (pos == 0 || (!IsIdentChar(line[pos - 1]) &&
+                                        line[pos - 1] != '.'));
+      if (!starts) {
+        ++pos;
+        continue;
+      }
+      size_t end = pos;
+      if (IsDigestLiteral(line, pos, &end)) {
+        out->push_back(
+            {path, static_cast<int>(i + 1), "golden-literal",
+             "64-bit digest literal outside tests/goldens.h; pin it as a "
+             "named entry of the golden table and read it through "
+             "ExpectGolden, or suppress with allow(golden-literal)"});
+        break;  // one diagnostic per line
+      }
+      pos = end;
+    }
+  }
+}
+
 // -- Rules: pragma-once / using-namespace (headers) ---------------------------
 
 void CheckHeaderHygiene(const std::string& path,
@@ -511,6 +573,12 @@ bool IsRowCopyHotPath(std::string_view path) {
          p.find("src/sim/") != std::string::npos ||
          p.find("src/gnn/") != std::string::npos ||
          p.find("src/serve/") != std::string::npos;
+}
+
+bool IsGoldenLiteralBanned(std::string_view path) {
+  const std::string p = Normalise(path);
+  return p.find("tests/") != std::string::npos &&
+         !EndsWith(p, "tests/goldens.h");
 }
 
 bool IsBudgetGateHotPath(std::string_view path) {
@@ -696,6 +764,7 @@ std::vector<Diagnostic> LintFile(const std::string& path,
   CheckStatusOrDeref(path, code, &found);
   if (IsBudgetGateHotPath(path)) CheckBudgetGate(path, code, &found);
   if (IsRowCopyHotPath(path)) CheckRowCopy(path, code_lines, &found);
+  if (IsGoldenLiteralBanned(path)) CheckGoldenLiteral(path, code_lines, &found);
   if (IsHeaderPath(path)) CheckHeaderHygiene(path, code_lines, &found);
 
   const Suppressions sup = ParseSuppressions(path, raw_lines);

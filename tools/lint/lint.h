@@ -63,6 +63,9 @@ struct Diagnostic {
 ///                    module missing from that file
 ///   metric-name      (whole-program) one X2VEC_METRIC_* name registered
 ///                    under conflicting kinds, or two names one edit apart
+///   golden-literal   an integer literal of 16+ decimal or 13+ hex digits
+///                    (a 64-bit digest) under tests/ outside
+///                    tests/goldens.h, the one table of pinned digests
 std::vector<std::string> RuleNames();
 
 /// True for the file extensions the linter scans (.h, .cc, .cpp).
@@ -97,6 +100,11 @@ bool IsIntrinsicsWhitelisted(std::string_view path);
 /// src/kernel, src/sim, src/gnn. Everywhere else (core plumbing, benches,
 /// tests) a copy is often the right call and stays legal.
 bool IsRowCopyHotPath(std::string_view path);
+
+/// True when `path` may hold no 64-bit digest literal (the golden-literal
+/// rule): every file under tests/ except tests/goldens.h, the golden
+/// registry that every pin reads by name.
+bool IsGoldenLiteralBanned(std::string_view path);
 
 /// True when `path` is a module whose parallel loops must meter budget
 /// spend through a BudgetGate (the budget-gate rule): the row-copy hot set
