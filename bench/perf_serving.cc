@@ -3,7 +3,10 @@
 // backend is designed for), one batch of k=10 nearest-neighbour requests
 // replayed through both backends; the pruned side also reports recall@10
 // against the exact answers and the fraction of the table it scanned
-// (work-unit accounting from the admission budget).
+// (work-unit accounting from the admission budget). The pruned index is
+// built twice, at 1 thread and at ThreadCount(), and both build times are
+// reported; the bench exits 1 if the two builds answer any query
+// differently (the build is bit-identical at any thread count).
 //
 // Output is one BENCH-style JSON object on stdout with a trailing "meta"
 // block, committed as BENCH_serving.json. The committed numbers are the
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "base/budget.h"
+#include "base/parallel.h"
 #include "base/rng.h"
 #include "base/trace.h"
 #include "bench_meta.h"
@@ -87,17 +91,31 @@ int main() {
   pruned_options.kind = x2vec::serve::IndexKind::kClusterPruned;
   pruned_options.clusters = kCenters;
   pruned_options.probes = 8;
-  const x2vec::trace::StopWatch build_watch;
-  auto pruned = x2vec::serve::BuildIndex(
-      rows, x2vec::serve::IndexMetric::kCosine, pruned_options);
-  const double pruned_build_seconds = build_watch.Seconds();
-  if (!exact.ok() || !pruned.ok()) {
+  const int threads = x2vec::ThreadCount();
+  const auto build_pruned = [&](int build_threads, double& seconds) {
+    x2vec::SetThreadCount(build_threads);
+    const x2vec::trace::StopWatch watch;
+    auto index = x2vec::serve::BuildIndex(
+        rows, x2vec::serve::IndexMetric::kCosine, pruned_options);
+    seconds = watch.Seconds();
+    return index;
+  };
+  double serial_build_seconds = 0.0;
+  double pruned_build_seconds = 0.0;
+  auto serial = build_pruned(1, serial_build_seconds);
+  auto pruned = build_pruned(threads, pruned_build_seconds);
+  if (!exact.ok() || !serial.ok() || !pruned.ok()) {
     std::fprintf(stderr, "index build failed\n");
     return 1;
   }
 
   const BackendRun exact_run = RunBatch(**exact, rows);
   const BackendRun pruned_run = RunBatch(**pruned, rows);
+  if (RunBatch(**serial, rows).answers != pruned_run.answers) {
+    std::fprintf(stderr, "the %d-thread build answers differently\n",
+                 threads);
+    return 1;
+  }
 
   double recall = 0.0;
   for (int q = 0; q < kQueries; ++q) {
@@ -117,9 +135,11 @@ int main() {
   std::printf(
       " \"index\": {\"rows\": %d, \"dim\": %d, \"clusters\": %d, "
       "\"probes\": %d, \"top_k\": %d, \"queries\": %d, \"reps\": %d, "
-      "\"pruned_build_seconds\": %.2f},\n",
+      "\"build_threads\": %d, \"pruned_build_seconds_1_thread\": %.3f, "
+      "\"pruned_build_seconds\": %.3f},\n",
       rows.rows(), kDim, pruned_options.clusters, pruned_options.probes,
-      kTopK, kQueries, kReps, pruned_build_seconds);
+      kTopK, kQueries, kReps, threads, serial_build_seconds,
+      pruned_build_seconds);
   std::printf(" \"exact\": {\"queries_per_sec\": %.1f},\n", exact_qps);
   std::printf(
       " \"pruned\": {\"queries_per_sec\": %.1f, \"speedup\": %.2f, "

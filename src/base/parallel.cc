@@ -87,8 +87,15 @@ int ThreadCount() {
 }
 
 void SetThreadCount(int threads) {
-  std::lock_guard<std::mutex> lock(config_mu);
-  configured_threads = threads >= 1 ? std::min(threads, 1024) : 0;
+  {
+    std::lock_guard<std::mutex> lock(config_mu);
+    configured_threads = threads >= 1 ? std::min(threads, 1024) : 0;
+  }
+  // Spawned here, not in the first ParallelFor: a thread inherits the CPU
+  // mask of the thread that creates it, and a caller may pin itself to one
+  // CPU between this call and its first loop. Outside config_mu, because
+  // Shared() and ThreadCount() take it.
+  ThreadPool::Shared().EnsureWorkers(ThreadCount() - 1);
 }
 
 bool InParallelRegion() { return parallel_region_depth > 0; }

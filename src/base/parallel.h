@@ -52,9 +52,9 @@ int ResolveThreadCount(const char* env_value, int hardware);
 /// (read once, on first use), then HardwareThreads().
 int ThreadCount();
 
-/// Programmatic override of the logical thread count. Values < 1 reset to
-/// the environment/hardware default. Thread-safe; takes effect on the next
-/// ParallelFor. Changing it never changes results, only scheduling.
+/// Overrides the logical thread count (values < 1 reset to the default) and
+/// spawns the shared pool's ThreadCount() - 1 workers before it returns.
+/// Thread-safe. Changing it never changes results, only scheduling.
 void SetThreadCount(int threads);
 
 /// True while the calling thread is executing inside a ParallelFor chunk.
@@ -62,11 +62,11 @@ void SetThreadCount(int threads);
 /// of re-entering the pool — the nested-submit deadlock guard.
 bool InParallelRegion();
 
-/// Fixed-size worker pool. Most callers never touch this directly and go
-/// through ParallelFor, which lazily grows the shared pool; the class is
-/// public for tests and for callers with bespoke scheduling needs.
-/// Submitted tasks are drained (run to completion) before the destructor
-/// returns.
+/// Grow-only worker pool. Most callers never touch it and go through
+/// ParallelFor and the shared pool; the class is public for tests and for
+/// callers with bespoke scheduling needs. A worker keeps the CPU mask of
+/// the thread that spawned it. Submitted tasks are drained (run to
+/// completion) before the destructor returns.
 class ThreadPool {
  public:
   explicit ThreadPool(int workers);
@@ -84,9 +84,9 @@ class ThreadPool {
   /// Grows the pool to at least `workers` threads (never shrinks).
   void EnsureWorkers(int workers);
 
-  /// The process-wide pool used by ParallelFor. Created on first use and
-  /// sized to ThreadCount() - 1 (the calling thread is the extra
-  /// participant); grown on demand when the logical thread count rises.
+  /// The process-wide pool used by ParallelFor: ThreadCount() - 1 workers
+  /// (the caller is the extra participant), spawned by SetThreadCount(), or
+  /// by the first ParallelFor when the count comes from the environment.
   static ThreadPool& Shared();
 
  private:

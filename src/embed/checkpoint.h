@@ -43,7 +43,7 @@ struct SgnsModel;
 /// resumed from that file replays the remaining epochs with the exact draw
 /// sequence and learning-rate schedule the uninterrupted run would have
 /// used, so the final model is bit-identical (pinned against the golden
-/// digests in tests/kernels_test.cc by tests/persist_test.cc).
+/// digests of tests/goldens.h by tests/persist_test.cc).
 
 /// Incremental FNV-1a (64-bit) — the same digest scheme the golden-model
 /// tests use, exposed so trainers can fingerprint options and data.

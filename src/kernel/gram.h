@@ -17,7 +17,8 @@
 namespace x2vec::kernel::internal {
 
 // Runs fn(g) for g in [0, count) in parallel, reading the deadline before
-// each graph, so it overruns a deadline by about one graph's work.
+// each graph, so it overruns a deadline by about one graph's work. Counts
+// each graph it ran fn on in kernel.graph_passes.
 template <typename Fn>
 Status ForEachGraph(int64_t count, Budget& budget, std::string_view operation,
                     const Fn& fn) {
@@ -25,6 +26,7 @@ Status ForEachGraph(int64_t count, Budget& budget, std::string_view operation,
   return ParallelForUntilDeadline(
       count, 1, budget, operation, [&](int64_t lo, int64_t hi) {
         for (int64_t g = lo; g < hi; ++g) fn(g);
+        X2VEC_METRIC_COUNT("kernel.graph_passes", hi - lo);
         return Status::Ok();
       });
 }

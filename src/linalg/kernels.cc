@@ -21,7 +21,7 @@ double PairLoss(double label, double sig) {
 namespace {
 
 // The generic backend: the order-exact reference loops the golden digests
-// in tests/kernels_test.cc pin. Nothing here may reorder, block, or widen
+// of tests/goldens.h pin. Nothing here may reorder, block, or widen
 // the arithmetic — changes to these loops are numeric changes and require
 // refreshed goldens.
 

@@ -18,7 +18,7 @@ class Matrix;
 /// operation order of the element-indexed loop it replaced, left to right,
 /// one accumulator. That makes sweeping a caller from operator()/Row() onto
 /// a kernel a pure performance change — outputs stay bit-identical, pinned
-/// by the golden digests in tests/kernels_test.cc.
+/// by the golden digests of tests/goldens.h.
 ///
 /// These entry points dispatch through the runtime-switchable backend
 /// layer in linalg/kernels_backend.h (X2VEC_KERNEL_BACKEND /

@@ -6,6 +6,7 @@
 #include <span>
 
 #include "base/metrics.h"
+#include "base/parallel.h"
 #include "linalg/kernels.h"
 #include "linalg/kernels_backend.h"
 
@@ -72,6 +73,13 @@ KMeansResult KMeans(const linalg::Matrix& features, int k, Rng& rng,
   X2VEC_METRIC_GAUGE("kernels.backend",
                      static_cast<double>(linalg::ActiveKernelBackend()));
 
+  // The per-row work (the k-means++ distance update and the assign step)
+  // runs in parallel over rows, each row written by one chunk. Every fold
+  // over rows and every draw from `rng` stays serial in row order, so the
+  // result is bit-identical at any thread count.
+  const int64_t grain = (n + kAutoGrainChunks - 1) / kAutoGrainChunks;
+  const int64_t chunks = (n + grain - 1) / grain;
+
   // k-means++ seeding. Distance2 (with its square root) followed by
   // squaring is how the historical code accumulated min_dist_sq; keeping
   // that exact call sequence keeps the seeding bit-identical.
@@ -82,12 +90,17 @@ KMeansResult KMeans(const linalg::Matrix& features, int k, Rng& rng,
   std::vector<double> min_dist_sq(n, std::numeric_limits<double>::infinity());
   while (static_cast<int>(chosen.size()) < k) {
     const std::span<const double> last = features.ConstRowSpan(chosen.back());
+    const Status updated = ParallelFor(n, grain, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        const double dist = linalg::Distance2(
+            features.ConstRowSpan(static_cast<int>(i)), last);
+        min_dist_sq[i] = std::min(min_dist_sq[i], dist * dist);
+      }
+      return Status::Ok();
+    });
+    X2VEC_CHECK(updated.ok()) << updated.ToString();
     double total = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const double dist = linalg::Distance2(features.ConstRowSpan(i), last);
-      min_dist_sq[i] = std::min(min_dist_sq[i], dist * dist);
-      total += min_dist_sq[i];
-    }
+    for (int i = 0; i < n; ++i) total += min_dist_sq[i];
     double pick = UniformReal(rng, 0.0, total);
     int next = n - 1;
     for (int i = 0; i < n; ++i) {
@@ -104,28 +117,36 @@ KMeansResult KMeans(const linalg::Matrix& features, int k, Rng& rng,
   }
 
   result.assignment.assign(n, -1);
+  std::vector<char> moved(chunks);  // One flag per chunk.
   for (int iteration = 0; iteration < max_iterations; ++iteration) {
     // Assign.
-    bool moved = false;
-    for (int i = 0; i < n; ++i) {
-      const std::span<const double> row = features.ConstRowSpan(i);
-      int best = 0;
-      double best_dist = linalg::Distance2(row, result.centroids.ConstRowSpan(0));
-      for (int c = 1; c < k; ++c) {
-        const double dist =
-            linalg::Distance2(row, result.centroids.ConstRowSpan(c));
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = c;
+    const Status assigned = ParallelFor(n, grain, [&](int64_t lo, int64_t hi) {
+      bool chunk_moved = false;
+      for (int64_t i = lo; i < hi; ++i) {
+        const std::span<const double> row =
+            features.ConstRowSpan(static_cast<int>(i));
+        int best = 0;
+        double best_dist =
+            linalg::Distance2(row, result.centroids.ConstRowSpan(0));
+        for (int c = 1; c < k; ++c) {
+          const double dist =
+              linalg::Distance2(row, result.centroids.ConstRowSpan(c));
+          if (dist < best_dist) {
+            best_dist = dist;
+            best = c;
+          }
+        }
+        if (result.assignment[i] != best) {
+          result.assignment[i] = best;
+          chunk_moved = true;
         }
       }
-      if (result.assignment[i] != best) {
-        result.assignment[i] = best;
-        moved = true;
-      }
-    }
+      moved[lo / grain] = chunk_moved;
+      return Status::Ok();
+    });
+    X2VEC_CHECK(assigned.ok()) << assigned.ToString();
     result.iterations = iteration + 1;
-    if (!moved) break;
+    if (std::find(moved.begin(), moved.end(), 1) == moved.end()) break;
     // Update.
     linalg::Matrix sums(k, d);
     std::vector<int> counts(k, 0);

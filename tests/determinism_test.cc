@@ -6,8 +6,9 @@
 // thread counts {1, 2, 4, hardware} and requires exact equality — matrices
 // via AllClose with tolerance 0.0, integer structures via operator== —
 // across Gram matrices, WL feature vectors, walk corpora, the empirical
-// walk-similarity estimator, the sharded SGNS / PV-DBOW trainers and the
-// end-to-end parallel embedding pipelines built on them.
+// walk-similarity estimator, the sharded SGNS / PV-DBOW trainers, the
+// end-to-end parallel embedding pipelines built on them, and k-means with
+// the cluster-pruned serving index built on it.
 
 #include <cstdint>
 #include <string>
@@ -32,6 +33,7 @@
 #include "kernel/wl_kernel.h"
 #include "linalg/matrix.h"
 #include "ml/neighbors.h"
+#include "serve/index.h"
 #include "wl/color_refinement.h"
 #include "wl/kwl.h"
 
@@ -447,6 +449,65 @@ TEST(SharedClassifierDeterminismTest, ConcurrentKnnPredictBitIdentical) {
       [](const std::vector<int>& a, const std::vector<int>& b) {
         return a == b;
       });
+}
+
+// 4096 rows scattered around 64 centres: every k-means stage splits into
+// the 64 chunks of the automatic grain.
+Matrix ClusteredRows() {
+  const Matrix centers = Matrix::Random(64, 8, 10.0, /*seed=*/61);
+  Rng rng = MakeRng(62);
+  Matrix rows(4096, 8);
+  for (int i = 0; i < rows.rows(); ++i) {
+    const int c = static_cast<int>(UniformInt(rng, 0, centers.rows() - 1));
+    for (int j = 0; j < rows.cols(); ++j) {
+      rows(i, j) = centers(c, j) + Gaussian(rng);
+    }
+  }
+  return rows;
+}
+
+TEST(KMeansDeterminismTest, ClusteringBitIdentical) {
+  const Matrix rows = ClusteredRows();
+  ExpectThreadCountInvariant(
+      [&] {
+        Rng rng = MakeRng(63);
+        return ml::KMeans(rows, 64, rng, /*max_iterations=*/25);
+      },
+      [](const ml::KMeansResult& a, const ml::KMeansResult& b) {
+        return a.centroids.AllClose(b.centroids, 0.0) &&
+               a.assignment == b.assignment && a.inertia == b.inertia &&
+               a.iterations == b.iterations;
+      });
+}
+
+TEST(KMeansDeterminismTest, PrunedIndexAnswersBitIdentical) {
+  // The index is rebuilt at each thread count; its answers to one query
+  // batch must match the 1-thread build's, scores and ties included.
+  const Matrix rows = ClusteredRows();
+  Rng rng = MakeRng(64);
+  Matrix queries(256, rows.cols());
+  for (int q = 0; q < queries.rows(); ++q) {
+    for (int j = 0; j < rows.cols(); ++j) {
+      queries(q, j) = rows((q * 31) % rows.rows(), j) + Gaussian(rng);
+    }
+  }
+  serve::IndexOptions options;
+  options.kind = serve::IndexKind::kClusterPruned;
+  options.clusters = 64;
+  options.probes = 4;
+  ExpectThreadCountInvariant(
+      [&] {
+        const auto index =
+            serve::BuildIndex(rows, serve::IndexMetric::kL2, options).value();
+        std::vector<std::vector<serve::Neighbor>> answers;
+        for (int q = 0; q < queries.rows(); ++q) {
+          Budget unlimited;
+          answers.push_back(
+              index->TopK(queries.ConstRowSpan(q), 10, unlimited).value());
+        }
+        return answers;
+      },
+      [](const auto& a, const auto& b) { return a == b; });
 }
 
 TEST(PipelineDeterminismTest, SequentialEmbeddersThreadCountInvariant) {

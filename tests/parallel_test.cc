@@ -1,11 +1,15 @@
 // Unit tests for the parallel execution runtime (ctest label: parallel).
 //
 // Covers the ThreadPool lifecycle (startup, submit, drain-on-shutdown,
-// grow-only resizing), ParallelFor's contracts (full coverage, chunking
+// grow-only resizing, the shared pool spawned by SetThreadCount with the
+// caller's CPU mask), ParallelFor's contracts (full coverage, chunking
 // independent of thread count, exception propagation, lowest-chunk error
 // selection, the nested-submit deadlock guard), budget-gated cooperative
 // cancellation, thread-count resolution from X2VEC_THREADS-style strings,
 // and the UpperTriangleIndex pair decomposition.
+
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -33,6 +37,55 @@ class ScopedThreads {
   ~ScopedThreads() { SetThreadCount(0); }
 };
 
+// The shared pool never shrinks, so these two run first: they need a pool
+// that no earlier test has grown.
+TEST(SharedPoolTest, SetThreadCountSpawnsTheWorkers) {
+  SetThreadCount(1);
+  if (ThreadPool::Shared().workers() > 0) GTEST_SKIP() << "pool already grown";
+  SetThreadCount(3);
+  EXPECT_GE(ThreadPool::Shared().workers(), 2);
+  SetThreadCount(0);
+}
+
+TEST(SharedPoolTest, WorkersKeepTheMaskFromBeforeTheCallerPinsItself) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  if (CPU_COUNT(&original) < 2) GTEST_SKIP() << "fewer than 2 CPUs allowed";
+  ScopedThreads threads(3);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; CPU_COUNT(&one) == 0; ++cpu) {
+    if (CPU_ISSET(cpu, &original)) CPU_SET(cpu, &one);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const pthread_t caller = pthread_self();
+  std::atomic<int> worker_chunks{0};
+  std::atomic<int> other_masks{0};
+  const Status status = ParallelFor(64, 1, [&](int64_t, int64_t) {
+    if (pthread_equal(pthread_self(), caller)) {
+      // Leave the chunks to the workers until one of them has run one.
+      const Budget give_up = Budget::Deadline(10);
+      while (worker_chunks.load() == 0 && !give_up.DeadlineReached()) {
+        sched_yield();
+      }
+      return Status::Ok();
+    }
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) != 0 ||
+        !CPU_EQUAL(&mask, &original)) {
+      ++other_masks;
+    }
+    ++worker_chunks;
+    return Status::Ok();
+  });
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GT(worker_chunks.load(), 0);
+  EXPECT_EQ(other_masks.load(), 0) << "a worker runs on the caller's pin";
+}
+
 TEST(ResolveThreadCountTest, ParsesPositiveIntegers) {
   EXPECT_EQ(ResolveThreadCount("1", 8), 1);
   EXPECT_EQ(ResolveThreadCount("4", 8), 4);
@@ -58,11 +111,13 @@ TEST(ThreadCountTest, SetterOverridesAndResets) {
 TEST(HardwareThreadsTest, AtLeastOne) { EXPECT_GE(HardwareThreads(), 1); }
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.workers(), 2);
   std::atomic<int> count{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Declared after what its tasks touch, so its destructor joins the worker
+  // still notifying `cv` before `cv` and `mu` go out of scope.
+  ThreadPool pool(2);
+  EXPECT_EQ(pool.workers(), 2);
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&] {
       if (count.fetch_add(1) + 1 == 100) {

@@ -514,7 +514,8 @@ TEST(PartialBudgetTest, DeadlineStopsAKernelInsideItsPasses) {
   // fill before each chunk of entries, so a deadline that passes while the
   // threads work on their first hom vectors (of 4 ThreadCount() graphs) or
   // their first chunks (of 5050 random-walk entries, 64 chunks) stops the
-  // pass well before its end.
+  // pass before half its items: counted in kernel.graph_passes and
+  // kernel.gram_entries, which do not depend on the machine's speed.
   Rng rng = MakeRng(78);
   std::vector<graph::Graph> hom_graphs;
   for (int i = 0; i < 4 * ThreadCount(); ++i) {
@@ -525,23 +526,35 @@ TEST(PartialBudgetTest, DeadlineStopsAKernelInsideItsPasses) {
     walk_graphs.push_back(graph::ErdosRenyiGnm(20, 40, rng));
   }
   const std::vector<hom::Pattern> family = hom::DefaultPatternFamily(20);
-  const auto hom_kernel = [&](Budget& budget) {
-    return kernel::HomVectorKernelMatrix(hom_graphs, family, budget);
+  struct Pass {
+    std::function<StatusOr<linalg::Matrix>(Budget&)> gram;
+    const char* counter;
+    int64_t items;
   };
-  const auto walk_kernel = [&](Budget& budget) {
-    return kernel::RandomWalkKernelMatrix(walk_graphs, 0.1, 30, budget);
+  const Pass passes[] = {
+      {[&](Budget& budget) {
+         return kernel::HomVectorKernelMatrix(hom_graphs, family, budget);
+       },
+       "kernel.graph_passes", static_cast<int64_t>(hom_graphs.size())},
+      {[&](Budget& budget) {
+         return kernel::RandomWalkKernelMatrix(walk_graphs, 0.1, 30, budget);
+       },
+       "kernel.gram_entries", 100 * 101 / 2},
   };
-  for (const auto& gram :
-       {std::function<StatusOr<linalg::Matrix>(Budget&)>(hom_kernel),
-        std::function<StatusOr<linalg::Matrix>(Budget&)>(walk_kernel)}) {
-    const trace::StopWatch unbudgeted;
+  for (const Pass& pass : passes) {
+    metrics::Snapshot before = metrics::GlobalSnapshot();
     Budget unlimited;
-    ASSERT_TRUE(gram(unlimited).ok());
-    const double whole = unbudgeted.Seconds();
-    const trace::StopWatch budgeted;
+    ASSERT_TRUE(pass.gram(unlimited).ok());
+    EXPECT_EQ(metrics::Delta(before, metrics::GlobalSnapshot())
+                  .counter(pass.counter),
+              pass.items);
+    before = metrics::GlobalSnapshot();
     Budget budget = Budget::Deadline(0.01);
-    ExpectExhausted(gram(budget));
-    EXPECT_LT(budgeted.Seconds(), whole / 2);
+    ExpectExhausted(pass.gram(budget));
+    EXPECT_LT(2 * metrics::Delta(before, metrics::GlobalSnapshot())
+                      .counter(pass.counter),
+              pass.items)
+        << pass.counter;
   }
 }
 
