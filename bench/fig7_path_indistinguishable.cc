@@ -8,7 +8,10 @@
 // the exact Theorem 4.6 decider (the search driver is reproduced at the
 // bottom for n <= 6, where no such pair exists — itself a finding).
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -71,46 +74,51 @@ int main() {
   Examine("15-edge graph vs cone over K_{3,3} (Example 4.8)", g, cone);
 
   // Finding: no such pair exists on <= 6 vertices — verified by exhaustive
-  // search with the exact decider (bucketing by exact walk vectors).
+  // search with the exact decider. Graphs are bucketed by exact walk
+  // vectors, and one joint refinement splits each bucket into 1-WL
+  // classes: two graphs are 1-WL-equivalent iff their sorted stable colours
+  // agree. 1-WL-equivalent graphs have equal tree counts, so Hom_P is
+  // constant on a class and one decider call per pair of classes suffices.
   int pairs_found = 0;
   for (int n = 4; n <= 6; ++n) {
     const int bits = n * (n - 1) / 2;
-    std::map<std::string, std::vector<uint32_t>> buckets;
-    for (uint32_t mask = 0; mask < (1u << bits); ++mask) {
-      Graph candidate(n);
+    auto build = [n](uint32_t mask) {
+      Graph b(n);
       int bit = 0;
       for (int u = 0; u < n; ++u) {
         for (int v = u + 1; v < n; ++v, ++bit) {
-          if ((mask >> bit) & 1) candidate.AddEdge(u, v);
+          if ((mask >> bit) & 1) b.AddEdge(u, v);
         }
       }
+      return b;
+    };
+    std::map<std::string, std::vector<uint32_t>> buckets;
+    for (uint32_t mask = 0; mask < (1u << bits); ++mask) {
       std::string key;
-      for (__int128 w : hom::PathHomVector(candidate, 2 * n)) {
+      for (__int128 w : hom::PathHomVector(build(mask), 2 * n)) {
         key += linalg::Int128ToString(w) + ",";
       }
       buckets[key].push_back(mask);
     }
     for (const auto& [key, masks] : buckets) {
       if (masks.size() < 2) continue;
-      // Walk-equal graphs: check whether 1-WL separates any pair.
-      for (size_t i = 0; i < masks.size() && pairs_found == 0; ++i) {
-        for (size_t j = i + 1; j < masks.size(); ++j) {
-          auto build = [n](uint32_t mask) {
-            Graph b(n);
-            int bit = 0;
-            for (int u = 0; u < n; ++u) {
-              for (int v = u + 1; v < n; ++v, ++bit) {
-                if ((mask >> bit) & 1) b.AddEdge(u, v);
-              }
-            }
-            return b;
-          };
-          const Graph a = build(masks[i]);
-          const Graph b = build(masks[j]);
-          if (!wl::WlIndistinguishable(a, b) &&
-              hom::HomIndistinguishablePaths(a, b)) {
+      std::vector<Graph> graphs;
+      for (uint32_t mask : masks) graphs.push_back(build(mask));
+      const wl::RefinementResult joint = wl::RefineDataset(graphs);
+      const std::vector<int>& colors = joint.StableColors();
+      // One representative per class, keyed by its sorted stable colours.
+      std::map<std::vector<int>, size_t> classes;
+      for (size_t i = 0; i < graphs.size(); ++i) {
+        const auto first = colors.begin() + static_cast<std::ptrdiff_t>(i * n);
+        std::vector<int> sorted(first, first + n);
+        std::sort(sorted.begin(), sorted.end());
+        classes.emplace(std::move(sorted), i);
+      }
+      for (auto a = classes.begin(); a != classes.end(); ++a) {
+        for (auto b = std::next(a); b != classes.end(); ++b) {
+          if (hom::HomIndistinguishablePaths(graphs[a->second],
+                                             graphs[b->second])) {
             ++pairs_found;
-            break;
           }
         }
       }

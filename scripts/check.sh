@@ -35,12 +35,17 @@
 #      benchmark from src/ in its own non-sanitized .bench_build/ and runs
 #      every workload at toy size, so a src/ change that breaks the
 #      benchmark's build or its correctness checks fails here
-#  13. x2vec_lint over src/ tests/ bench/ tools/ examples/ — per-file
+#  13. scripts/check_reach.sh (plain gate only): builds every target and
+#      the benchmark at -O0 in build-reach/, linked with --gc-sections, and
+#      fails on a library function that no non-test binary reaches unless
+#      scripts/reach_allowlist.txt names it with its reason, and on a stale
+#      allowlist entry
+#  14. x2vec_lint over src/ tests/ bench/ tools/ examples/ — per-file
 #      rules plus the whole-program passes (include cycles, layering
 #      against tools/lint/layers.txt, metric registry); also exports the
 #      module dependency DAG to $BUILD_DIR/deps.json and fails if the
 #      checked-in docs/metrics.md is stale
-#  14. clang-tidy over src/ — skipped with a notice when not installed
+#  15. clang-tidy over src/ — skipped with a notice when not installed
 #
 # Usage:
 #   scripts/check.sh [--sanitize=asan|tsan|ubsan] [--build-dir=DIR] [-j N]
@@ -144,6 +149,9 @@ step "perf_stream smoke (10M-edge streaming DeepWalk, no corpus)"
 if [[ -z "$SANITIZE" ]]; then
   step "perfbench smoke (benchmark build + correctness checks, toy size)"
   python3 perfbench/smoke_test.py
+
+  step "library reachability (every library function reached by a non-test binary or allowlisted)"
+  scripts/check_reach.sh
 fi
 
 step "x2vec_lint src/ tests/ bench/ tools/ examples/"

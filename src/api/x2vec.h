@@ -77,4 +77,3 @@
 #include "wl/kwl.h"                // IWYU pragma: export
 #include "wl/unfolding_tree.h"     // IWYU pragma: export
 #include "wl/weighted_wl.h"        // IWYU pragma: export
-#include "wl/wl_hash.h"            // IWYU pragma: export

@@ -3,17 +3,26 @@
 #include "base/trace.h"
 
 namespace x2vec::core {
-namespace {
 
 using graph::Graph;
 using linalg::Matrix;
 
-// Runs each method with its own budget from `spec`, an Rng seeded with
+Matrix GraphKernelMethod::gram(const std::vector<Graph>& graphs,
+                               Rng& rng) const {
+  Budget unlimited;
+  return *gram_budgeted(graphs, rng, unlimited);
+}
+
+Matrix NodeEmbeddingMethod::embed(const Graph& g, Rng& rng) const {
+  Budget unlimited;
+  return *embed_budgeted(g, rng, unlimited);
+}
+
+// Each method gets its own budget from `spec`, an Rng seeded with
 // seed + its index, a trace span, a stopwatch and a metrics delta.
-template <typename Method, typename Run>
-std::vector<MethodOutcome> RunSuite(const std::vector<Method>& suite,
-                                    uint64_t seed, const BudgetSpec& spec,
-                                    const Run& run) {
+std::vector<MethodOutcome> RunMethodSuite(
+    const std::vector<GraphKernelMethod>& suite,
+    const std::vector<Graph>& graphs, uint64_t seed, const BudgetSpec& spec) {
   std::vector<MethodOutcome> outcomes;
   outcomes.reserve(suite.size());
   for (size_t i = 0; i < suite.size(); ++i) {
@@ -23,7 +32,7 @@ std::vector<MethodOutcome> RunSuite(const std::vector<Method>& suite,
     const trace::StopWatch watch;
     StatusOr<Matrix> result = [&]() -> StatusOr<Matrix> {
       trace::Span span("method." + suite[i].name);
-      return run(suite[i], rng, budget);
+      return suite[i].gram_budgeted(graphs, rng, budget);
     }();
     const double seconds = watch.Seconds();
     metrics::Snapshot delta =
@@ -37,39 +46,6 @@ std::vector<MethodOutcome> RunSuite(const std::vector<Method>& suite,
     }
   }
   return outcomes;
-}
-
-}  // namespace
-
-Matrix GraphKernelMethod::gram(const std::vector<Graph>& graphs,
-                               Rng& rng) const {
-  Budget unlimited;
-  return *gram_budgeted(graphs, rng, unlimited);
-}
-
-Matrix NodeEmbeddingMethod::embed(const Graph& g, Rng& rng) const {
-  Budget unlimited;
-  return *embed_budgeted(g, rng, unlimited);
-}
-
-std::vector<MethodOutcome> RunMethodSuite(
-    const std::vector<GraphKernelMethod>& suite,
-    const std::vector<Graph>& graphs, uint64_t seed, const BudgetSpec& spec) {
-  return RunSuite(suite, seed, spec,
-                  [&](const GraphKernelMethod& method, Rng& rng,
-                      Budget& budget) {
-                    return method.gram_budgeted(graphs, rng, budget);
-                  });
-}
-
-std::vector<MethodOutcome> RunNodeMethodSuite(
-    const std::vector<NodeEmbeddingMethod>& suite, const Graph& g,
-    uint64_t seed, const BudgetSpec& spec) {
-  return RunSuite(suite, seed, spec,
-                  [&](const NodeEmbeddingMethod& method, Rng& rng,
-                      Budget& budget) {
-                    return method.embed_budgeted(g, rng, budget);
-                  });
 }
 
 }  // namespace x2vec::core

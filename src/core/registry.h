@@ -81,9 +81,4 @@ std::vector<MethodOutcome> RunMethodSuite(
     const std::vector<graph::Graph>& graphs, uint64_t seed,
     const BudgetSpec& spec);
 
-/// Node-method analogue of RunMethodSuite.
-std::vector<MethodOutcome> RunNodeMethodSuite(
-    const std::vector<NodeEmbeddingMethod>& suite, const graph::Graph& g,
-    uint64_t seed, const BudgetSpec& spec);
-
 }  // namespace x2vec::core

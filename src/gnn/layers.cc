@@ -11,49 +11,6 @@ using graph::Neighbor;
 
 }  // namespace
 
-GnnLayer GnnLayer::Random(int in_dim, int agg_dim, int out_dim, double scale,
-                          uint64_t seed, Aggregation aggregation) {
-  GnnLayer layer;
-  layer.w_agg = linalg::Matrix::Random(agg_dim, in_dim, scale, seed);
-  layer.w_up = linalg::Matrix::Random(out_dim, in_dim + agg_dim, scale,
-                                      seed + 0x9e3779b97f4a7c15ULL);
-  layer.aggregation = aggregation;
-  return layer;
-}
-
-linalg::Matrix GnnLayer::Forward(const Graph& g,
-                                 const linalg::Matrix& states) const {
-  const int n = g.NumVertices();
-  const int in_dim = states.cols();
-  const int agg_dim = w_agg.rows();
-  X2VEC_CHECK_EQ(w_agg.cols(), in_dim);
-  X2VEC_CHECK_EQ(w_up.cols(), in_dim + agg_dim);
-
-  // Aggregate neighbour states, then apply W_agg once per vertex.
-  linalg::Matrix next(n, w_up.rows());
-  std::vector<double> neighbor_sum(in_dim);
-  std::vector<double> concatenated(in_dim + agg_dim);
-  for (int v = 0; v < n; ++v) {
-    std::fill(neighbor_sum.begin(), neighbor_sum.end(), 0.0);
-    for (const Neighbor& nb : g.Neighbors(v)) {
-      for (int d = 0; d < in_dim; ++d) {
-        neighbor_sum[d] += states(nb.to, d);
-      }
-    }
-    if (aggregation == Aggregation::kMean && g.Degree(v) > 0) {
-      for (double& x : neighbor_sum) x /= g.Degree(v);
-    }
-    const std::vector<double> aggregated = w_agg.Apply(neighbor_sum);
-    for (int d = 0; d < in_dim; ++d) concatenated[d] = states(v, d);
-    for (int d = 0; d < agg_dim; ++d) concatenated[in_dim + d] = aggregated[d];
-    const std::vector<double> updated = w_up.Apply(concatenated);
-    for (int d = 0; d < static_cast<int>(updated.size()); ++d) {
-      next(v, d) = std::max(0.0, updated[d]);
-    }
-  }
-  return next;
-}
-
 GinLayer GinLayer::Random(int in_dim, int hidden_dim, int out_dim,
                           double scale, uint64_t seed) {
   GinLayer layer;
@@ -91,16 +48,6 @@ linalg::Matrix ConstantInitialStates(const Graph& g, int dim) {
   return linalg::Matrix(g.NumVertices(), dim, 1.0);
 }
 
-linalg::Matrix LabelInitialStates(const Graph& g, int num_labels) {
-  linalg::Matrix states(g.NumVertices(), num_labels);
-  for (int v = 0; v < g.NumVertices(); ++v) {
-    const int label = g.VertexLabel(v);
-    X2VEC_CHECK(label >= 0 && label < num_labels);
-    states(v, label) = 1.0;
-  }
-  return states;
-}
-
 linalg::Matrix RandomInitialStates(const Graph& g, int dim, uint64_t seed) {
   return linalg::Matrix::Random(g.NumVertices(), dim, 1.0, seed);
 }
@@ -109,14 +56,6 @@ std::vector<double> SumReadout(const linalg::Matrix& states) {
   std::vector<double> out(states.cols(), 0.0);
   for (int v = 0; v < states.rows(); ++v) {
     for (int d = 0; d < states.cols(); ++d) out[d] += states(v, d);
-  }
-  return out;
-}
-
-std::vector<double> MeanReadout(const linalg::Matrix& states) {
-  std::vector<double> out = SumReadout(states);
-  if (states.rows() > 0) {
-    for (double& x : out) x /= states.rows();
   }
   return out;
 }

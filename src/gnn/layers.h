@@ -8,31 +8,8 @@
 
 namespace x2vec::gnn {
 
-/// Neighbourhood aggregation (must be symmetric in its arguments for
-/// isomorphism invariance — Section 2.2).
-enum class Aggregation {
-  kSum,
-  kMean,
-};
-
-/// One message-passing layer in the basic form of eqs. (2.1)-(2.2):
-///   a_v = agg_{w in N(v)} W_agg x_w,
-///   x'_v = ReLU(W_up [x_v ; a_v]).
-struct GnnLayer {
-  linalg::Matrix w_agg;  ///< c x d.
-  linalg::Matrix w_up;   ///< d' x (d + c).
-  Aggregation aggregation = Aggregation::kSum;
-
-  /// Random layer with the given shapes (uniform in [-scale, scale]).
-  static GnnLayer Random(int in_dim, int agg_dim, int out_dim, double scale,
-                         uint64_t seed, Aggregation aggregation);
-
-  /// Applies the layer to all node states (rows of `states`).
-  linalg::Matrix Forward(const graph::Graph& g,
-                         const linalg::Matrix& states) const;
-};
-
-/// Graph Isomorphism Network layer [Xu et al.], the maximally expressive
+/// Graph Isomorphism Network layer [Xu et al.], a message-passing layer of
+/// the form of eqs. (2.1)-(2.2) with the maximally expressive
 /// 1-WL-matching aggregator: x'_v = MLP((1 + eps) x_v + sum_{w~v} x_w)
 /// with a 2-layer ReLU MLP.
 struct GinLayer {
@@ -51,9 +28,6 @@ struct GinLayer {
 /// expressiveness is capped by 1-WL, Section 3.6).
 linalg::Matrix ConstantInitialStates(const graph::Graph& g, int dim);
 
-/// One-hot vertex-label initial states (dim = label alphabet size).
-linalg::Matrix LabelInitialStates(const graph::Graph& g, int num_labels);
-
 /// Random i.i.d. initial states (the expressiveness-boosting randomised
 /// initialisation discussed at the end of Section 3.6).
 linalg::Matrix RandomInitialStates(const graph::Graph& g, int dim,
@@ -62,7 +36,6 @@ linalg::Matrix RandomInitialStates(const graph::Graph& g, int dim,
 /// Sum-readout graph embedding: column sums of the final node states
 /// (Section 2.5's "just aggregate the node embeddings").
 std::vector<double> SumReadout(const linalg::Matrix& states);
-std::vector<double> MeanReadout(const linalg::Matrix& states);
 
 /// A stack of GIN layers applied in sequence (shared across graphs —
 /// the parameter sharing that makes GNNs inductive).

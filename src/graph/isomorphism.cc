@@ -59,8 +59,4 @@ StatusOr<int64_t> CountIsomorphismsBudgeted(const Graph& g, const Graph& h,
   return found.count;
 }
 
-StatusOr<int64_t> CountAutomorphismsBudgeted(const Graph& g, Budget& budget) {
-  return CountIsomorphismsBudgeted(g, g, budget);
-}
-
 }  // namespace x2vec::graph

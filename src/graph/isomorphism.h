@@ -43,6 +43,4 @@ int64_t CountAutomorphisms(const Graph& g);
 [[nodiscard]] StatusOr<int64_t> CountIsomorphismsBudgeted(const Graph& g, const Graph& h,
                                             Budget& budget);
 
-[[nodiscard]] StatusOr<int64_t> CountAutomorphismsBudgeted(const Graph& g, Budget& budget);
-
 }  // namespace x2vec::graph

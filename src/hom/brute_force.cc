@@ -72,17 +72,6 @@ int64_t CountHomomorphismsBruteForce(const Graph& f, const Graph& g) {
   return *CountHomomorphismsBruteForceBudgeted(f, g, unlimited);
 }
 
-int64_t CountRootedHomomorphismsBruteForce(const Graph& f, int r,
-                                           const Graph& g, int v) {
-  Budget unlimited;
-  return *CountRootedHomomorphismsBruteForceBudgeted(f, r, g, v, unlimited);
-}
-
-double WeightedHomomorphismBruteForce(const Graph& f, const Graph& g) {
-  Budget unlimited;
-  return *WeightedHomomorphismBruteForceBudgeted(f, g, unlimited);
-}
-
 int64_t CountEmbeddingsBruteForce(const Graph& f, const Graph& g) {
   Budget unlimited;
   return *CountEmbeddingsBruteForceBudgeted(f, g, unlimited);

@@ -16,18 +16,6 @@ namespace x2vec::hom {
 int64_t CountHomomorphismsBruteForce(const graph::Graph& f,
                                      const graph::Graph& g);
 
-/// hom(F, G; r -> v): homomorphisms mapping the root r of F to v
-/// (Section 4.4). The budgeted variant returns kInvalidArgument for an r
-/// or v out of range.
-int64_t CountRootedHomomorphismsBruteForce(const graph::Graph& f, int r,
-                                           const graph::Graph& g, int v);
-
-/// Weighted homomorphism count hom(F, G) = sum_h prod_{uu' in E(F)}
-/// alpha(h(u), h(u')) of Section 4.2 — the partition-function form used by
-/// Theorem 4.13. F is unweighted; G carries the weights.
-double WeightedHomomorphismBruteForce(const graph::Graph& f,
-                                      const graph::Graph& g);
-
 /// emb(F, G): number of *injective* homomorphisms (embeddings), for the
 /// walks-vs-paths distinction of Section 4 and the Theorem 4.2 machinery.
 int64_t CountEmbeddingsBruteForce(const graph::Graph& f,
@@ -46,16 +34,23 @@ int64_t CountEpimorphismsBruteForce(const graph::Graph& f,
 /// budget is gone; with an unlimited budget the results are identical to
 /// the plain functions above (which are thin wrappers over these). An F
 /// and a G that differ in directedness are kInvalidArgument, checked
-/// before the budget is read; the plain functions abort on them.
+/// before the budget is read; the plain functions abort on them. The
+/// rooted and weighted counts exist only in this form: they are the
+/// oracles of the tree DP (hom/tree_hom.h).
 
 [[nodiscard]] StatusOr<int64_t> CountHomomorphismsBruteForceBudgeted(const graph::Graph& f,
                                                        const graph::Graph& g,
                                                        Budget& budget);
 
+/// hom(F, G; r -> v): homomorphisms mapping the root r of F to v
+/// (Section 4.4); kInvalidArgument for an r or v out of range.
 [[nodiscard]] StatusOr<int64_t> CountRootedHomomorphismsBruteForceBudgeted(
     const graph::Graph& f, int r, const graph::Graph& g, int v,
     Budget& budget);
 
+/// Weighted homomorphism count hom(F, G) = sum_h prod_{uu' in E(F)}
+/// alpha(h(u), h(u')) of Section 4.2 — the partition-function form used by
+/// Theorem 4.13. F is unweighted; G carries the weights.
 [[nodiscard]] StatusOr<double> WeightedHomomorphismBruteForceBudgeted(const graph::Graph& f,
                                                         const graph::Graph& g,
                                                         Budget& budget);

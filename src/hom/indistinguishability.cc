@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "graph/enumeration.h"
-#include "graph/isomorphism.h"
 #include "hom/path_cycle.h"
 #include "hom/tree_hom.h"
 #include "linalg/charpoly.h"
@@ -78,10 +77,6 @@ bool HomIndistinguishableCycles(const Graph& g, const Graph& h) {
   const std::vector<__int128> ph =
       linalg::CharacteristicPolynomial(h.IntAdjacencyMatrix());
   return pg == ph;
-}
-
-bool HomIndistinguishableAllGraphs(const Graph& g, const Graph& h) {
-  return graph::AreIsomorphic(g, h);
 }
 
 bool TreeHomVectorsEqual(const Graph& g, const Graph& h,

@@ -13,7 +13,7 @@ namespace x2vec::hom {
 ///   trees    (Thm 4.4)  <->  1-WL indistinguishability
 ///   paths    (Thm 4.6)  <->  rational solvability of (3.2) + (3.3)
 ///   cycles   (Thm 4.3)  <->  co-spectrality (exact char. polynomials)
-///   all F    (Thm 4.2)  <->  isomorphism
+///   all F    (Thm 4.2)  <->  isomorphism (graph::AreIsomorphic)
 ///
 /// Truncated direct comparisons of the hom vectors are provided alongside
 /// so the theorems can be validated empirically (see bench/).
@@ -28,11 +28,6 @@ bool HomIndistinguishablePaths(const graph::Graph& g, const graph::Graph& h);
 /// Hom_C(G) = Hom_C(H) over all cycles, decided by exact co-spectrality of
 /// the integer adjacency matrices (Theorem 4.3).
 bool HomIndistinguishableCycles(const graph::Graph& g, const graph::Graph& h);
-
-/// Hom_G(G) = Hom_G(H) over all graphs = isomorphism (Theorem 4.2; decided
-/// by the exact isomorphism search).
-bool HomIndistinguishableAllGraphs(const graph::Graph& g,
-                                   const graph::Graph& h);
 
 /// Direct comparison: hom(T, G) == hom(T, H) for every tree T with at most
 /// `max_pattern_size` vertices (empirical side of Theorem 4.4).

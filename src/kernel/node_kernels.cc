@@ -7,32 +7,6 @@
 #include "linalg/eigen.h"
 
 namespace x2vec::kernel {
-namespace {
-
-// Applies f to the Laplacian spectrum: K = V f(Lambda) V^T. The kernel
-// matrix is a node-pair similarity, so the triple product is materialised
-// entry by entry through the module's Gram fill; each entry is an
-// independent weighted dot of two eigenvector rows.
-template <typename F>
-linalg::Matrix SpectralFunction(const graph::Graph& g, const F& f) {
-  const linalg::EigenDecomposition eig =
-      linalg::SymmetricEigen(Laplacian(g));
-  const int n = static_cast<int>(eig.values.size());
-  std::vector<double> mapped(eig.values.size());
-  for (size_t i = 0; i < eig.values.size(); ++i) mapped[i] = f(eig.values[i]);
-  // An unlimited budget never runs out, so the fill cannot fail.
-  Budget unlimited;
-  return internal::FillGram(n, unlimited, "node kernel", [&](int i, int j) {
-           const std::span<const double> vi = eig.vectors.ConstRowSpan(i);
-           const std::span<const double> vj = eig.vectors.ConstRowSpan(j);
-           double total = 0.0;
-           for (int e = 0; e < n; ++e) total += vi[e] * mapped[e] * vj[e];
-           return total;
-         })
-      .value();
-}
-
-}  // namespace
 
 linalg::Matrix Laplacian(const graph::Graph& g) {
   X2VEC_CHECK(!g.directed());
@@ -47,28 +21,29 @@ linalg::Matrix Laplacian(const graph::Graph& g) {
   return l;
 }
 
+// K = V exp(-beta Lambda) V^T from the Laplacian spectrum. The kernel
+// matrix is a node-pair similarity, so the triple product is materialised
+// entry by entry through the module's Gram fill; each entry is an
+// independent weighted dot of two eigenvector rows.
 linalg::Matrix DiffusionKernel(const graph::Graph& g, double beta) {
   X2VEC_CHECK_GT(beta, 0.0);
-  return SpectralFunction(
-      g, [beta](double lambda) { return std::exp(-beta * lambda); });
-}
-
-linalg::Matrix RegularizedLaplacianKernel(const graph::Graph& g,
-                                          double sigma) {
-  X2VEC_CHECK_GT(sigma, 0.0);
-  return SpectralFunction(g, [sigma](double lambda) {
-    return 1.0 / (1.0 + sigma * sigma * lambda);
-  });
-}
-
-linalg::Matrix PStepRandomWalkKernel(const graph::Graph& g, double a, int p) {
-  X2VEC_CHECK_GE(a, 2.0);
-  X2VEC_CHECK_GE(p, 1);
-  return SpectralFunction(g, [a, p](double lambda) {
-    double value = 1.0;
-    for (int i = 0; i < p; ++i) value *= (a - lambda);
-    return value;
-  });
+  const linalg::EigenDecomposition eig =
+      linalg::SymmetricEigen(Laplacian(g));
+  const int n = static_cast<int>(eig.values.size());
+  std::vector<double> mapped(eig.values.size());
+  for (size_t i = 0; i < eig.values.size(); ++i) {
+    mapped[i] = std::exp(-beta * eig.values[i]);
+  }
+  // An unlimited budget never runs out, so the fill cannot fail.
+  Budget unlimited;
+  return internal::FillGram(n, unlimited, "node kernel", [&](int i, int j) {
+           const std::span<const double> vi = eig.vectors.ConstRowSpan(i);
+           const std::span<const double> vj = eig.vectors.ConstRowSpan(j);
+           double total = 0.0;
+           for (int e = 0; e < n; ++e) total += vi[e] * mapped[e] * vj[e];
+           return total;
+         })
+      .value();
 }
 
 }  // namespace x2vec::kernel

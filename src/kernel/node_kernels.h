@@ -5,7 +5,7 @@
 
 namespace x2vec::kernel {
 
-/// Node kernels (Section 2.4 [Kondor-Lafferty, Smola-Kondor]): positive
+/// Node kernels (Section 2.4 [Kondor-Lafferty]): positive
 /// semidefinite similarity matrices over the vertices of one graph, i.e.
 /// implicit node embeddings.
 
@@ -15,12 +15,5 @@ linalg::Matrix Laplacian(const graph::Graph& g);
 /// Diffusion (heat) kernel K = exp(-beta L), computed via the Laplacian
 /// eigendecomposition. Always PSD.
 linalg::Matrix DiffusionKernel(const graph::Graph& g, double beta);
-
-/// Regularised Laplacian kernel K = (I + sigma^2 L)^{-1}, via eigen.
-linalg::Matrix RegularizedLaplacianKernel(const graph::Graph& g,
-                                          double sigma);
-
-/// p-step random-walk kernel K = (a I - L)^p with a >= 2 (Smola-Kondor).
-linalg::Matrix PStepRandomWalkKernel(const graph::Graph& g, double a, int p);
 
 }  // namespace x2vec::kernel

@@ -66,12 +66,4 @@ AssignmentResult SolveAssignment(const Matrix& cost) {
   return result;
 }
 
-AssignmentResult SolveMaxAssignment(const Matrix& weight) {
-  Matrix negated = weight;
-  negated *= -1.0;
-  AssignmentResult result = SolveAssignment(negated);
-  result.cost = -result.cost;
-  return result;
-}
-
 }  // namespace x2vec::linalg

@@ -19,7 +19,4 @@ struct AssignmentResult {
 /// and for exact dist_1 alignment of small graphs.
 AssignmentResult SolveAssignment(const Matrix& cost);
 
-/// Convenience: maximum-weight assignment (negates the matrix).
-AssignmentResult SolveMaxAssignment(const Matrix& weight);
-
 }  // namespace x2vec::linalg

@@ -1,24 +1,12 @@
 #pragma once
 
-#include <vector>
-
 #include "linalg/matrix.h"
 
 namespace x2vec::ml {
 
-/// Principal component analysis result.
-struct PcaResult {
-  linalg::Matrix projected;            ///< n x d scores.
-  linalg::Matrix components;           ///< original_dim x d loadings.
-  std::vector<double> explained_variance;  ///< Top-d eigenvalues.
-};
-
-/// PCA of the rows of `features` onto the top `d` components (covariance
-/// eigendecomposition; data are mean-centred internally).
-PcaResult Pca(const linalg::Matrix& features, int d);
-
 /// Kernel PCA (Section 2.4 [Schölkopf et al.]): projects onto the top `d`
 /// eigenvectors of the double-centred Gram matrix; returns n x d scores.
+/// On the linear Gram X X^T of feature rows X this is plain PCA's scores.
 linalg::Matrix KernelPca(const linalg::Matrix& gram, int d);
 
 }  // namespace x2vec::ml

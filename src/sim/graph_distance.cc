@@ -109,28 +109,6 @@ RelaxedDistanceResult RelaxedGraphDistance(const Graph& g, const Graph& h,
   return result;
 }
 
-Matrix SinkhornProjection(const Matrix& m, int iterations) {
-  X2VEC_CHECK_EQ(m.rows(), m.cols());
-  Matrix x = m;
-  for (double& v : x.mutable_data()) {
-    X2VEC_CHECK_GE(v, 0.0) << "Sinkhorn needs a non-negative matrix";
-    v = std::max(v, 1e-12);
-  }
-  for (int iteration = 0; iteration < iterations; ++iteration) {
-    for (int i = 0; i < x.rows(); ++i) {
-      double row = 0.0;
-      for (int j = 0; j < x.cols(); ++j) row += x(i, j);
-      for (int j = 0; j < x.cols(); ++j) x(i, j) /= row;
-    }
-    for (int j = 0; j < x.cols(); ++j) {
-      double col = 0.0;
-      for (int i = 0; i < x.rows(); ++i) col += x(i, j);
-      for (int i = 0; i < x.rows(); ++i) x(i, j) /= col;
-    }
-  }
-  return x;
-}
-
 std::pair<Graph, Graph> BlowUpAlign(const Graph& g, const Graph& h) {
   const int64_t ng = std::max(1, g.NumVertices());
   const int64_t nh = std::max(1, h.NumVertices());

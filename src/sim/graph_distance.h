@@ -41,10 +41,6 @@ RelaxedDistanceResult RelaxedGraphDistance(const graph::Graph& g,
                                            int max_iterations = 200,
                                            double tolerance = 1e-8);
 
-/// Sinkhorn-Knopp projection of a positive matrix towards the Birkhoff
-/// polytope (alternating row/column normalisation).
-linalg::Matrix SinkhornProjection(const linalg::Matrix& m, int iterations);
-
 /// Blows both graphs up to their least common order so same-order distance
 /// machinery applies (Section 5.1's final remark). Returns the pair of
 /// blown-up graphs.

@@ -6,11 +6,6 @@
 
 namespace x2vec::wl {
 
-bool AreFractionallyIsomorphic(const graph::Graph& g, const graph::Graph& h) {
-  if (g.NumVertices() != h.NumVertices()) return false;
-  return WlIndistinguishable(g, h);
-}
-
 std::optional<linalg::Matrix> FractionalIsomorphism(const graph::Graph& g,
                                                     const graph::Graph& h) {
   if (g.NumVertices() != h.NumVertices()) return std::nullopt;

@@ -7,16 +7,13 @@
 
 namespace x2vec::wl {
 
-/// True iff g and h are fractionally isomorphic, i.e., equations (3.2) and
-/// (3.3) admit a doubly stochastic solution. By Tinhofer's theorem
-/// (Theorem 3.2) this is decided by 1-WL indistinguishability.
-bool AreFractionallyIsomorphic(const graph::Graph& g, const graph::Graph& h);
-
-/// Constructs an explicit fractional isomorphism when one exists: the
+/// Constructs an explicit fractional isomorphism when one exists, i.e.
+/// when equations (3.2) and (3.3) admit a doubly stochastic solution: the
 /// block matrix X with X_vw = 1/|class| whenever v and w share a stable
 /// joint 1-WL colour (the classical witness in Tinhofer's proof), so that
 /// X is doubly stochastic and A X = X B exactly. Returns nullopt when
-/// 1-WL distinguishes the graphs.
+/// 1-WL distinguishes the graphs, so has_value() decides fractional
+/// isomorphism (Tinhofer's theorem, Theorem 3.2).
 std::optional<linalg::Matrix> FractionalIsomorphism(const graph::Graph& g,
                                                     const graph::Graph& h);
 

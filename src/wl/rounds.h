@@ -23,8 +23,8 @@ namespace x2vec::wl::internal {
 // where two-graph calls run faster; datasets gain from the pool above ~8k.
 constexpr int64_t kInlineEntries = int64_t{1} << 14;
 
-// The vertex pass's plain 1-WL signature (Section 3.2), also serialised by
-// WlCertificate: writes vertex v's sorted (edge label, colour) out-pairs,
+// The vertex pass's plain 1-WL signature (Section 3.2), one per vertex and
+// round: writes vertex v's sorted (edge label, colour) out-pairs,
 // then on digraphs its sorted in-pairs, into the slots at `out` and
 // returns where the out-pairs end and how many slots are used.
 struct LabelledPairs {

@@ -9,16 +9,6 @@ namespace {
 using graph::Graph;
 using graph::Neighbor;
 
-void Grow(const Graph& g, Graph& tree, int tree_node, int graph_vertex,
-          int remaining_depth) {
-  if (remaining_depth == 0) return;
-  for (const Neighbor& nb : g.Neighbors(graph_vertex)) {
-    const int child = tree.AddVertex(g.VertexLabel(nb.to));
-    tree.AddEdge(tree_node, child);
-    Grow(g, tree, child, nb.to, remaining_depth - 1);
-  }
-}
-
 std::string CanonicalString(const Graph& g, int v, int depth) {
   std::string out = std::to_string(g.VertexLabel(v));
   if (depth == 0) return out;
@@ -53,16 +43,6 @@ void Render(const Graph& g, int v, int depth, const std::string& prefix,
 }
 
 }  // namespace
-
-RootedGraph UnfoldingTree(const Graph& g, int v, int depth) {
-  X2VEC_CHECK(v >= 0 && v < g.NumVertices());
-  X2VEC_CHECK_GE(depth, 0);
-  RootedGraph result;
-  result.graph = Graph(0);
-  result.root = result.graph.AddVertex(g.VertexLabel(v));
-  Grow(g, result.graph, result.root, v, depth);
-  return result;
-}
 
 std::string UnfoldingTreeString(const Graph& g, int v, int depth) {
   X2VEC_CHECK(v >= 0 && v < g.NumVertices());

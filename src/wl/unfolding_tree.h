@@ -6,23 +6,14 @@
 
 namespace x2vec::wl {
 
-/// A graph together with a distinguished root vertex.
-struct RootedGraph {
-  graph::Graph graph;
-  int root = 0;
-};
-
-/// Depth-`depth` unfolding tree of vertex v: the truncated universal cover,
-/// i.e., the rooted tree whose root is v and where each node for vertex u
-/// has one child for every neighbour of u in g (including the one it was
-/// reached from). The 1-WL colour of v after round t is exactly the
-/// isomorphism type of this tree of height t (Figure 5 / Section 3.5).
-RootedGraph UnfoldingTree(const graph::Graph& g, int v, int depth);
-
-/// Canonical string of the depth-`depth` unfolding tree — a stable,
-/// graph-independent name for the round-`depth` WL colour of v. Two
-/// vertices (of any graphs) get equal strings iff 1-WL gives them the same
-/// colour in round `depth`.
+/// Canonical string of the depth-`depth` unfolding tree of vertex v: the
+/// truncated universal cover, i.e. the rooted tree whose root is v and
+/// where each node for vertex u has one child for every neighbour of u in
+/// g (including the one it was reached from). The 1-WL colour of v after
+/// round t is exactly the isomorphism type of this tree of height t
+/// (Figure 5 / Section 3.5), so the string is a stable, graph-independent
+/// name for that colour: two vertices (of any graphs) get equal strings
+/// iff 1-WL gives them the same colour in round `depth`.
 std::string UnfoldingTreeString(const graph::Graph& g, int v, int depth);
 
 /// Renders the unfolding tree as an ASCII art outline for figures.

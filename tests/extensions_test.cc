@@ -93,21 +93,6 @@ TEST(NodeKernelTest, DiffusionRespectsComponents) {
   EXPECT_GT(k(0, 1), 0.01);
 }
 
-TEST(NodeKernelTest, RegularizedLaplacianPsd) {
-  Rng rng = MakeRng(103);
-  const Graph g = graph::ErdosRenyiGnp(7, 0.5, rng);
-  EXPECT_TRUE(kernel::IsPositiveSemidefinite(
-      kernel::RegularizedLaplacianKernel(g, 1.0)));
-}
-
-TEST(NodeKernelTest, PStepKernelPsdForLargeA) {
-  Rng rng = MakeRng(104);
-  const Graph g = graph::ErdosRenyiGnp(7, 0.5, rng);
-  // a >= max eigenvalue of L guarantees PSD for any p.
-  EXPECT_TRUE(kernel::IsPositiveSemidefinite(
-      kernel::PStepRandomWalkKernel(g, 20.0, 3)));
-}
-
 TEST(TreeDepthTest, KnownValues) {
   EXPECT_EQ(hom::TreeDepth(Graph(0)), 0);
   EXPECT_EQ(hom::TreeDepth(Graph(1)), 1);

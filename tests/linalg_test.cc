@@ -284,11 +284,5 @@ TEST(HungarianTest, MatchesBruteForceOnRandom) {
   }
 }
 
-TEST(HungarianTest, MaxAssignment) {
-  Matrix weight = {{1, 5}, {5, 1}};
-  const AssignmentResult r = SolveMaxAssignment(weight);
-  EXPECT_DOUBLE_EQ(r.cost, 10.0);
-}
-
 }  // namespace
 }  // namespace x2vec::linalg

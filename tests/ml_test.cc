@@ -1,3 +1,4 @@
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -196,9 +197,23 @@ TEST(PcaTest, FirstComponentAlignsWithSpread) {
     features(i, 0) = Gaussian(rng) * 5.0;
     features(i, 1) = Gaussian(rng) * 0.3;
   }
-  const PcaResult pca = Pca(features, 2);
-  EXPECT_GT(pca.explained_variance[0], pca.explained_variance[1] * 10);
-  EXPECT_GT(std::abs(pca.components(0, 0)), 0.95);  // ~ x-axis direction.
+  // Kernel PCA on the linear Gram gives PCA's scores: mean-zero columns.
+  const linalg::Matrix scores = KernelPca(LinearGram(features), 2);
+  std::vector<double> variance(2, 0.0);
+  for (int i = 0; i < 60; ++i) {
+    for (int j = 0; j < 2; ++j) variance[j] += scores(i, j) * scores(i, j);
+  }
+  EXPECT_GT(variance[0], variance[1] * 10);
+  // The first component is ~ the x-axis: its scores track centred x.
+  double mean_x = 0.0;
+  for (int i = 0; i < 60; ++i) mean_x += features(i, 0) / 60;
+  double dot = 0.0;
+  double norm_x = 0.0;
+  for (int i = 0; i < 60; ++i) {
+    dot += scores(i, 0) * (features(i, 0) - mean_x);
+    norm_x += (features(i, 0) - mean_x) * (features(i, 0) - mean_x);
+  }
+  EXPECT_GT(std::abs(dot) / std::sqrt(variance[0] * norm_x), 0.95);
 }
 
 TEST(PcaTest, KernelPcaSeparatesBlobs) {

@@ -185,7 +185,7 @@ TEST_P(LadderTest, ImplicationsHold) {
     EXPECT_TRUE(paths);
   }
   // Hom_T coincides with fractional isomorphism (Thm 3.2 + Cor 4.5).
-  EXPECT_EQ(trees, wl::AreFractionallyIsomorphic(g, h));
+  EXPECT_EQ(trees, wl::FractionalIsomorphism(g, h).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LadderTest,
@@ -289,14 +289,15 @@ TEST(MethodSuitePropertyTest, ZeroBudgetSkipsEveryMethodGracefully) {
 }
 
 TEST(MethodSuitePropertyTest, ZeroBudgetSkipsEveryNodeMethodGracefully) {
-  BudgetSpec spec;
-  spec.work_units = 0;
-  const std::vector<core::MethodOutcome> outcomes = core::RunNodeMethodSuite(
-      api::DefaultNodeMethodSuite(), Graph::Cycle(12), /*seed=*/7, spec);
-  ASSERT_EQ(outcomes.size(), api::DefaultNodeMethodSuite().size());
-  for (const core::MethodOutcome& outcome : outcomes) {
-    EXPECT_EQ(outcome.status.code(), StatusCode::kResourceExhausted)
-        << outcome.name << ": " << outcome.status.ToString();
+  const Graph g = Graph::Cycle(12);
+  for (const core::NodeEmbeddingMethod& method :
+       api::DefaultNodeMethodSuite()) {
+    Budget budget = Budget::WorkUnits(0);
+    Rng rng = MakeRng(7);
+    const StatusOr<linalg::Matrix> embedding =
+        method.embed_budgeted(g, rng, budget);
+    EXPECT_EQ(embedding.status().code(), StatusCode::kResourceExhausted)
+        << method.name << ": " << embedding.status().ToString();
   }
 }
 

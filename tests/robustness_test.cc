@@ -326,7 +326,7 @@ TEST(ZeroBudgetTest, IsomorphismSearch) {
   Budget b2 = Budget::WorkUnits(0);
   ExpectExhausted(graph::CountIsomorphismsBudgeted(g, h, b2));
   Budget b3 = Budget::WorkUnits(0);
-  ExpectExhausted(graph::CountAutomorphismsBudgeted(g, b3));
+  ExpectExhausted(graph::CountIsomorphismsBudgeted(g, g, b3));
 }
 
 TEST(ZeroBudgetTest, KWeisfeilerLeman) {

@@ -133,23 +133,6 @@ TEST(RelaxedDistanceTest, AgreesWithWlOnRandomPairs) {
   }
 }
 
-TEST(SinkhornTest, ProjectsToDoublyStochastic) {
-  Rng rng = MakeRng(44);
-  linalg::Matrix m(5, 5);
-  for (double& v : m.mutable_data()) v = UniformReal(rng, 0.1, 2.0);
-  const linalg::Matrix projected = SinkhornProjection(m, 100);
-  for (int i = 0; i < 5; ++i) {
-    double row = 0.0;
-    double col = 0.0;
-    for (int j = 0; j < 5; ++j) {
-      row += projected(i, j);
-      col += projected(j, i);
-    }
-    EXPECT_NEAR(row, 1.0, 1e-6);
-    EXPECT_NEAR(col, 1.0, 1e-6);
-  }
-}
-
 TEST(BlowUpAlignTest, ReachesLeastCommonOrder) {
   const auto [g, h] = BlowUpAlign(Graph::Path(2), Graph::Cycle(3));
   EXPECT_EQ(g.NumVertices(), 6);

@@ -21,7 +21,6 @@
 #include "wl/kwl.h"
 #include "wl/unfolding_tree.h"
 #include "wl/weighted_wl.h"
-#include "wl/wl_hash.h"
 
 namespace x2vec::wl {
 namespace {
@@ -120,6 +119,31 @@ TEST(ColorRefinementTest, DirectedOrientationMatters) {
   b.AddEdge(0, 1);
   b.AddEdge(0, 2);
   EXPECT_FALSE(WlIndistinguishable(a, b));
+}
+
+TEST(ColorRefinementTest, LabelsAndInNeighboursSplit) {
+  // Pairs 1-WL tells apart by what it ranks besides out-neighbour colours:
+  // a vertex label, an edge label, in-neighbours.
+  Graph five(1);
+  five.SetVertexLabel(0, 5);
+  Graph seven(1);
+  seven.SetVertexLabel(0, 7);
+  Graph edge_label_1(2);
+  edge_label_1.AddEdge(0, 1, 1.0, /*label=*/1);
+  Graph edge_label_2(2);
+  edge_label_2.AddEdge(0, 1, 1.0, /*label=*/2);
+  Graph into_one_sink(4, /*directed=*/true);
+  into_one_sink.AddEdge(0, 2);
+  into_one_sink.AddEdge(1, 2);
+  Graph into_two_sinks(4, /*directed=*/true);
+  into_two_sinks.AddEdge(0, 2);
+  into_two_sinks.AddEdge(1, 3);
+  for (const auto& [g, h] : std::vector<std::pair<Graph, Graph>>{
+           {five, seven},
+           {edge_label_1, edge_label_2},
+           {into_one_sink, into_two_sinks}}) {
+    EXPECT_FALSE(WlIndistinguishable(g, h)) << g.ToString();
+  }
 }
 
 // ---- RefineDataset against the union reference -----------------------------
@@ -312,63 +336,6 @@ TEST(ColorUtilsTest, ClassesAndHistogram) {
   EXPECT_EQ(classes.size(), 3u);
   EXPECT_EQ(classes[0], (std::vector<int>{0, 2}));
   EXPECT_EQ(ColorHistogram(colors), (std::vector<int>{2, 2, 1}));
-}
-
-TEST(WlHashTest, InvariantUnderPermutation) {
-  Rng rng = MakeRng(115);
-  for (int trial = 0; trial < 15; ++trial) {
-    const Graph g = graph::ErdosRenyiGnp(9, 0.4, rng);
-    const Graph p = graph::Permuted(g, RandomPermutation(9, rng));
-    EXPECT_EQ(WlHash(g), WlHash(p));
-    EXPECT_EQ(WlCertificate(g), WlCertificate(p));
-  }
-}
-
-TEST(WlHashTest, CertificateEqualityMatchesIndistinguishability) {
-  Rng rng = MakeRng(116);
-  int checked = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    const Graph g = graph::ErdosRenyiGnp(7, 0.45, rng);
-    const Graph h = trial % 4 == 0
-                        ? graph::Permuted(g, RandomPermutation(7, rng))
-                        : graph::ErdosRenyiGnp(7, 0.45, rng);
-    const bool certificates_equal = WlCertificate(g) == WlCertificate(h);
-    EXPECT_EQ(certificates_equal, WlIndistinguishable(g, h))
-        << "trial " << trial;
-    ++checked;
-  }
-  EXPECT_EQ(checked, 40);
-  // Pairs 1-WL tells apart by what it ranks besides out-neighbour colours:
-  // a vertex label, an edge label, in-neighbours.
-  Graph five(1);
-  five.SetVertexLabel(0, 5);
-  Graph seven(1);
-  seven.SetVertexLabel(0, 7);
-  Graph edge_label_1(2);
-  edge_label_1.AddEdge(0, 1, 1.0, /*label=*/1);
-  Graph edge_label_2(2);
-  edge_label_2.AddEdge(0, 1, 1.0, /*label=*/2);
-  Graph into_one_sink(4, /*directed=*/true);
-  into_one_sink.AddEdge(0, 2);
-  into_one_sink.AddEdge(1, 2);
-  Graph into_two_sinks(4, /*directed=*/true);
-  into_two_sinks.AddEdge(0, 2);
-  into_two_sinks.AddEdge(1, 3);
-  for (const auto& [g, h] : std::vector<std::pair<Graph, Graph>>{
-           {five, seven},
-           {edge_label_1, edge_label_2},
-           {into_one_sink, into_two_sinks}}) {
-    EXPECT_FALSE(WlIndistinguishable(g, h)) << g.ToString();
-    EXPECT_NE(WlCertificate(g), WlCertificate(h)) << g.ToString();
-    EXPECT_NE(WlHash(g), WlHash(h)) << g.ToString();
-  }
-}
-
-TEST(WlHashTest, ClassicBlindSpotCollides) {
-  const Graph c6 = Graph::Cycle(6);
-  const Graph triangles = DisjointUnion(Graph::Cycle(3), Graph::Cycle(3));
-  EXPECT_EQ(WlHash(c6), WlHash(triangles));
-  EXPECT_NE(WlHash(c6), WlHash(Graph::Path(6)));
 }
 
 TEST(WeightedWlTest, WeightsSplitWhereCountsDoNot) {
@@ -793,18 +760,6 @@ TEST(CfiTest, GadgetSizesMatchEvenSubsetCounts) {
   EXPECT_FALSE(graph::AreIsomorphic(pair.untwisted, pair.twisted));
 }
 
-TEST(UnfoldingTreeTest, SizesOnPath) {
-  const Graph p3 = Graph::Path(3);
-  const RootedGraph t0 = UnfoldingTree(p3, 1, 0);
-  EXPECT_EQ(t0.graph.NumVertices(), 1);
-  const RootedGraph t1 = UnfoldingTree(p3, 1, 1);
-  EXPECT_EQ(t1.graph.NumVertices(), 3);
-  // Depth 2 from the centre: each endpoint child walks back to the centre.
-  const RootedGraph t2 = UnfoldingTree(p3, 1, 2);
-  EXPECT_EQ(t2.graph.NumVertices(), 5);
-  EXPECT_TRUE(graph::IsTree(t2.graph));
-}
-
 TEST(UnfoldingTreeTest, StringMatchesWlColorEquality) {
   Rng rng = MakeRng(44);
   const Graph g = graph::ErdosRenyiGnp(8, 0.4, rng);
@@ -847,14 +802,14 @@ TEST(FractionalTest, WitnessIsDoublyStochasticAndCommutes) {
 
 TEST(FractionalTest, DistinguishablePairsHaveNoWitness) {
   EXPECT_FALSE(FractionalIsomorphism(Graph::Path(4), Graph::Star(3)).has_value());
-  EXPECT_FALSE(AreFractionallyIsomorphic(Graph::Path(3), Graph::Path(4)));
+  EXPECT_FALSE(
+      FractionalIsomorphism(Graph::Path(3), Graph::Path(4)).has_value());
 }
 
 TEST(FractionalTest, IsomorphicGraphsAreFractionallyIsomorphic) {
   Rng rng = MakeRng(45);
   const Graph g = graph::ErdosRenyiGnp(7, 0.5, rng);
   const Graph p = graph::Permuted(g, RandomPermutation(7, rng));
-  EXPECT_TRUE(AreFractionallyIsomorphic(g, p));
   const auto x = FractionalIsomorphism(g, p);
   ASSERT_TRUE(x.has_value());
   EXPECT_NEAR(FractionalResidual(g, p, *x), 0.0, 1e-12);
