@@ -1,28 +1,101 @@
 #include "base/rng.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <sstream>
 
 namespace x2vec {
 
-std::string Rng::SaveEngineState() const {
-  std::ostringstream out;
-  out << engine_;
-  return out.str();
+namespace {
+
+// MT19937-64's parameters, as std::mt19937_64 names them.
+constexpr size_t kShift = 156;                            // m
+constexpr uint64_t kMatrix = 0xb5026f5aa96619e9ULL;       // a
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;       // r = 31
+constexpr uint64_t kSeedMultiplier = 6364136223846793005ULL;  // f
+
+// One twisted word: `far` xor the shifted join of `upper`'s high bits and
+// `lower`'s low bits, xor the matrix when the join is odd.
+inline uint64_t TwistWord(uint64_t upper, uint64_t lower, uint64_t far) {
+  const uint64_t y = (upper & kUpperMask) | (lower & ~kUpperMask);
+  return far ^ (y >> 1) ^ (-(y & 1) & kMatrix);
 }
 
+}  // namespace
+
+void MersenneTwister64::Seed(size_t end) {
+  for (size_t i = seeded_; i < end; ++i) {
+    const uint64_t x = words_[i - 1];
+    words_[i] = kSeedMultiplier * (x ^ (x >> 62)) + i;
+  }
+  seeded_ = std::max(seeded_, end);
+}
+
+void MersenneTwister64::Twist(size_t begin, size_t end) {
+  size_t k = begin;
+  for (; k < std::min(end, kWords - kShift); ++k) {
+    words_[k] = TwistWord(words_[k], words_[k + 1], words_[k + kShift]);
+  }
+  for (; k < std::min(end, kWords - 1); ++k) {
+    words_[k] = TwistWord(words_[k], words_[k + 1], words_[k - kShift]);
+  }
+  if (k == kWords - 1 && end == kWords) {
+    words_[k] = TwistWord(words_[k], words_[0], words_[kShift - 1]);
+  }
+}
+
+void MersenneTwister64::Refill() {
+  if (ready_ == kWords) {
+    Twist(0, kWords);
+    pos_ = 0;
+    return;
+  }
+  // The first block: seed only as far as the next chunk reads.
+  const size_t end = std::min(ready_ + kChunk, kWords);
+  Seed(std::min(end + kShift, kWords));
+  Twist(ready_, end);
+  ready_ = end;
+}
+
+std::string MersenneTwister64::SaveState() const {
+  MersenneTwister64 full = *this;
+  full.Seed(kWords);
+  // Before its first draw std holds the seed words at position kWords.
+  const size_t pos = ready_ == 0 ? kWords : pos_;
+  if (ready_ > 0) full.Twist(ready_, kWords);
+  std::string text;
+  for (uint64_t word : full.words_) {
+    text += std::to_string(word);
+    text += ' ';
+  }
+  text += std::to_string(pos);
+  return text;
+}
+
+bool MersenneTwister64::LoadState(const std::string& text) {
+  std::istringstream in(text);
+  uint64_t words[kWords];
+  for (uint64_t& word : words) in >> word;
+  size_t pos = 0;
+  in >> pos;
+  if (in.fail()) return false;
+  std::copy(std::begin(words), std::end(words), words_);
+  pos_ = pos;
+  ready_ = kWords;
+  seeded_ = kWords;
+  return true;
+}
+
+std::string Rng::SaveEngineState() const { return engine_.SaveState(); }
+
 Status Rng::LoadEngineState(const std::string& state) {
-  std::istringstream in(state);
-  std::mt19937_64 restored;
-  in >> restored;
-  if (in.fail()) {
+  if (!engine_.LoadState(state)) {
     return Status::CorruptedData(
         "mt19937_64 engine state does not parse (expected " +
-        std::to_string(std::mt19937_64::state_size) +
+        std::to_string(MersenneTwister64::kWords) +
         " decimal words plus a position)");
   }
-  engine_ = restored;
   return Status::Ok();
 }
 

@@ -1,5 +1,9 @@
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "base/rng.h"
@@ -69,6 +73,127 @@ TEST(RngTest, SampleWithoutReplacementIsDistinct) {
       EXPECT_LT(x, 100);
     }
   }
+}
+
+// The oracle for Rng's engine: Rng must draw, and save its state, exactly as
+// this one does.
+using StdMt64 = std::mt19937_64;  // x2vec-lint: allow(nondeterminism)
+
+std::string StdText(const StdMt64& engine) {
+  std::ostringstream out;
+  out << engine;
+  return out.str();
+}
+
+// Draw counts at which the lazy first block, the first full twist and the
+// second one change hands.
+constexpr int kStops[] = {0,   1,   15,  16,  17,  155, 156, 157,
+                          311, 312, 313, 623, 624, 625, 1000};
+
+std::vector<uint64_t> OracleSeeds() {
+  std::vector<uint64_t> seeds = {0, 5489, ~uint64_t{0}};
+  for (uint64_t stream = 0; stream < 1000; ++stream) {
+    seeds.push_back(MixSeed(0x5eed, stream));
+  }
+  return seeds;
+}
+
+TEST(RngEngineTest, DrawsAndStateMatchStdMt19937_64) {
+  for (const uint64_t seed : OracleSeeds()) {
+    Rng rng(seed);
+    StdMt64 oracle(seed);
+    int drawn = 0;
+    for (const int stop : kStops) {
+      for (; drawn < stop; ++drawn) {
+        ASSERT_EQ(rng(), oracle()) << "seed " << seed << " draw " << drawn;
+      }
+      ASSERT_EQ(rng.SaveEngineState(), StdText(oracle))
+          << "seed " << seed << " after " << stop << " draws";
+    }
+  }
+}
+
+TEST(RngEngineTest, CopiesContinueTheStream) {
+  for (const uint64_t seed : {uint64_t{0}, MixSeed(7, 1), MixSeed(7, 2)}) {
+    Rng rng(seed);
+    StdMt64 oracle(seed);
+    int drawn = 0;
+    for (const int stop : kStops) {
+      for (; drawn < stop; ++drawn) ASSERT_EQ(rng(), oracle());
+      Rng copy = rng;
+      StdMt64 oracle_copy = oracle;
+      for (int i = 0; i < 700; ++i) {
+        ASSERT_EQ(copy(), oracle_copy()) << "copy at " << stop << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(RngEngineTest, LoadsStdStateAndContinues) {
+  for (const uint64_t seed : {uint64_t{5489}, MixSeed(3, 4)}) {
+    for (const int position : {0, 311, 312, 999}) {
+      StdMt64 oracle(seed);
+      for (int i = 0; i < position; ++i) oracle();
+      Rng rng(seed + 1);
+      ASSERT_TRUE(rng.LoadEngineState(StdText(oracle)).ok());
+      EXPECT_EQ(rng.SaveEngineState(), StdText(oracle));
+      for (int i = 0; i < 700; ++i) {
+        ASSERT_EQ(rng(), oracle()) << "loaded at " << position << " draw " << i;
+      }
+      EXPECT_EQ(rng.SaveEngineState(), StdText(oracle));
+    }
+  }
+}
+
+TEST(RngEngineTest, MalformedStateFailsExactlyWhenStdFails) {
+  const StdMt64 source(11);
+  const std::string text = StdText(source);
+  const std::string words = text.substr(0, text.rfind(' '));
+  const std::string first_311 = words.substr(0, words.rfind(' '));
+  std::string non_numeric = text;
+  non_numeric.replace(non_numeric.find(' ') + 1, 1, "x");
+  const std::vector<std::string> cases = {
+      "",
+      first_311,
+      first_311 + " 5",
+      non_numeric,
+      words,
+      words + " x",
+      "18446744073709551616 " + text.substr(text.find(' ') + 1),
+      "-1 " + text.substr(text.find(' ') + 1),
+      words + " 1000",
+      "  " + text + " trailing",
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    std::istringstream in(cases[c]);
+    StdMt64 parsed;
+    in >> parsed;
+    const bool std_ok = !in.fail();
+
+    Rng rng(99);
+    StdMt64 untouched(99);
+    for (int i = 0; i < 20; ++i) ASSERT_EQ(rng(), untouched());
+    const Status status = rng.LoadEngineState(cases[c]);
+    ASSERT_EQ(status.ok(), std_ok) << "case " << c;
+    const StdMt64& expected = std_ok ? parsed : untouched;
+    StdMt64 oracle = expected;
+    if (!std_ok) {
+      EXPECT_EQ(status.code(), StatusCode::kCorruptedData) << "case " << c;
+    }
+    EXPECT_EQ(rng.SaveEngineState(), StdText(oracle)) << "case " << c;
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(rng(), oracle()) << "case " << c << " draw " << i;
+    }
+    EXPECT_EQ(rng.SaveEngineState(), StdText(oracle)) << "case " << c;
+  }
+}
+
+TEST(RngEngineTest, DefaultConstructedMatchesStdDefault) {
+  Rng rng;
+  StdMt64 oracle;
+  EXPECT_EQ(rng.SaveEngineState(), StdText(oracle));
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng(), oracle()) << "draw " << i;
+  EXPECT_EQ(rng.SaveEngineState(), StdText(oracle));
 }
 
 TEST(AliasTableTest, MatchesWeightsEmpirically) {
